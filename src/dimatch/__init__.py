@@ -22,7 +22,6 @@ from .oracle import (OracleReport, BudgetExceeded, brute_force_dim,
                      enumerate_dims, dims_by_subset_filter)
 from .solver import (SolveOutcome, SolveStats, BranchPoint,
                      HypothesisViolation, constrained_subsolver, solve,
-                     solve_n4_empty, solve_n2_small, solve_n2_large,
                      solve_with_xy)
 
 __version__ = "0.1.0"

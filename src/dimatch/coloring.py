@@ -19,6 +19,8 @@ UNKNOWN, BLACK, WHITE = 0, 1, 2
 
 COLOR_NAMES = {UNKNOWN: "unknown", BLACK: "black", WHITE: "white"}
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")   # removed -> live
+
 
 @dataclass
 class LogEntry:
@@ -55,7 +57,7 @@ class ColoringState:
     """Mutable per-branch coloring over a shared immutable graph."""
 
     __slots__ = ("n", "color", "mate", "removed", "excluded",
-                 "contradiction", "fresh_whites")
+                 "contradiction", "fresh_whites", "pending")
 
     def __init__(self, n: int):
         self.n = n
@@ -65,6 +67,7 @@ class ColoringState:
         self.excluded: set[int] = set()
         self.contradiction: str | None = None
         self.fresh_whites: list[int] = []
+        self.pending: list[int] = []      # touched since the last propagate
 
     def clone(self) -> "ColoringState":
         s = ColoringState.__new__(ColoringState)
@@ -75,12 +78,14 @@ class ColoringState:
         s.excluded = set(self.excluded)
         s.contradiction = self.contradiction
         s.fresh_whites = list(self.fresh_whites)
+        s.pending = list(self.pending)
         return s
 
     # -- queries ---------------------------------------------------------
 
-    def alive(self, v: int) -> bool:
-        return not self.removed[v]
+    def live_mask(self) -> bytearray:
+        """1 for every vertex still in the working graph, 0 otherwise."""
+        return self.removed.translate(_FLIP)
 
     def is_excluded(self, u: int, v: int) -> bool:
         a, b = (u, v) if u < v else (v, u)
@@ -89,15 +94,11 @@ class ColoringState:
     def exclude(self, u: int, v: int) -> None:
         a, b = (u, v) if u < v else (v, u)
         self.excluded.add(a * self.n + b)
+        self.pending += (u, v)
 
     def live_unknowns(self) -> list[int]:
         c, r = self.color, self.removed
         return [v for v in range(self.n) if not r[v] and c[v] == UNKNOWN]
-
-    def live_unmated_blacks(self) -> list[int]:
-        c, r, m = self.color, self.removed, self.mate
-        return [v for v in range(self.n)
-                if not r[v] and c[v] == BLACK and m[v] < 0]
 
     def mate_pairs(self) -> list[tuple[int, int]]:
         """All matched pairs recorded so far, live or removed."""
@@ -135,6 +136,7 @@ def assign(state: ColoringState, v: int, color: int) -> None:
                    f"{COLOR_NAMES[color]}")
         return
     state.color[v] = color
+    state.pending.append(v)
     if color == WHITE:
         state.fresh_whites.append(v)
 
@@ -154,7 +156,7 @@ def _set_mate(state: ColoringState, u: int, v: int) -> bool:
     return True
 
 
-def propagate(g: Graph, state: ColoringState, seeds=None) -> None:
+def propagate(g: Graph, state: ColoringState) -> None:
     """Run the forcing rules to fixpoint (the rules are monotone, so the
     fixpoint does not depend on processing order):
 
@@ -168,23 +170,32 @@ def propagate(g: Graph, state: ColoringState, seeds=None) -> None:
     Contradictions: adjacent whites, a black with two black neighbors, a
     black with no remaining mate candidate, an excluded edge joining two
     blacks.
+
+    Work comes from `state.pending`: `assign` appends the vertex it
+    colors, `ColoringState.exclude` both endpoints, and the removals in
+    `edge_reduction` / `vertex_reduction` the removed vertices.  This
+    call drains the list: it queues each colored pending vertex and the
+    live black neighbors of every pending vertex (rules (b) and (c) fire
+    there).  Colors forced here feed the queue directly.
     """
+    pending, state.pending = state.pending, []
     if state.contradiction is not None:
         return
     color, removed, mate = state.color, state.removed, state.mate
-    if seeds is None:
-        queue = deque(v for v in range(g.n)
-                      if not removed[v] and color[v] != UNKNOWN)
-    else:
-        queue = deque(seeds)
+    queue: deque[int] = deque()
     inq = bytearray(g.n)
-    for v in queue:
-        inq[v] = 1
 
     def push(v: int) -> None:
         if not inq[v] and not removed[v]:
             inq[v] = 1
             queue.append(v)
+
+    for v in dict.fromkeys(pending):
+        if color[v] != UNKNOWN:         # no rule fires on an unknown
+            push(v)
+        for w in g.adj[v]:
+            if color[w] == BLACK:
+                push(w)
 
     def set_color(v: int, c: int) -> None:
         cur = color[v]
@@ -288,16 +299,15 @@ def vertex_reduction(g: Graph, state: ColoringState, log: ReductionLog,
     assign(state, v, WHITE)
     if state.contradiction is not None:
         return
-    seeds = []
     for w in g.adj[v]:
         if not state.removed[w]:
             assign(state, w, BLACK)
             if state.contradiction is not None:
                 return
-            seeds.append(w)
     state.removed[v] = 1
+    state.pending.append(v)
     log.add_vertex(v, rule)
-    propagate(g, state, seeds)
+    propagate(g, state)
 
 
 def edge_reduction(g: Graph, state: ColoringState, log: ReductionLog,
@@ -317,7 +327,6 @@ def edge_reduction(g: Graph, state: ColoringState, log: ReductionLog,
         return
     if not _set_mate(state, u, v):
         return
-    seeds = []
     for a, b in ((u, v), (v, u)):
         for w in g.adj[a]:
             if w == b or state.removed[w]:
@@ -328,11 +337,11 @@ def edge_reduction(g: Graph, state: ColoringState, log: ReductionLog,
                 return
             if cw == UNKNOWN:
                 assign(state, w, WHITE)
-            seeds.append(w)
     state.removed[u] = 1
     state.removed[v] = 1
+    state.pending += (u, v)
     log.add_edge(u, v, rule)
-    propagate(g, state, seeds)
+    propagate(g, state)
 
 
 def sweep_whites(g: Graph, state: ColoringState, log: ReductionLog) -> None:
@@ -344,10 +353,9 @@ def sweep_whites(g: Graph, state: ColoringState, log: ReductionLog) -> None:
         vertex_reduction(g, state, log, v, "white-sweep")
 
 
-def settle(g: Graph, state: ColoringState, log: ReductionLog,
-           seeds=None) -> bool:
+def settle(g: Graph, state: ColoringState, log: ReductionLog) -> bool:
     """Propagate and sweep whites to a joint fixpoint; False on contradiction."""
-    propagate(g, state, seeds)
+    propagate(g, state)
     sweep_whites(g, state, log)
     return state.contradiction is None
 
@@ -391,8 +399,7 @@ def preprocess(g: Graph, strict_c4: bool = False
     while state.contradiction is None:
         if not settle(g, state, log):
             break
-        alive = bytearray(1 if not state.removed[v] else 0
-                          for v in range(g.n))
+        alive = state.live_mask()
         w = patterns.find_induced(g, patterns.DIAMOND, alive)
         if w is not None:
             a, u2, b, mid_u = w.vertices

@@ -21,8 +21,7 @@ class LevelDecomposition:
 
     The second level splits into matched pairs (reduced away) and
     singletons u_1..u_k; T_i collects the private third-level neighbors
-    of u_i (the mate of u_i lives there); S3 holds third-level vertices
-    seeing two or more second-level vertices.
+    of u_i (the mate of u_i lives there).
     """
 
     def __init__(self, g: Graph, xy: tuple[int, int],
@@ -41,20 +40,6 @@ class LevelDecomposition:
     @property
     def n2_size(self) -> int:
         return len(self.level(2))
-
-    @property
-    def a_xy(self) -> set[int]:
-        out: set[int] = set()
-        for i in range(min(4, len(self.levels))):
-            out.update(self.levels[i])
-        return out
-
-    @property
-    def b_xy(self) -> set[int]:
-        out: set[int] = set()
-        for lv in self.levels[4:]:
-            out.update(lv)
-        return out
 
     # -- live views ------------------------------------------------------
 
@@ -96,48 +81,6 @@ class LevelDecomposition:
                 out[own].append(t)
         return out
 
-    def s3(self, state: ColoringState) -> list[int]:
-        """Live third-level vertices seeing two or more live second-level
-        vertices (these are white in every solution containing xy)."""
-        out = []
-        for t in self.live_level(state, 3):
-            cnt = 0
-            for w in self.g.adj[t]:
-                if self.level_of[w] == 2 and not state.removed[w]:
-                    cnt += 1
-                    if cnt >= 2:
-                        break
-            if cnt >= 2:
-                out.append(t)
-        return out
-
-    def ext(self, state: ColoringState, block: list[int]) -> set[int]:
-        """Live fourth-level contacts of a block."""
-        out: set[int] = set()
-        for t in block:
-            for w in self.g.adj[t]:
-                if self.level_of[w] == 4 and not state.removed[w]:
-                    out.add(w)
-        return out
-
-    def in_vertices(self, state: ColoringState, u: int,
-                    block: list[int]) -> list[int]:
-        """Block members with no live contact outside the block."""
-        tset = set(block)
-        out = []
-        for t in block:
-            inside = True
-            for w in self.g.adj[t]:
-                if state.removed[w]:
-                    continue
-                lw = self.level_of[w]
-                if lw == 4 or (lw == 3 and w not in tset):
-                    inside = False
-                    break
-            if inside:
-                out.append(t)
-        return out
-
 
 def decompose(g: Graph, state: ColoringState, log: ReductionLog,
               xy: tuple[int, int]) -> LevelDecomposition | None:
@@ -145,9 +88,7 @@ def decompose(g: Graph, state: ColoringState, log: ReductionLog,
     exclusions (all edges inside the third level, all edges between the
     third and fourth levels).  Returns None when the forced colors around
     xy already contradict."""
-    x, y = xy
-    alive = bytearray(1 if not state.removed[v] else 0 for v in range(g.n))
-    levels = distance_levels(g, xy, alive)
+    levels = distance_levels(g, xy, state.live_mask())
     decomp = LevelDecomposition(g, xy, levels)
     lof = decomp.level_of
     for t in decomp.level(3):

@@ -63,10 +63,6 @@ class SolveOutcome:
         return self.status == FOUND
 
 
-def _live_mask(state: ColoringState) -> bytearray:
-    return bytearray(0 if state.removed[v] else 1 for v in range(state.n))
-
-
 def _comp_pairs(state: ColoringState, comp_set) -> set[tuple[int, int]]:
     return {(a, b) for (a, b) in state.mate_pairs() if a in comp_set}
 
@@ -705,39 +701,6 @@ def _solve_n2_large(ctx, state) -> ColoringState | None:
     return _resolve_structures(ctx, state)
 
 
-def _case_entry(g: Graph, decomp: LevelDecomposition, state: ColoringState,
-                fn) -> DimCertificate | None:
-    comp = sorted(v for lv in decomp.levels for v in lv)
-    ctx = _XyContext(g, ReductionLog(), decomp, SolveStats(), comp)
-    final = fn(ctx, state.clone())
-    if final is None or not _comp_complete(final, comp):
-        return None
-    return DimCertificate(frozenset(_comp_pairs(final, set(comp))))
-
-
-def solve_n4_empty(g: Graph, decomp: LevelDecomposition,
-                   state: ColoringState) -> DimCertificate | None:
-    """Public entry for the empty-far-level case: color the block
-    structure of a normalized decomposition, returning the matched pairs
-    of the component or None."""
-    return _case_entry(g, decomp, state, _solve_n4_empty)
-
-
-def solve_n2_small(g: Graph, decomp: LevelDecomposition,
-                   state: ColoringState) -> DimCertificate | None:
-    """Public entry for the small-second-level case (one black per
-    block enumerated as a product, far side finished exactly)."""
-    return _case_entry(g, decomp, state, _solve_n2_small)
-
-
-def solve_n2_large(g: Graph, decomp: LevelDecomposition,
-                   state: ColoringState) -> DimCertificate | None:
-    """Public entry for the wide-second-level case (far-level
-    classification plus the block machinery).  May raise
-    HypothesisViolation outside the supported class."""
-    return _case_entry(g, decomp, state, _solve_n2_large)
-
-
 # -- per-xy and per-component drivers --------------------------------------
 
 def _solve_with_xy_internal(g: Graph, base: ColoringState, comp_set,
@@ -853,10 +816,9 @@ def solve(g: Graph, strict_c4: bool = False,
     state, log = preprocess(g, strict_c4=strict_c4)
     if state.contradiction is not None:
         return SolveOutcome(NONE, detail=state.contradiction, stats=stats)
-    alive = _live_mask(state)
     pairs: set[tuple[int, int]] = set(state.mate_pairs())
     hv_details: list[str] = []
-    for comp in connected_components(g, alive):
+    for comp in connected_components(g, state.live_mask()):
         status, payload = _solve_component(g, state, comp, stats)
         if status == NONE:
             return SolveOutcome(NONE, detail=str(payload), stats=stats)
@@ -889,48 +851,37 @@ def solve_with_xy(g: Graph, xy: tuple[int, int],
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     stats = SolveStats()
-    state, _ = preprocess(g, strict_c4=strict_c4)
-    if state.contradiction is not None:
+    base, _ = preprocess(g, strict_c4=strict_c4)
+    if base.contradiction is not None:
         return None
-    pairs: set[tuple[int, int]] = set(state.mate_pairs())
-    forced_here = (u, v) in pairs
-    if not forced_here:
-        if state.removed[u] or state.removed[v]:
+    if base.mate[u] != v:
+        if base.removed[u] or base.removed[v]:
             return None
-        if state.color[u] == WHITE or state.color[v] == WHITE:
+        if base.color[u] == WHITE or base.color[v] == WHITE:
             return None
-
-    if not forced_here and not _in_live_p3(g, state, u, v):
-        # without a path of three around xy, fall back to forcing xy and
-        # solving what remains as ordinary components
-        child = state.clone()
-        assign(child, u, BLACK)
-        assign(child, v, BLACK)
-        if not settle(g, child, ReductionLog()):
-            return None
-        pairs = set(child.mate_pairs())
-        for comp in connected_components(g, _live_mask(child)):
-            status, payload = _solve_component(g, child, comp, stats)
+        if not _in_live_p3(g, base, u, v):
+            # without a path of three around xy, force xy; its component
+            # then settles to the pair alone
+            base = base.clone()
+            assign(base, u, BLACK)
+            assign(base, v, BLACK)
+            if not settle(g, base, ReductionLog()):
+                return None
+    pairs = set(base.mate_pairs())
+    for comp in connected_components(g, base.live_mask()):
+        if u in comp:
+            try:
+                got = _solve_with_xy_internal(g, base, frozenset(comp),
+                                              (u, v), stats)
+            except HypothesisViolation:
+                return None
+        else:
+            status, got = _solve_component(g, base, comp, stats)
             if status != FOUND:
                 return None
-            pairs |= payload
-    else:
-        for comp in connected_components(g, _live_mask(state)):
-            comp_set = frozenset(comp)
-            if u in comp_set and not forced_here:
-                try:
-                    got = _solve_with_xy_internal(g, state, comp_set,
-                                                  (u, v), stats)
-                except HypothesisViolation:
-                    return None
-                if got is None:
-                    return None
-                pairs |= got
-            else:
-                status, payload = _solve_component(g, state, comp, stats)
-                if status != FOUND:
-                    return None
-                pairs |= payload
+        if got is None:
+            return None
+        pairs |= got
     cert = DimCertificate(frozenset(pairs))
     if not verify_dim(g, cert) or (u, v) not in cert.edges:
         return None

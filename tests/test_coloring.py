@@ -1,7 +1,7 @@
 import random
 
 from dimatch import build_graph, enumerate_dims
-from dimatch.coloring import (BLACK, WHITE, ColoringState,
+from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState,
                               ReductionLog, assign, edge_reduction,
                               preprocess, propagate, settle, vertex_reduction)
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
@@ -222,3 +222,42 @@ def test_fixpoint_invariants_hold():
             if st.mate[v] >= 0:
                 assert st.mate[st.mate[v]] == v
                 assert g.has_edge(v, st.mate[v])
+
+
+def test_worklist_reaches_the_full_fixpoint():
+    # mutations feed the worklist on their own: after a contradiction-free
+    # propagate, re-queueing every live colored vertex changes nothing
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(20000):
+        n = rng.randint(3, 10)
+        p = rng.uniform(0.2, 0.6)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        st, log = ColoringState(n), ReductionLog()
+        for _ in range(rng.randint(1, 5)):
+            live = [v for v in range(n) if not st.removed[v]]
+            live_edges = [(u, v) for (u, v) in g.edges
+                          if not st.removed[u] and not st.removed[v]]
+            step = rng.random()
+            if step < 0.5 or not live_edges:
+                assign(st, rng.choice(live), rng.choice((BLACK, WHITE)))
+            elif step < 0.8:
+                st.exclude(*rng.choice(live_edges))
+            else:
+                edge_reduction(g, st, log, *rng.choice(live_edges))
+            if rng.random() < 0.5:
+                propagate(g, st)
+            if st.contradiction is not None or all(st.removed):
+                break
+        propagate(g, st)
+        if st.contradiction is not None:
+            continue
+        checked += 1
+        before = (bytes(st.color), tuple(st.mate), bytes(st.removed))
+        st.pending = [v for v in range(n)
+                      if not st.removed[v] and st.color[v] != UNKNOWN]
+        propagate(g, st)
+        assert st.contradiction is None
+        assert (bytes(st.color), tuple(st.mate), bytes(st.removed)) == before
+    assert checked > 5000

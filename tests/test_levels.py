@@ -26,7 +26,6 @@ def test_decompose_p6_middle():
     assert d.s2(st) == [4]
     assert d.blocks(st) == {4: [5]}
     assert d.m2_pairs(st) == []
-    assert d.b_xy == set()
 
 
 def test_decompose_p5_end():

@@ -68,6 +68,26 @@ def test_solve_with_xy_p7():
     assert cert.sorted_edges() == [(1, 2), (4, 5)]
 
 
+def test_solve_with_xy_matches_oracle_on_every_edge():
+    # graphs this small have no induced S115, so the xy branch is exact:
+    # a certificate comes back iff some d.i.m. contains the edge
+    rng = random.Random(83)
+    edges_checked = 0
+    for _ in range(1000):
+        n = rng.randint(2, 7)
+        p = rng.uniform(0.2, 0.7)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        on_some_dim = {e for d in enumerate_dims(g) for e in d.edges}
+        for e in g.edges:
+            cert = solve_with_xy(g, e)
+            assert (cert is not None) == (e in on_some_dim), (g.edges, e)
+            if cert is not None:
+                assert verify_dim(g, cert) and e in cert.edges
+            edges_checked += 1
+    assert edges_checked > 4000
+
+
 def test_solve_with_xy_claw():
     # the matched center edge dominates everything
     cert = solve_with_xy(make_named(CLAW), (0, 1))
@@ -325,46 +345,43 @@ def test_hypothesis_violation_reports_witness():
     assert not brute_force_dim(g).exists
 
 
-def _prepared(g, xy):
-    from dimatch.coloring import preprocess, assign, propagate, BLACK
-    from dimatch.levels import decompose, normalize
-    from dimatch.coloring import ReductionLog
-    st, _ = preprocess(g)
-    assert st.contradiction is None
-    assign(st, xy[0], BLACK)
-    assign(st, xy[1], BLACK)
-    propagate(g, st)
-    assert st.contradiction is None
-    log = ReductionLog()
-    d = decompose(g, st, log, xy)
-    assert d is not None and normalize(g, st, log, d)
-    return d, st
+def _case_pairs(g, xy):
+    """Pairs of the whole graph when the xy branch runs on the component
+    of xy, with the case timings of that branch."""
+    from dimatch import DimCertificate, connected_components
+    from dimatch.coloring import preprocess
+    from dimatch.solver import SolveStats, _solve_with_xy_internal
+    base, _ = preprocess(g)
+    assert base.contradiction is None
+    comp = next(c for c in connected_components(g, base.live_mask())
+                if xy[0] in c)
+    stats = SolveStats()
+    pairs = _solve_with_xy_internal(g, base, frozenset(comp), xy, stats)
+    assert pairs is not None
+    cert = DimCertificate(frozenset(pairs | set(base.mate_pairs())))
+    assert verify_dim(g, cert) and xy in cert.edges
+    return cert, stats
 
 
 def test_case_entry_points():
-    from dimatch import solve_n4_empty, solve_n2_small, solve_n2_large
+    # P6 is finished by normalization and never reaches a case solver
+    cert, _ = _case_pairs(make_named(path(6)), (1, 2))
+    assert cert.sorted_edges() == [(1, 2), (4, 5)]
 
-    g = make_named(path(6))
-    d, st = _prepared(g, (1, 2))
-    cert = solve_n4_empty(g, d, st)
-    assert cert is not None and cert.sorted_edges() == [(1, 2), (4, 5)]
+    edges, us, ts, nxt = _layer_base()
+    _, stats = _case_pairs(build_graph(nxt, edges), (0, 1))
+    assert "n4-empty" in stats.case_seconds
 
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6)]
     blocks = {3: [7, 8, 9], 4: [10, 11], 5: [12, 13], 6: [14, 15, 16, 17]}
     for u, ts in blocks.items():
         edges += [(u, t) for t in ts]
     edges += [(7, 18), (10, 19), (12, 20), (18, 19), (18, 20), (19, 20)]
-    g = build_graph(21, edges)
-    d, st = _prepared(g, (0, 1))
-    assert d.level(4) and d.n2_size <= 4
-    cert = solve_n2_small(g, d, st)
-    assert cert is not None and verify_dim(g, cert)
+    _, stats = _case_pairs(build_graph(21, edges), (0, 1))
+    assert "n2-small" in stats.case_seconds
 
     edges, us, ts, nxt = _layer_base()
     z, b, c = nxt, nxt + 1, nxt + 2
     edges += [(ts[0][0], z), (z, b), (z, c), (b, c)]
-    g = build_graph(nxt + 3, edges)
-    d, st = _prepared(g, (0, 1))
-    assert d.n2_size >= 5 and d.level(4)
-    cert = solve_n2_large(g, d, st)
-    assert cert is not None and verify_dim(g, cert)
+    _, stats = _case_pairs(build_graph(nxt + 3, edges), (0, 1))
+    assert "n2-large" in stats.case_seconds

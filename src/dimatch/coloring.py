@@ -343,23 +343,21 @@ def preprocess(g: Graph, strict_c4: bool = False) -> ColoringState:
     if w is not None:
         state.fail(f"K4 found on vertices {w.vertices}")
         return state
-    while state.contradiction is None:
-        if not settle(g, state):
-            break
-        alive = state.live_mask()
-        w = patterns.find_induced(g, patterns.DIAMOND, alive)
-        if w is not None:
-            a, u2, b, mid_u = w.vertices
-            edge_reduction(g, state, u2, mid_u)
-            continue
-        w = patterns.find_induced(g, patterns.BUTTERFLY, alive)
-        if w is not None:
+    # reductions only remove vertices, which creates no new pattern, so
+    # one resumable scan per pattern reaches the fixpoint
+    if settle(g, state):
+        for w in patterns.diamonds(g, state.removed):
+            _, u, _, mid = w.vertices
+            edge_reduction(g, state, u, mid)
+            if not settle(g, state):
+                break
+    if state.contradiction is None:
+        for w in patterns.butterflies(g, state.removed):
             v1, v2, v3, v4, _ = w.vertices
             edge_reduction(g, state, v1, v2)
-            if state.contradiction is None:
-                edge_reduction(g, state, v3, v4)
-            continue
-        break
+            edge_reduction(g, state, v3, v4)
+            if not settle(g, state):
+                break
     if strict_c4 and state.contradiction is None:
         _install_c4_exclusions(g, state)
         settle(g, state)

@@ -10,10 +10,19 @@ reductions remove vertices but never relabel the surviving ones.
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from .graph import Graph, distance_levels
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
                        edge_reduction, settle)
+
+
+class Blocks(NamedTuple):
+    """Block structure of the third level under one coloring state."""
+
+    members: dict[int, list[int]]       # u_i -> live T_i
+    owner: dict[int, int]               # block member -> its u_i
+    cross: list[tuple[int, int]]        # live edges between two blocks
 
 
 class LevelDecomposition:
@@ -62,24 +71,29 @@ class LevelDecomposition:
         return [u for u in sorted(lv2)
                 if not any(w in lv2 for w in self.g.adj[u])]
 
-    def block_owner(self, state: ColoringState, t: int) -> int | None:
-        """The unique live second-level neighbor of t, or None."""
-        own = None
-        for w in self.g.adj[t]:
-            if self.level_of[w] == 2 and not state.removed[w]:
-                if own is not None:
-                    return None
-                own = w
-        return own
-
-    def blocks(self, state: ColoringState) -> dict[int, list[int]]:
-        """Map u_i -> live T_i for every live singleton u_i."""
-        out: dict[int, list[int]] = {u: [] for u in self.s2(state)}
-        for t in self.live_level(state, 3):
-            own = self.block_owner(state, t)
-            if own is not None and own in out:
-                out[own].append(t)
-        return out
+    def blocks(self, state: ColoringState) -> Blocks:
+        """The live blocks: u_i -> live T_i for every live singleton u_i,
+        the owner of each block member, and the live third-level edges
+        (t, w) with t < w between distinct blocks, ascending in t and in
+        adjacency order within t."""
+        g, lof, removed = self.g, self.level_of, state.removed
+        members: dict[int, list[int]] = {u: [] for u in self.s2(state)}
+        owner: dict[int, int] = {}
+        live3 = self.live_level(state, 3)
+        for t in live3:
+            own = None
+            for w in g.adj[t]:
+                if lof[w] == 2 and not removed[w]:
+                    if own is not None:
+                        own = None
+                        break
+                    own = w
+            if own in members:
+                members[own].append(t)
+                owner[t] = own
+        cross = [(t, w) for t in live3 if t in owner for w in g.adj[t]
+                 if t < w and w in owner and owner[w] != owner[t]]
+        return Blocks(members, owner, cross)
 
 
 def decompose(g: Graph, state: ColoringState,
@@ -155,38 +169,28 @@ def _whiten_s3(g, state, decomp) -> bool:
 
 
 def _force_double_contact(g, state, decomp) -> bool:
-    lof = decomp.level_of
-    blocks = decomp.blocks(state)
-    owner: dict[int, int] = {}
-    for u, ts in blocks.items():
-        for t in ts:
-            owner[t] = u
-    for t in sorted(owner):
-        u = owner[t]
-        per: dict[int, int] = {}
-        hit = False
-        for w in g.adj[t]:
-            if lof[w] == 3 and not state.removed[w] and w in owner \
-                    and owner[w] != u:
-                o = owner[w]
-                per[o] = per.get(o, 0) + 1
-                if per[o] >= 2:
-                    hit = True
-                    break
-        if not hit:
+    view = decomp.blocks(state)
+    owner = view.owner
+    nbrs: dict[int, list[int]] = {}
+    for (t, w) in view.cross:
+        nbrs.setdefault(t, []).append(w)
+        nbrs.setdefault(w, []).append(t)
+    for t in sorted(nbrs):
+        others = [owner[w] for w in nbrs[t]]
+        if len(set(others)) == len(others):
             continue
         if state.color[t] == WHITE:
             state.fail(f"vertex {t} sees two members of another block "
                        "and must be matched, but is white")
             return True
         if state.mate[t] < 0:
-            edge_reduction(g, state, u, t)
+            edge_reduction(g, state, owner[t], t)
             return True
     return False
 
 
 def _force_small_blocks(g, state, decomp) -> bool:
-    for u, ts in sorted(decomp.blocks(state).items()):
+    for u, ts in sorted(decomp.blocks(state).members.items()):
         if state.mate[u] >= 0:
             continue
         cands = [t for t in ts if state.color[t] != WHITE]
@@ -215,7 +219,7 @@ def _whiten_off_intra_edge(g, state, decomp) -> bool:
     # an edge inside a block is dominated through one of its endpoints
     # only, so every other block member is white
     fired = False
-    for u, ts in sorted(decomp.blocks(state).items()):
+    for u, ts in sorted(decomp.blocks(state).members.items()):
         tset = set(ts)
         intra = [(p, q) for p in ts for q in g.adj[p] if p < q and q in tset]
         if not intra:
@@ -234,20 +238,12 @@ def _whiten_off_intra_edge(g, state, decomp) -> bool:
 
 
 def _limit_cross_edges(g, state, decomp) -> bool:
-    lof = decomp.level_of
-    blocks = decomp.blocks(state)
-    owner: dict[int, int] = {}
-    for u, ts in blocks.items():
-        for t in ts:
-            owner[t] = u
+    view = decomp.blocks(state)
+    owner = view.owner
     cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for t in sorted(owner):
-        u = owner[t]
-        for w in g.adj[t]:
-            if t < w and lof[w] == 3 and not state.removed[w] \
-                    and w in owner and owner[w] != u:
-                key = (min(u, owner[w]), max(u, owner[w]))
-                cross.setdefault(key, []).append((t, w))
+    for (t, w) in view.cross:
+        key = (min(owner[t], owner[w]), max(owner[t], owner[w]))
+        cross.setdefault(key, []).append((t, w))
     fired = False
     for (ui, uj), es in sorted(cross.items()):
         if len(es) >= 3:
@@ -255,7 +251,7 @@ def _limit_cross_edges(g, state, decomp) -> bool:
             return True
         if len(es) == 2:
             keep = set(es[0]) | set(es[1])
-            for t in blocks[ui] + blocks[uj]:
+            for t in view.members[ui] + view.members[uj]:
                 if t not in keep and state.color[t] == UNKNOWN:
                     assign(state, t, WHITE)
                     fired = True

@@ -103,6 +103,12 @@ def make_named(kind: PatternKind) -> Graph:
     return build_graph(1 + i + j + k, pairs)
 
 
+def _removed_mask(g: Graph, alive) -> bytes:
+    if alive is None:
+        return bytes(g.n)
+    return bytes(0 if a else 1 for a in alive)
+
+
 def _alive_vertices(g: Graph, alive) -> list[int]:
     if alive is None:
         return list(range(g.n))
@@ -121,32 +127,46 @@ def _find_k4(g: Graph, alive) -> PatternWitness | None:
     return None
 
 
-def _find_diamond(g: Graph, alive) -> PatternWitness | None:
-    ok = (lambda v: True) if alive is None else (lambda v: bool(alive[v]))
+def diamonds(g: Graph, removed):
+    """Yield the induced diamonds of the live graph in scan order: edges
+    (u, v) ascending, then pairs of their common neighbors.
+
+    `removed` is a byte mask (nonzero for vertices outside the working
+    graph) read afresh at every step.  Removing vertices never creates an
+    induced diamond, so after each witness the scan resumes at the same
+    edge: the next witness is the first one a new scan would find.  A
+    caller that removes nothing in between gets the same witness again.
+    """
+    adjset = g.adjset
     for (u, v) in g.edges:
-        if not (ok(u) and ok(v)):
-            continue
-        common = sorted(w for w in g.adjset[u] & g.adjset[v] if ok(w))
-        for a, b in combinations(common, 2):
-            if not g.has_edge(a, b):
-                return PatternWitness(DIAMOND, (a, u, b, v))
-    return None
+        while not (removed[u] or removed[v]):
+            common = sorted(w for w in adjset[u] & adjset[v] if not removed[w])
+            for a, b in combinations(common, 2):
+                if b not in adjset[a]:
+                    yield PatternWitness(DIAMOND, (a, u, b, v))
+                    break               # rescan this edge
+            else:
+                break
 
 
-def _find_butterfly(g: Graph, alive) -> PatternWitness | None:
-    verts = _alive_vertices(g, alive)
-    ok = (lambda v: True) if alive is None else (lambda v: bool(alive[v]))
-    for u in verts:
-        nbrs = [w for w in g.adj[u] if ok(w)]
-        inner = [(a, b) for a, b in combinations(nbrs, 2) if g.has_edge(a, b)]
-        for (a, b), (c, d) in combinations(inner, 2):
-            if len({a, b, c, d}) < 4:
-                continue
-            if g.has_edge(a, c) or g.has_edge(a, d) or \
-                    g.has_edge(b, c) or g.has_edge(b, d):
-                continue
-            return PatternWitness(BUTTERFLY, (a, b, c, d, u))
-    return None
+def butterflies(g: Graph, removed):
+    """Yield the induced butterflies of the live graph in scan order:
+    centers ascending, then pairs of edges inside the center's
+    neighborhood.  Resumes at the center of the last witness, under the
+    same contract as `diamonds`."""
+    adj, adjset = g.adj, g.adjset
+    for u in range(g.n):
+        while not removed[u]:
+            inner = sorted((a, b) for a in adj[u] if not removed[a]
+                           for b in adjset[a] & adjset[u]
+                           if a < b and not removed[b])
+            for (a, b), (c, d) in combinations(inner, 2):
+                if len({a, b, c, d}) == 4 and not adjset[a] & {c, d} \
+                        and not adjset[b] & {c, d}:
+                    yield PatternWitness(BUTTERFLY, (a, b, c, d, u))
+                    break               # rescan this center
+            else:
+                break
 
 
 def _find_spider(g: Graph, kind: PatternKind, alive) -> PatternWitness | None:
@@ -300,9 +320,9 @@ def find_induced(g: Graph, kind: PatternKind, alive=None) -> PatternWitness | No
     if t == "K4":
         return _find_k4(g, alive)
     if t == "Diamond":
-        return _find_diamond(g, alive)
+        return next(diamonds(g, _removed_mask(g, alive)), None)
     if t == "Butterfly":
-        return _find_butterfly(g, alive)
+        return next(butterflies(g, _removed_mask(g, alive)), None)
     if t == "Claw":
         w = _find_spider(g, spider(1, 1, 1), alive)
         return PatternWitness(CLAW, w.vertices) if w else None

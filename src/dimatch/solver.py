@@ -18,7 +18,7 @@ from .graph import (Graph, DimCertificate, connected_components, edge_key,
                     verify_dim, verify_dim_report)
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
                        edge_reduction, preprocess, propagate, settle)
-from .levels import LevelDecomposition, decompose, normalize
+from .levels import Blocks, LevelDecomposition, decompose, normalize
 from .treedp import complete_on_subset
 from . import patterns
 
@@ -143,35 +143,27 @@ def constrained_subsolver(g: Graph, state: ColoringState,
 # -- block machinery (shared by the empty-far-level and deep cases) -------
 
 def _unresolved_blocks(decomp: LevelDecomposition, state: ColoringState
-                       ) -> dict[int, list[int]]:
-    return {u: ts for u, ts in decomp.blocks(state).items()
-            if state.mate[u] < 0}
+                       ) -> Blocks:
+    """The blocks whose owner is unmated, with the unknown-unknown cross
+    edges among them."""
+    view = decomp.blocks(state)
+    members = {u: ts for u, ts in view.members.items() if state.mate[u] < 0}
+    owner = {t: u for t, u in view.owner.items() if u in members}
+    color = state.color
+    cross = [(t, w) for (t, w) in view.cross if t in owner and w in owner
+             and color[t] == UNKNOWN and color[w] == UNKNOWN]
+    return Blocks(members, owner, cross)
 
 
-def _cross_edges(g: Graph, state: ColoringState, decomp, owner
-                 ) -> list[tuple[int, int]]:
-    """Unknown-unknown third-level edges between distinct blocks."""
-    out = []
-    lof = decomp.level_of
-    for t in sorted(owner):
-        if state.color[t] != UNKNOWN:
-            continue
-        for w in g.adj[t]:
-            if t < w and lof[w] == 3 and not state.removed[w] \
-                    and state.color[w] == UNKNOWN and w in owner \
-                    and owner[w] != owner[t]:
-                out.append((t, w))
-    return out
-
-
-def _block_components(blocks, owner, cross) -> list[list[int]]:
-    adj: dict[int, set[int]] = {u: set() for u in blocks}
-    for (t, w) in cross:
+def _block_components(view: Blocks) -> list[list[int]]:
+    owner = view.owner
+    adj: dict[int, set[int]] = {u: set() for u in view.members}
+    for (t, w) in view.cross:
         adj[owner[t]].add(owner[w])
         adj[owner[w]].add(owner[t])
     seen: set[int] = set()
     comps = []
-    for u in sorted(blocks):
+    for u in sorted(view.members):
         if u in seen:
             continue
         comp = [u]
@@ -208,14 +200,12 @@ def _find_cross_p3(owner, cross):
     return None
 
 
-def _find_block_cycle(blocks_in_comp, owner, cross):
-    """First cycle in the block contact multigraph.  Returns one cycle
-    block together with its two cycle vertices, or None.  Recursive DFS
-    guarantees non-tree edges reach ancestors only."""
-    bset = set(blocks_in_comp)
-    edges = [(t, w) for (t, w) in cross
-             if owner[t] in bset and owner[w] in bset]
-    adj: dict[int, list[tuple[int, int, int, int]]] = {u: [] for u in bset}
+def _find_block_cycle(comp, owner, edges):
+    """First cycle in the contact multigraph of the blocks `comp` (sorted)
+    over their cross edges.  Returns one cycle block together with its two
+    cycle vertices, or None.  Recursive DFS guarantees non-tree edges
+    reach ancestors only."""
+    adj: dict[int, list[tuple[int, int, int, int]]] = {u: [] for u in comp}
     for i, (t, w) in enumerate(edges):
         adj[owner[t]].append((owner[w], i, t, w))   # (other, id, mine, far)
         adj[owner[w]].append((owner[t], i, w, t))
@@ -243,7 +233,7 @@ def _find_block_cycle(blocks_in_comp, owner, cross):
             onstack.discard(b)
         return None
 
-    for start in sorted(bset):
+    for start in comp:
         if start in entry_vertex:
             continue
         entry_vertex[start] = None
@@ -282,7 +272,7 @@ class _XyContext:
         self.triangles = tuple(triangles)
 
 
-def _triangle_unresolved(ctx, state, tri) -> bool:
+def _triangle_unresolved(state, tri) -> bool:
     for v in tri:
         if state.removed[v]:
             continue
@@ -293,16 +283,13 @@ def _triangle_unresolved(ctx, state, tri) -> bool:
     return False
 
 
-def _triangle_coupled(ctx, state, tri) -> bool:
+def _triangle_contacts(ctx, state, tri) -> list[int]:
+    """Live unknown third-level neighbors of the triangle's unknowns."""
     lof = ctx.decomp.level_of
-    for v in tri:
-        if state.removed[v] or state.color[v] != UNKNOWN:
-            continue
-        for w in ctx.g.adj[v]:
-            if not state.removed[w] and lof[w] == 3 \
-                    and state.color[w] == UNKNOWN:
-                return True
-    return False
+    color, removed = state.color, state.removed
+    return [w for v in tri if not removed[v] and color[v] == UNKNOWN
+            for w in ctx.g.adj[v]
+            if not removed[w] and lof[w] == 3 and color[w] == UNKNOWN]
 
 
 def _resolve_local_triangle(ctx, state, tri) -> bool:
@@ -361,7 +348,8 @@ def _solve_trivial_block(ctx, state, u: int, ts: list[int]
     return None
 
 
-def _solve_p3_component(ctx, state, owner, p3) -> ColoringState | None:
+def _solve_p3_component(ctx, state, view: Blocks, p3
+                        ) -> ColoringState | None:
     """Enumerate the feasible colorings around a cross-block path of
     three: either the middle vertex is black and the outer blocks pick
     another black each, or the outer two are black and the middle block
@@ -371,14 +359,10 @@ def _solve_p3_component(ctx, state, owner, p3) -> ColoringState | None:
     if g.has_edge(t_a, t_c):
         # an all-excluded triangle inside the third level is infeasible
         return None
-    u_a, u_b, u_c = owner[t_a], owner[t_b], owner[t_c]
-    blocks = ctx.decomp.blocks(state)
-    rest_a = [t for t in blocks[u_a] if t != t_a
-              and state.color[t] == UNKNOWN]
-    rest_c = [t for t in blocks[u_c] if t != t_c
-              and state.color[t] == UNKNOWN]
-    rest_b = [t for t in blocks[u_b] if t != t_b
-              and state.color[t] == UNKNOWN]
+    u_a, u_b, u_c = (view.owner[t] for t in p3)
+    rest_a, rest_b, rest_c = (
+        [t for t in view.members[view.owner[s]]
+         if t != s and state.color[t] == UNKNOWN] for s in p3)
     bound = len(rest_a) * len(rest_c) + len(rest_b)
     tried = 0
     result = None
@@ -471,7 +455,8 @@ def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
     """Drive the remaining unknown structure to a complete coloring.
 
     Deterministic sites (trivial blocks, chordal pieces, local triangle
-    mates, isolated leftovers) are committed in a loop; genuinely
+    mates, isolated leftovers) are committed in a loop; the leading
+    trivial blocks of one block view go in a single sweep.  Genuinely
     branching sites (cross path of three, block cycle, coupled triangle)
     recurse over their bounded alternatives.
     """
@@ -484,9 +469,9 @@ def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
 
         acted = False
         for tri in ctx.triangles:
-            if not _triangle_unresolved(ctx, state, tri):
+            if not _triangle_unresolved(state, tri):
                 continue
-            if _triangle_coupled(ctx, state, tri):
+            if _triangle_contacts(ctx, state, tri):
                 continue
             if _resolve_local_triangle(ctx, state, tri):
                 acted = True
@@ -494,54 +479,50 @@ def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
         if acted:
             continue
 
-        blocks = _unresolved_blocks(ctx.decomp, state)
-        owner: dict[int, int] = {}
-        for u, ts in blocks.items():
-            for t in ts:
-                owner[t] = u
-        if blocks:
-            cross = _cross_edges(g, state, ctx.decomp, owner)
-            comps = _block_components(blocks, owner, cross)
-            coupled_blocks: set[int] = set()
-            for tri in ctx.triangles:
-                if not _triangle_unresolved(ctx, state, tri):
-                    continue
-                for v in tri:
-                    if state.removed[v] or state.color[v] != UNKNOWN:
-                        continue
-                    for w in g.adj[v]:
-                        if w in owner and not state.removed[w] \
-                                and state.color[w] == UNKNOWN:
-                            coupled_blocks.add(owner[w])
-            eligible = [c for c in comps
-                        if not any(u in coupled_blocks for u in c)]
+        view = _unresolved_blocks(ctx.decomp, state)
+        if view.members:
+            coupled = {view.owner[w] for tri in ctx.triangles
+                       if _triangle_unresolved(state, tri)
+                       for w in _triangle_contacts(ctx, state, tri)
+                       if w in view.owner}
+            eligible = [c for c in _block_components(view)
+                        if not any(u in coupled for u in c)]
             if eligible:
                 comp = eligible[0]
                 if len(comp) == 1:
-                    u = comp[0]
-                    got = _solve_trivial_block(ctx, state, u, blocks[u])
-                    if got is None:
-                        return None
-                    state = got
+                    # blocks without contact are independent: commit every
+                    # leading trivial one before building the view again
+                    for c in eligible:
+                        if len(c) > 1:
+                            break
+                        u = c[0]
+                        if state.mate[u] >= 0:
+                            continue
+                        got = _solve_trivial_block(ctx, state, u,
+                                                   view.members[u])
+                        if got is None:
+                            return None
+                        state = got
                     continue
-                comp_owner = {t: u for t, u in owner.items() if u in comp}
-                comp_cross = [(t, w) for (t, w) in cross
-                              if owner[t] in comp]
-                p3 = _find_cross_p3(comp_owner, comp_cross)
+                inside = set(comp)
+                comp_cross = [(t, w) for (t, w) in view.cross
+                              if view.owner[t] in inside]
+                p3 = _find_cross_p3(view.owner, comp_cross)
                 if p3 is not None:
-                    return _solve_p3_component(ctx, state, comp_owner, p3)
-                cyc = _find_block_cycle(comp, comp_owner, comp_cross)
+                    return _solve_p3_component(ctx, state, view, p3)
+                cyc = _find_block_cycle(comp, view.owner, comp_cross)
                 if cyc is not None:
                     return _solve_cycle_component(ctx, state, cyc)
-                got = _solve_chordal_component(ctx, state, comp, blocks)
+                got = _solve_chordal_component(ctx, state, comp,
+                                               view.members)
                 if got is None:
                     return None
                 state = got
                 continue
             # every remaining block couples to an unresolved triangle
             for tri in ctx.triangles:
-                if _triangle_unresolved(ctx, state, tri) \
-                        and _triangle_coupled(ctx, state, tri):
+                if _triangle_unresolved(state, tri) \
+                        and _triangle_contacts(ctx, state, tri):
                     return _branch_triangle(ctx, state, tri)
             raise HypothesisViolation(
                 "unresolved blocks without an attached triangle")
@@ -557,7 +538,7 @@ def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
         if acted:
             continue
         for tri in ctx.triangles:
-            if _triangle_unresolved(ctx, state, tri):
+            if _triangle_unresolved(state, tri):
                 return _branch_triangle(ctx, state, tri)
         left = [v for v in ctx.comp
                 if not state.removed[v] and state.color[v] == UNKNOWN]
@@ -572,7 +553,7 @@ def _solve_n2_small(ctx, state) -> ColoringState | None:
     black per block, enumerated as a product, fixes the whole near side
     and the fourth level; the rest is finished by the exact subsolver."""
     g = ctx.g
-    blocks = _unresolved_blocks(ctx.decomp, state)
+    blocks = _unresolved_blocks(ctx.decomp, state).members
     names = sorted(blocks)
     cand_lists = []
     for u in names:
@@ -790,8 +771,7 @@ def _solve_component(g: Graph, base: ColoringState, comp,
     return NONE, "every candidate edge was exhausted"
 
 
-def solve(g: Graph, strict_c4: bool = False,
-          find_witness: bool = True) -> SolveOutcome:
+def solve(g: Graph, strict_c4: bool = False) -> SolveOutcome:
     """Decide whether the graph has a dominating induced matching and
     construct one when it does.
 
@@ -817,9 +797,8 @@ def solve(g: Graph, strict_c4: bool = False,
             continue
         pairs |= payload
     if hv_details:
-        witness = None
-        if find_witness and g.n <= 200:
-            witness = patterns.find_induced(g, patterns.S115)
+        witness = patterns.find_induced(g, patterns.S115) \
+            if g.n <= 200 else None
         return SolveOutcome(HYPOTHESIS_VIOLATED, detail="; ".join(hv_details),
                             witness=witness, stats=stats)
     cert = DimCertificate(frozenset(pairs))

@@ -4,8 +4,9 @@ from dimatch import build_graph, enumerate_dims
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
                               edge_reduction, preprocess, propagate, settle,
                               vertex_reduction)
+from dimatch import patterns
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
-                              make_named, path)
+                              find_induced, make_named, path)
 
 
 def _live_unknowns(st):
@@ -174,6 +175,90 @@ def test_preprocess_strict_c4_excludes_cycle_edges():
     g = make_named(cycle(4))
     st = preprocess(g, strict_c4=True)
     assert all(st.is_excluded(u, v) for (u, v) in g.edges)
+
+
+def _restart_preprocess(g):
+    """Reference: rebuild the live mask and rescan from the first edge or
+    center after every reduction."""
+    st = ColoringState(g.n)
+    w = find_induced(g, K4)
+    if w is not None:
+        st.fail(f"K4 found on vertices {w.vertices}")
+        return st
+    while st.contradiction is None:
+        if not settle(g, st):
+            break
+        alive = st.live_mask()
+        w = find_induced(g, DIAMOND, alive)
+        if w is not None:
+            _, u, _, mid = w.vertices
+            edge_reduction(g, st, u, mid)
+            continue
+        w = find_induced(g, BUTTERFLY, alive)
+        if w is not None:
+            v1, v2, v3, v4, _ = w.vertices
+            edge_reduction(g, st, v1, v2)
+            if st.contradiction is None:
+                edge_reduction(g, st, v3, v4)
+            continue
+        break
+    return st
+
+
+def _pattern_union(rng):
+    parts = [make_named(rng.choice((DIAMOND, BUTTERFLY, path(6))))
+             for _ in range(rng.randint(1, 8))]
+    n = sum(p.n for p in parts)
+    label = rng.sample(range(n), n)
+    edges, base = [], 0
+    for p in parts:
+        edges += [(label[base + u], label[base + v]) for u, v in p.edges]
+        base += p.n
+    # a few links between parts make patterns share vertices
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    return build_graph(n, edges)
+
+
+def test_resumable_scans_match_the_restart_loop():
+    rng = random.Random(47)
+    graphs = [build_graph(n, [(u, v) for u in range(n)
+                              for v in range(u + 1, n) if rng.random() < p])
+              for n, p in ((rng.randint(2, 12), rng.uniform(0.1, 0.6))
+                           for _ in range(1500))]
+    graphs += [_pattern_union(rng) for _ in range(300)]
+    reduced = 0
+    for g in graphs:
+        got, want = preprocess(g), _restart_preprocess(g)
+        assert (got.color, got.mate, got.removed, got.excluded,
+                got.contradiction) == (want.color, want.mate, want.removed,
+                                       want.excluded, want.contradiction)
+        reduced += bool(want.mate_pairs())
+    assert reduced > 400
+
+
+def test_preprocess_starts_each_pattern_scan_once(monkeypatch):
+    k = 200
+    g = build_graph(4 * k, [(4 * i + u, 4 * i + v) for i in range(k)
+                            for u, v in make_named(DIAMOND).edges])
+    started = {}
+
+    def counted(name):
+        real = getattr(patterns, name)
+
+        def wrapper(*args, **kwargs):
+            started[name] = started.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(patterns, name, wrapper)
+
+    for name in ("find_induced", "diamonds", "butterflies"):
+        counted(name)
+    st = preprocess(g)
+    assert st.contradiction is None and all(st.removed)
+    assert st.mate_pairs() == [(4 * i + 1, 4 * i + 3) for i in range(k)]
+    assert started == {"find_induced": 1, "diamonds": 1, "butterflies": 1}
 
 
 def test_preprocess_preserves_existence_small():

@@ -24,7 +24,7 @@ def test_decompose_p6_middle():
     d = decompose(g, st, (1, 2))
     assert d.levels == [(1, 2), (0, 3), (4,), (5,)]
     assert d.s2(st) == [4]
-    assert d.blocks(st) == {4: [5]}
+    assert d.blocks(st).members == {4: [5]}
     assert d.m2_pairs(st) == []
 
 
@@ -33,7 +33,7 @@ def test_decompose_p5_end():
     st = _start(g, (0, 1))
     d = decompose(g, st, (0, 1))
     assert d.levels == [(0, 1), (2,), (3,), (4,)]
-    assert d.blocks(st) == {3: [4]}
+    assert d.blocks(st).members == {3: [4]}
 
 
 def test_decompose_c6():

@@ -6,6 +6,7 @@ from dimatch import (brute_force_dim, build_graph, enumerate_dims, solve,
 from dimatch.coloring import ColoringState, WHITE
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
                               make_named, path, random_s115_free)
+from dimatch.levels import LevelDecomposition
 from dimatch.solver import constrained_subsolver
 
 
@@ -174,6 +175,23 @@ def _layer_base(nblocks=5, bsize=2):
             nxt += 1
         ts.append(blk)
     return edges, us, ts, nxt
+
+
+def test_trivial_blocks_resolve_from_few_block_views(monkeypatch):
+    # 300 contact-free blocks are committed in one sweep, not one block
+    # view per block
+    edges, us, ts, nxt = _layer_base(nblocks=300, bsize=2)
+    g = build_graph(nxt, edges)
+    real = LevelDecomposition.blocks
+    calls = []
+
+    def counted(self, state):
+        calls.append(1)
+        return real(self, state)
+    monkeypatch.setattr(LevelDecomposition, "blocks", counted)
+    out = solve(g)
+    assert out.status == "found" and verify_dim(g, out.certificate)
+    assert len(calls) <= 10
 
 
 def test_block_cycle_two_alternatives():

@@ -8,9 +8,12 @@ the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
 `dimatch.cli.run(RunConfig("solve", fmt="json", ...))`:
 
-* `solve` under both `strict_c4` settings on every graph of four pools:
+* `solve` under both `strict_c4` settings on every graph of five pools:
   G(n,p) and planted graphs with n = 2-12, sparse graphs with n = 30-100,
-  and disjoint unions of P6 (half of them relabeled at random);
+  disjoint unions of P6, and layered hubs: an edge xy, a vertex on x,
+  2-9 second-level singletons on that vertex with a block of 1-3 vertices
+  each, random cross edges between blocks, pendant far vertices and far
+  triangles (half of the unions and hubs relabeled at random);
 * `solve_with_xy` on every edge of a prefix of each pool.
 
 `stats.case_seconds` (wall-clock timings) is dropped from each answer;
@@ -29,7 +32,7 @@ import tempfile
 SEED = 0
 # pool name -> (graphs, how many of them also get solve_with_xy per edge)
 POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
-         "p6-unions": (24, 6)}
+         "p6-unions": (24, 6), "layered": (1000, 100)}
 
 
 def _graph(rng, pool):
@@ -55,11 +58,44 @@ def _graph(rng, pool):
         p = rng.uniform(1.0, 3.0) / n
         return n, [(u, v) for u in range(n) for v in range(u + 1, n)
                    if rng.random() < p]
+    if pool == "layered":
+        return _layered(rng)
     k = rng.randint(2, 150)
     n = 6 * k
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
     return n, [(label[6 * i + j], label[6 * i + j + 1])
                for i in range(k) for j in range(5)]
+
+
+def _layered(rng):
+    """A hub around xy = (0, 1): vertex 2 on x carries the second-level
+    singletons, each with its block; far vertices hang off block members."""
+    k = rng.randint(2, 9)
+    us = list(range(3, 3 + k))
+    edges = [(0, 1), (0, 2)] + [(2, u) for u in us]
+    blocks, n = [], 3 + k
+    for u in us:
+        size = rng.randint(1, 3)
+        blocks.append(list(range(n, n + size)))
+        edges += [(u, t) for t in blocks[-1]]
+        n += size
+    p = rng.choice((0.0, 0.03, 0.1, 0.2))
+    edges += [(t, w) for i, bi in enumerate(blocks) for bj in blocks[i + 1:]
+              for t in bi for w in bj if rng.random() < p]
+    members = [t for blk in blocks for t in blk]
+    for _ in range(rng.randint(0, 2)):          # pendant far vertex
+        edges.append((rng.choice(members), n))
+        n += 1
+    for _ in range(rng.randint(0, 3)):          # far triangle
+        z, b, c = n, n + 1, n + 2
+        edges += [(rng.choice(members), z), (z, b), (z, c), (b, c)]
+        if rng.random() < 0.5:
+            edges.append((rng.choice(members), b))
+        n += 3
+    if rng.random() < 0.5:
+        label = rng.sample(range(n), n)
+        edges = [(label[u], label[v]) for u, v in edges]
+    return n, edges
 
 
 def _requests():

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .graph import Graph, GraphInputError, build_graph, verify_dim
-from .oracle import BudgetExceeded, brute_force_dim
+from .oracle import DEFAULT_BUDGET, BudgetExceeded, brute_force_dim
 from .patterns import S115, find_induced, random_s115_free
 from .solver import FOUND, NONE, HYPOTHESIS_VIOLATED, solve, solve_with_xy
 
@@ -28,7 +28,6 @@ class RunConfig:
     strict: bool = False
     fallback: bool = False
     fmt: str = "text"              # text | json
-    strict_c4: bool = False
     xy: tuple[int, int] | None = None
     n: int = 0
     p: float = 0.0
@@ -101,12 +100,16 @@ def _stats_dict(outcome) -> dict:
     }
 
 
+def _budget(cfg: RunConfig) -> dict:
+    return {} if cfg.budget is None else {"budget": cfg.budget}
+
+
 def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
     if cfg.xy is not None:
         u, v = cfg.xy
         if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
             raise GraphInputError(f"--xy ({u}, {v}) is not an edge")
-        cert = solve_with_xy(g, (u, v), strict_c4=cfg.strict_c4)
+        cert = solve_with_xy(g, (u, v))
         if cert is None:
             out = (_structured("solve", g, "none") if cfg.fmt == "json"
                    else "NONE")
@@ -117,10 +120,9 @@ def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
                if cfg.fmt == "json" else "\n".join(lines))
         return EXIT_OK, out
 
-    outcome = solve(g, strict_c4=cfg.strict_c4)
+    outcome = solve(g)
     if outcome.status == HYPOTHESIS_VIOLATED and cfg.fallback:
-        report = brute_force_dim(g, **({"budget": cfg.budget}
-                                       if cfg.budget else {}))
+        report = brute_force_dim(g, **_budget(cfg))
         if report.exists:
             cert = report.witness
             lines = [f"DIM {len(cert)} (oracle fallback)"]
@@ -158,9 +160,8 @@ def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
 
 
 def _run_oracle(cfg: RunConfig, g: Graph) -> tuple[int, str]:
-    kwargs = {"budget": cfg.budget} if cfg.budget else {}
     try:
-        report = brute_force_dim(g, **kwargs)
+        report = brute_force_dim(g, **_budget(cfg))
     except BudgetExceeded as err:
         return EXIT_INPUT, f"BUDGET EXCEEDED ({err})"
     if report.exists:
@@ -175,9 +176,8 @@ def _run_oracle(cfg: RunConfig, g: Graph) -> tuple[int, str]:
 
 
 def _run_compare(cfg: RunConfig, g: Graph) -> tuple[int, str]:
-    outcome = solve(g, strict_c4=cfg.strict_c4)
-    kwargs = {"budget": cfg.budget} if cfg.budget else {}
-    report = brute_force_dim(g, **kwargs)
+    outcome = solve(g)
+    report = brute_force_dim(g, **_budget(cfg))
     if outcome.status == HYPOTHESIS_VIOLATED:
         out = ("UNKNOWN (hypothesis violated); oracle says "
                + ("DIM" if report.exists else "NONE"))
@@ -263,6 +263,14 @@ def run(cfg: RunConfig, text: str | None = None) -> tuple[int, str]:
     return EXIT_INPUT, f"error: unknown mode {cfg.mode!r}"
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dimatch",
@@ -274,8 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", nargs="?", default="-",
                            help="graph file, or - for stdin")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=None,
-                       help="oracle node budget override")
+        p.add_argument("--budget", type=_positive_int, default=None,
+                       help="oracle node budget, a positive integer "
+                            f"(default {DEFAULT_BUDGET})")
 
     p = sub.add_parser("solve", help="run the structural solver")
     add_common(p)
@@ -283,8 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="report hypothesis violations with a witness")
     p.add_argument("--fallback", action="store_true",
                    help="answer via the oracle when the hypothesis fails")
-    p.add_argument("--strict-c4", action="store_true",
-                   help="also exclude every edge lying on an induced C4")
     p.add_argument("--xy", nargs=2, type=int, metavar=("U", "V"),
                    help="solve under the assumption that edge UV is matched")
 
@@ -311,7 +318,6 @@ def main(argv=None) -> int:
         mode=args.mode,
         path=getattr(args, "input", None),
         strict=getattr(args, "strict", False),
-        strict_c4=getattr(args, "strict_c4", False),
         fallback=getattr(args, "fallback", False),
         fmt=getattr(args, "format", "text"),
         xy=tuple(args.xy) if getattr(args, "xy", None) else None,

@@ -308,27 +308,7 @@ def settle(g: Graph, state: ColoringState) -> bool:
     return state.contradiction is None
 
 
-def _install_c4_exclusions(g: Graph, state: ColoringState) -> None:
-    """Exclude every edge lying on an induced 4-cycle (optional strictness)."""
-    for (u, v) in g.edges:
-        if state.removed[u] or state.removed[v]:
-            continue
-        for w in g.adj[u]:
-            if w == v or state.removed[w] or g.has_edge(w, v):
-                continue
-            hit = False
-            for z in g.adj[v]:
-                if z == u or z == w or state.removed[z]:
-                    continue
-                if g.has_edge(w, z) and not g.has_edge(z, u):
-                    hit = True
-                    break
-            if hit:
-                state.exclude(u, v)
-                break
-
-
-def preprocess(g: Graph, strict_c4: bool = False) -> ColoringState:
+def preprocess(g: Graph) -> ColoringState:
     """Reject graphs with a K4 and reduce every diamond mid-edge and
     butterfly peripheral edge to fixpoint; returns the reduced state.
 
@@ -358,7 +338,4 @@ def preprocess(g: Graph, strict_c4: bool = False) -> ColoringState:
             edge_reduction(g, state, v3, v4)
             if not settle(g, state):
                 break
-    if strict_c4 and state.contradiction is None:
-        _install_c4_exclusions(g, state)
-        settle(g, state)
     return state

@@ -8,12 +8,11 @@ stay simple enough to be obviously correct.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .graph import Graph, DimCertificate, edge_key, verify_dim
 
-DEFAULT_BUDGET = int(os.environ.get("DIMATCH_ORACLE_BUDGET", "2000000"))
+DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):

@@ -1,14 +1,14 @@
-"""Detection and construction of the small induced subgraphs the solver
-cares about: K4, diamond, butterfly, paths, cycles, and spiders S_{i,j,k}
-(three induced paths of lengths i, j, k glued at a center; S_{1,1,1} is
-the claw).
+"""Searches for the induced subgraphs the solver needs (K4, diamond,
+butterfly and S_{1,1,5}), and construction of named pattern graphs:
+those four, paths, cycles and spiders S_{i,j,k} (three induced paths of
+lengths i, j, k glued at a center; S_{1,1,1} is the claw).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graph import Graph, build_graph
 
@@ -63,8 +63,8 @@ class PatternWitness:
 
     Diamond: (v1, v2, v3, u) with mid-edge (v2, u).  Butterfly:
     (v1, v2, v3, v4, u) with peripheral edges (v1, v2) and (v3, v4).
-    Spiders: center first, then the legs center-outward, shortest leg
-    first.  Paths and cycles: in path/cycle order.
+    S_{1,1,5}: center, the two short legs, then the long leg
+    center-outward.
     """
 
     kind: PatternKind
@@ -103,25 +103,10 @@ def make_named(kind: PatternKind) -> Graph:
     return build_graph(1 + i + j + k, pairs)
 
 
-def _removed_mask(g: Graph, alive) -> bytes:
-    if alive is None:
-        return bytes(g.n)
-    return bytes(0 if a else 1 for a in alive)
-
-
-def _alive_vertices(g: Graph, alive) -> list[int]:
-    if alive is None:
-        return list(range(g.n))
-    return [v for v in range(g.n) if alive[v]]
-
-
-def _find_k4(g: Graph, alive) -> PatternWitness | None:
-    ok = (lambda v: True) if alive is None else (lambda v: bool(alive[v]))
+def _find_k4(g: Graph) -> PatternWitness | None:
     for (u, v) in g.edges:
-        if not (ok(u) and ok(v)):
-            continue
-        common = [w for w in g.adjset[u] & g.adjset[v] if ok(w)]
-        for a, b in combinations(sorted(common), 2):
+        common = sorted(g.adjset[u] & g.adjset[v])
+        for a, b in combinations(common, 2):
             if g.has_edge(a, b):
                 return PatternWitness(K4, (u, v, a, b))
     return None
@@ -169,169 +154,50 @@ def butterflies(g: Graph, removed):
                 break
 
 
-def _find_spider(g: Graph, kind: PatternKind, alive) -> PatternWitness | None:
-    """Induced spider search: pick a center with three independent
-    neighbors, then extend each leg as an induced path avoiding the rest
-    of the spider.  Polynomial for fixed leg lengths."""
-    params = kind.params
-    order = sorted(range(3), key=lambda t: params[t])
-    li, lj, lk = (params[t] for t in order)
-    if li == 0:
-        # a spider with a zero leg is a path; split it at the center
-        got = _find_induced_path(g, 1 + lj + lk, alive)
-        if got is None:
-            return None
-        seq = got.vertices
-        legs_sorted = [list(seq[lj::-1][:li + 1]),
-                       list(seq[lj::-1][: lj + 1]),
-                       list(seq[lj:])]
-        legs = [None, None, None]
-        for t, oidx in enumerate(order):
-            legs[oidx] = legs_sorted[t]
-        flat = [seq[lj]]
-        for leg in legs:
-            flat.extend(leg[1:])
-        return PatternWitness(kind, tuple(flat))
-    verts = _alive_vertices(g, alive)
-    ok = (lambda v: True) if alive is None else (lambda v: bool(alive[v]))
+def _find_s115(g: Graph) -> PatternWitness | None:
+    """Induced S_{1,1,5}: centers ascending, then nonadjacent pairs a < b
+    of the center's neighbors, then the first 5-leg in sorted order that
+    avoids the closed neighborhoods of a and b.  This is the
+    lexicographically first (center, a, b, leg) witness."""
+    adj, adjset = g.adj, g.adjset
 
-    def grow(legs: list[list[int]], targets: tuple[int, ...], used: set[int]):
-        for idx, need in enumerate(targets):
-            if len(legs[idx]) <= need:
-                break
-        else:
-            return legs
-        tip = legs[idx][-1]
-        body = used - {tip}
-        for w in sorted(g.adj[tip]):
-            if not ok(w) or w in used:
-                continue
-            if any(g.has_edge(w, x) for x in body):
-                continue
-            legs[idx].append(w)
-            used.add(w)
-            got = grow(legs, targets, used)
-            if got is not None:
-                return got
-            used.discard(w)
-            legs[idx].pop()
-        return None
+    def legs(path, blocked):
+        # induced 5-legs from the center, in sorted order; `blocked` holds
+        # the path, the neighbors of every path vertex but the tip, and
+        # whatever else the leg must avoid
+        if len(path) == 6:
+            yield path
+            return
+        tip = path[-1]
+        nxt = blocked | adjset[tip]
+        for w in sorted(adjset[tip] - blocked):
+            yield from legs(path + [w], nxt)
 
-    for u in verts:
-        nbrs = sorted(w for w in g.adj[u] if ok(w))
-        if len(nbrs) < 3:
+    for u in range(g.n):
+        # a center with no 5-leg at all has none that avoids a and b
+        if len(adj[u]) < 3 or next(legs([u], {u}), None) is None:
             continue
-        for a, b, c in permutations(nbrs, 3):
-            # skip permutations that only swap equal-length legs
-            if li == lj and a > b:
+        for a, b in combinations(sorted(adj[u]), 2):
+            if b in adjset[a]:
                 continue
-            if lj == lk and b > c:
-                continue
-            if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
-                continue
-            legs_sorted = [[u, a], [u, b], [u, c]]
-            used = {u, a, b, c}
-            got = grow(legs_sorted, (li, lj, lk), used)
-            if got is not None:
-                legs = [None, None, None]
-                for t, oidx in enumerate(order):
-                    legs[oidx] = got[t]
-                flat = [u]
-                for leg in legs:
-                    flat.extend(leg[1:])
-                return PatternWitness(kind, tuple(flat))
+            leg = next(legs([u], {u, a, b} | adjset[a] | adjset[b]), None)
+            if leg is not None:
+                return PatternWitness(S115, (u, a, b, *leg[1:]))
     return None
 
 
-def _find_induced_path(g: Graph, k: int, alive) -> PatternWitness | None:
-    verts = _alive_vertices(g, alive)
-    ok = (lambda v: True) if alive is None else (lambda v: bool(alive[v]))
-
-    def extend(seq: list[int], used: set[int]):
-        if len(seq) == k:
-            return tuple(seq)
-        tip = seq[-1]
-        body = used - {tip}
-        for w in sorted(g.adj[tip]):
-            if not ok(w) or w in used:
-                continue
-            if any(g.has_edge(w, x) for x in body):
-                continue
-            seq.append(w)
-            used.add(w)
-            got = extend(seq, used)
-            if got is not None:
-                return got
-            used.discard(w)
-            seq.pop()
-        return None
-
-    for s in verts:
-        got = extend([s], {s})
-        if got is not None:
-            return PatternWitness(path(k), got)
-    return None
-
-
-def _find_induced_cycle(g: Graph, k: int, alive) -> PatternWitness | None:
-    verts = _alive_vertices(g, alive)
-    ok = (lambda v: True) if alive is None else (lambda v: bool(alive[v]))
-
-    def extend(seq: list[int], used: set[int]):
-        pos = len(seq)
-        if pos == k:
-            return tuple(seq)
-        tip = seq[-1]
-        interior = seq[1:-1]
-        for w in sorted(g.adj[tip]):
-            # canonical form: the cycle starts at its minimum vertex
-            if not ok(w) or w in used or w < seq[0]:
-                continue
-            if any(g.has_edge(w, x) for x in interior):
-                continue
-            closes = g.has_edge(w, seq[0])
-            if pos == k - 1:
-                if not closes:
-                    continue
-            elif pos >= 2 and closes:
-                continue
-            seq.append(w)
-            used.add(w)
-            got = extend(seq, used)
-            if got is not None:
-                return got
-            used.discard(w)
-            seq.pop()
-        return None
-
-    for s in verts:
-        got = extend([s], {s})
-        if got is not None:
-            return PatternWitness(cycle(k), got)
-    return None
-
-
-def find_induced(g: Graph, kind: PatternKind, alive=None) -> PatternWitness | None:
-    """Witness of an induced occurrence of `kind`, or None if kind-free.
-
-    `alive` optionally masks the search to a vertex subset.
-    """
+def find_induced(g: Graph, kind: PatternKind) -> PatternWitness | None:
+    """Witness of an induced K4, diamond, butterfly or S_{1,1,5} in g, or
+    None if g has none; other kinds raise ValueError."""
     t = kind.tag
     if t == "K4":
-        return _find_k4(g, alive)
+        return _find_k4(g)
     if t == "Diamond":
-        return next(diamonds(g, _removed_mask(g, alive)), None)
+        return next(diamonds(g, bytes(g.n)), None)
     if t == "Butterfly":
-        return next(butterflies(g, _removed_mask(g, alive)), None)
-    if t == "Claw":
-        w = _find_spider(g, spider(1, 1, 1), alive)
-        return PatternWitness(CLAW, w.vertices) if w else None
-    if t == "S_ijk":
-        return _find_spider(g, kind, alive)
-    if t == "P_k":
-        return _find_induced_path(g, kind.params[0], alive)
-    if t == "C_k":
-        return _find_induced_cycle(g, kind.params[0], alive)
+        return next(butterflies(g, bytes(g.n)), None)
+    if kind == S115:
+        return _find_s115(g)
     raise ValueError(f"unsupported pattern {kind}")
 
 

@@ -771,7 +771,7 @@ def _solve_component(g: Graph, base: ColoringState, comp,
     return NONE, "every candidate edge was exhausted"
 
 
-def solve(g: Graph, strict_c4: bool = False) -> SolveOutcome:
+def solve(g: Graph) -> SolveOutcome:
     """Decide whether the graph has a dominating induced matching and
     construct one when it does.
 
@@ -783,7 +783,7 @@ def solve(g: Graph, strict_c4: bool = False) -> SolveOutcome:
     stats = SolveStats()
     if g.m == 0:
         return SolveOutcome(FOUND, DimCertificate(), stats=stats)
-    state = preprocess(g, strict_c4=strict_c4)
+    state = preprocess(g)
     if state.contradiction is not None:
         return SolveOutcome(NONE, detail=state.contradiction, stats=stats)
     pairs: set[tuple[int, int]] = set(state.mate_pairs())
@@ -808,8 +808,7 @@ def solve(g: Graph, strict_c4: bool = False) -> SolveOutcome:
     return SolveOutcome(FOUND, cert, stats=stats)
 
 
-def solve_with_xy(g: Graph, xy: tuple[int, int],
-                  strict_c4: bool = False) -> DimCertificate | None:
+def solve_with_xy(g: Graph, xy: tuple[int, int]) -> DimCertificate | None:
     """A full d.i.m. of the graph containing the edge xy, or None.
 
     Debugging entry point: preprocessing runs first, the component of xy
@@ -820,7 +819,7 @@ def solve_with_xy(g: Graph, xy: tuple[int, int],
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     stats = SolveStats()
-    base = preprocess(g, strict_c4=strict_c4)
+    base = preprocess(g)
     if base.contradiction is not None:
         return None
     if base.mate[u] != v:

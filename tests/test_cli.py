@@ -1,6 +1,8 @@
 import json
 
-from dimatch.cli import RunConfig, emit_graph, parse_graph, run
+import pytest
+
+from dimatch.cli import RunConfig, emit_graph, main, parse_graph, run
 from dimatch.patterns import make_named, cycle, K4, S115
 
 P6_TEXT = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
@@ -69,6 +71,21 @@ def test_oracle_mode():
     g = make_named(cycle(4))
     code, out = run(RunConfig("oracle"), text=emit_graph(g))
     assert code == 1 and out == "NONE"
+
+
+def test_oracle_budget_must_be_positive(capsys):
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--budget", bad])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+    # a budget given in the config is used as given, never replaced by the
+    # default
+    p4 = "4 3\n0 1\n1 2\n2 3\n"
+    code, out = run(RunConfig("oracle", budget=0), text=p4)
+    assert code == 2 and out.startswith("BUDGET EXCEEDED")
+    code, out = run(RunConfig("oracle"), text=p4)
+    assert code == 0 and out.splitlines()[0] == "DIM 1"
 
 
 def test_compare_mode():

@@ -171,15 +171,9 @@ def test_preprocess_c6_untouched():
     assert _live_unknowns(st) == list(range(6)) and not any(st.removed)
 
 
-def test_preprocess_strict_c4_excludes_cycle_edges():
-    g = make_named(cycle(4))
-    st = preprocess(g, strict_c4=True)
-    assert all(st.is_excluded(u, v) for (u, v) in g.edges)
-
-
 def _restart_preprocess(g):
-    """Reference: rebuild the live mask and rescan from the first edge or
-    center after every reduction."""
+    """Reference: start a fresh scan from the first edge or center after
+    every reduction."""
     st = ColoringState(g.n)
     w = find_induced(g, K4)
     if w is not None:
@@ -188,13 +182,12 @@ def _restart_preprocess(g):
     while st.contradiction is None:
         if not settle(g, st):
             break
-        alive = st.live_mask()
-        w = find_induced(g, DIAMOND, alive)
+        w = next(patterns.diamonds(g, st.removed), None)
         if w is not None:
             _, u, _, mid = w.vertices
             edge_reduction(g, st, u, mid)
             continue
-        w = find_induced(g, BUTTERFLY, alive)
+        w = next(patterns.butterflies(g, st.removed), None)
         if w is not None:
             v1, v2, v3, v4, _ = w.vertices
             edge_reduction(g, st, v1, v2)

@@ -6,19 +6,22 @@
 SRC_A and SRC_B are directories holding the `dimatch` package, such as
 the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
-`dimatch.cli.run(RunConfig("solve", fmt="json", ...))`:
+`dimatch.cli.run(RunConfig(mode, fmt="json", ...))`:
 
-* `solve` under both `strict_c4` settings on every graph of five pools:
-  G(n,p) and planted graphs with n = 2-12, sparse graphs with n = 30-100,
-  disjoint unions of P6, and layered hubs: an edge xy, a vertex on x,
-  2-9 second-level singletons on that vertex with a block of 1-3 vertices
+* `solve` and `check-s115` on every graph of five pools: G(n,p) and
+  planted graphs with n = 2-12, sparse graphs with n = 30-100, disjoint
+  unions of P6, and layered hubs: an edge xy, a vertex on x, 2-9
+  second-level singletons on that vertex with a block of 1-3 vertices
   each, random cross edges between blocks, pendant far vertices and far
   triangles (half of the unions and hubs relabeled at random);
-* `solve_with_xy` on every edge of a prefix of each pool.
+* `solve_with_xy` (`solve --xy`) on every edge of a prefix of each pool;
+* `generate` (`random_s115_free`) for a fixed list of seeded sizes and
+  edge probabilities, n = 10-40 and p = 0.1-0.3.
 
 `stats.case_seconds` (wall-clock timings) is dropped from each answer;
-all else must match exactly.  Prints the counts per pool and exits 1 on
-any difference.  Given one tree, the script is the worker: it prints
+all else must match exactly, so `check-s115` must name the same witness.
+Prints the counts per pool and request kind and exits 1 on any
+difference.  Given one tree, the script is the worker: it prints
 that tree's answers, one JSON line per request.  Standard library only.
 """
 
@@ -33,6 +36,7 @@ SEED = 0
 # pool name -> (graphs, how many of them also get solve_with_xy per edge)
 POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "p6-unions": (24, 6), "layered": (1000, 100)}
+GENERATE = 200                  # generate requests
 
 
 def _graph(rng, pool):
@@ -99,17 +103,23 @@ def _layered(rng):
 
 
 def _requests():
-    """Yield (pool, graph index, n, edges, strict_c4, xy) in a fixed
-    order."""
+    """Yield (pool, graph index, request kind, RunConfig fields, graph)
+    in a fixed order; the graph is (n, edges), or None for `generate`."""
     for pool, (count, prefix) in POOLS.items():
         rng = random.Random(f"{SEED}:{pool}")
         for i in range(count):
-            n, edges = _graph(rng, pool)
-            for strict in (False, True):
-                yield pool, i, n, edges, strict, None
+            graph = _graph(rng, pool)
+            yield pool, i, "solve", {"mode": "solve"}, graph
+            yield pool, i, "check-s115", {"mode": "check-s115"}, graph
             if i < prefix:
-                for e in sorted((min(e), max(e)) for e in edges):
-                    yield pool, i, n, edges, False, e
+                for e in sorted((min(e), max(e)) for e in graph[1]):
+                    yield (pool, i, "solve_with_xy",
+                           {"mode": "solve", "xy": e}, graph)
+    rng = random.Random(f"{SEED}:generate")
+    for i in range(GENERATE):
+        fields = {"mode": "generate", "n": rng.randint(10, 40),
+                  "p": round(rng.uniform(0.1, 0.3), 3), "seed": i}
+        yield "generate", i, "generate", fields, None
 
 
 def worker(src):
@@ -118,13 +128,19 @@ def worker(src):
     from dimatch import cli
     if not os.path.abspath(cli.__file__).startswith(os.path.abspath(src)):
         sys.exit(f"imported dimatch from {cli.__file__}, not {src}")
-    for pool, _, n, edges, strict, xy in _requests():
-        text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    for _, _, kind, fields, graph in _requests():
+        text = None
+        if graph is not None:
+            n, edges = graph
+            text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n"
+                                                   for u, v in edges)
         try:
-            code, out = cli.run(cli.RunConfig("solve", fmt="json",
-                                              strict_c4=strict, xy=xy), text)
-            obj = json.loads(out)
-            obj.get("stats", {}).pop("case_seconds", None)
+            code, out = cli.run(cli.RunConfig(fmt="json", **fields), text)
+            if kind == "generate":      # edge lists, not JSON
+                obj = out
+            else:
+                obj = json.loads(out)
+                obj.get("stats", {}).pop("case_seconds", None)
             line = json.dumps([code, obj], sort_keys=True)
         except Exception as err:        # a crash is an answer too
             line = json.dumps(["raised", repr(err)])
@@ -153,20 +169,22 @@ def main(src_a, src_b):
         sys.exit(f"{len(reqs)} requests, answers {len(lines_a)} and "
                  f"{len(lines_b)}")
     counts, diffs = {}, 0
-    for (pool, i, n, _, strict, xy), a, b in zip(reqs, lines_a, lines_b):
-        kind = "solve" if xy is None else "solve_with_xy"
-        row = counts.setdefault((pool, kind), [0, 0, set()])
+    for (pool, i, kind, fields, _), a, b in zip(reqs, lines_a, lines_b):
+        row = counts.setdefault((pool, kind), [0, 0, set(), 0])
         row[0] += 1
         row[2].add(i)
+        # check-s115 exits 3 on a witness
+        row[3] += kind == "check-s115" and json.loads(a)[0] == 3
         if a != b:
             row[1] += 1
             diffs += 1
             if diffs <= 5:
-                print(f"DIFF {pool} n={n} strict_c4={strict} xy={xy}\n"
+                print(f"DIFF {pool} #{i} {fields}\n"
                       f"  A: {a.strip()}\n  B: {b.strip()}")
-    for (pool, kind), (runs, bad, graphs) in counts.items():
+    for (pool, kind), (runs, bad, graphs, witnesses) in counts.items():
+        extra = f" ({witnesses} witnesses)" if kind == "check-s115" else ""
         print(f"{pool:10} {kind:14} {runs:7} runs on {len(graphs):5} "
-              f"graphs, {bad} differ")
+              f"graphs, {bad} differ{extra}")
     print(f"total: {sum(r[0] for r in counts.values())} runs, {diffs} differ")
     return 1 if diffs else 0
 

@@ -93,6 +93,7 @@ def _structured(mode: str, g: Graph | None, result: str,
 def _stats_dict(outcome) -> dict:
     return {
         "xy_tried": outcome.stats.xy_tried,
+        "xy_fallback": outcome.stats.xy_fallback,
         "branch_points": [[b.kind, b.explored, b.bound]
                           for b in outcome.stats.branch_points],
         "case_seconds": {k: round(v, 6)
@@ -256,7 +257,7 @@ def run(cfg: RunConfig, text: str | None = None) -> tuple[int, str]:
             return _run_compare(cfg, g)
         if cfg.mode == "check-s115":
             return _run_check(cfg, g)
-    except GraphInputError as err:
+    except ValueError as err:       # GraphInputError, or a budget below 1
         return EXIT_INPUT, f"error: {err}"
     except BudgetExceeded as err:
         return EXIT_INPUT, f"BUDGET EXCEEDED ({err})"

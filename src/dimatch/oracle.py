@@ -32,8 +32,11 @@ def _search(g: Graph, budget: int, collect: list | None):
     Every partial solution kept is an induced matching (pairwise edge
     distance at least 2), so no edge is ever dominated twice; a leaf with
     no undominated edge is therefore a d.i.m.  Returns a witness edge set
-    or None; fills `collect` with all solutions when given.
+    or None; fills `collect` with all solutions when given.  A budget
+    below 1 raises ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"oracle budget must be at least 1, got {budget}")
     edges = g.edges
     nodes = 0
 

@@ -1,17 +1,23 @@
 """Dominating induced matching decision and construction.
 
-Per component: global pattern reductions, then a trivial check for
-solutions needing at most one more edge, then one branch per edge xy
-lying in an induced path of three vertices (every solution with two or
-more edges contains such an edge).  Each xy branch builds the distance
-levels, normalizes them, and dispatches on the shape of the far levels.
-Produced certificates are always verified against the original graph.
+Per component: global pattern reductions, then one branch per covering
+edge.  For a live vertex v of least live degree and its live neighbor w
+of least live degree, the edge vw must be dominated, so every solution
+matches an edge at v or at w: at most deg(v) + deg(w) - 1 branches.
+Each xy branch builds the distance levels, normalizes them, and
+dispatches on the shape of the far levels.  The covering edges' `none`
+is complete on graphs with no induced S_{1,1,5}; that class check runs
+once per call, and only before such a `none` would be returned.  With a
+witness, or after a branch raised a hypothesis violation, every edge of
+the component gets a branch.  Produced certificates are always verified
+against the original graph.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 from .graph import (Graph, DimCertificate, connected_components, edge_key,
@@ -42,6 +48,7 @@ class SolveStats:
     branch_points: list[BranchPoint] = field(default_factory=list)
     case_seconds: dict[str, float] = field(default_factory=dict)
     xy_tried: int = 0
+    xy_fallback: int = 0        # of xy_tried, run by the full-edge loop
 
     def record(self, kind: str, explored: int, bound: int) -> None:
         self.branch_points.append(BranchPoint(kind, explored, bound))
@@ -98,17 +105,6 @@ def _needs_nothing(g: Graph, state: ColoringState, comp) -> bool:
                 if w > v and not removed[w] and color[w] == UNKNOWN:
                     return False
     return True
-
-
-def _in_live_p3(g: Graph, state: ColoringState, u: int, v: int) -> bool:
-    rem = state.removed
-    for w in g.adj[u]:
-        if not rem[w] and w != v and not g.has_edge(w, v):
-            return True
-    for w in g.adj[v]:
-        if not rem[w] and w != u and not g.has_edge(w, u):
-            return True
-    return False
 
 
 def constrained_subsolver(g: Graph, state: ColoringState,
@@ -720,43 +716,26 @@ def _solve_with_xy_internal(g: Graph, base: ColoringState, comp,
     return _comp_pairs(final, comp)
 
 
-def _solve_component(g: Graph, base: ColoringState, comp,
-                     stats: SolveStats) -> tuple[str, object]:
-    """Returns (status, pairs-or-detail) for one live component."""
-    if _needs_nothing(g, base, comp):
-        return FOUND, _comp_pairs(base, comp)
+def _covering_edges(g: Graph, state: ColoringState, comp
+                    ) -> list[tuple[int, int]]:
+    """The live edges at v or at w, for a live vertex v of least live
+    degree and its live neighbor w of least live degree.  The edge vw must
+    be dominated, so every d.i.m. matches one of these edges."""
+    removed = state.removed
+    live = {u: [t for t in g.adj[u] if not removed[t]] for u in comp}
+    v = min(comp, key=lambda u: (len(live[u]), u))
+    w = min(live[v], key=lambda t: (len(live[t]), t))
+    return sorted({edge_key(a, t) for a in (v, w) for t in live[a]})
 
-    pristine = not base.excluded and all(
-        base.color[v] == UNKNOWN and not base.removed[v] for v in comp)
-    comp_edges = [(u, v) for u in comp for v in g.adj[u] if u < v]
 
-    # solutions needing exactly one more edge
-    if pristine:
-        m_comp = len(comp_edges)
-        for (u, v) in comp_edges:
-            if g.degree(u) + g.degree(v) - 1 == m_comp:
-                return FOUND, _comp_pairs(base, comp) | {(u, v)}
-    else:
-        for (u, v) in comp_edges:
-            if base.removed[u] or base.removed[v] or base.is_excluded(u, v):
-                continue
-            if base.color[u] == WHITE or base.color[v] == WHITE:
-                continue
-            child = base.clone()
-            assign(child, u, BLACK)
-            assign(child, v, BLACK)
-            if not settle(g, child):
-                continue
-            if _needs_nothing(g, child, comp):
-                return FOUND, _comp_pairs(child, comp)
-
+def _branch_on(g: Graph, base: ColoringState, comp, edges,
+               stats: SolveStats) -> tuple[str, object]:
+    """One xy branch per live, non-white edge of `edges`, in order; the
+    first found pairs win."""
+    removed, color = base.removed, base.color
     violations: list[str] = []
-    for (u, v) in comp_edges:
-        if base.removed[u] or base.removed[v]:
-            continue
-        if base.color[u] == WHITE or base.color[v] == WHITE:
-            continue
-        if not _in_live_p3(g, base, u, v):
+    for (u, v) in edges:
+        if removed[u] or removed[v] or color[u] == WHITE or color[v] == WHITE:
             continue
         stats.xy_tried += 1
         try:
@@ -769,6 +748,28 @@ def _solve_component(g: Graph, base: ColoringState, comp,
     if violations:
         return HYPOTHESIS_VIOLATED, "; ".join(violations[:3])
     return NONE, "every candidate edge was exhausted"
+
+
+def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
+                     s115) -> tuple[str, object]:
+    """Returns (status, pairs-or-detail) for one live component.
+
+    The covering edges decide the component inside the class.  Their
+    `none` is kept only when the class check `s115()` (the graph's
+    induced S_{1,1,5} or None, searched once per call) finds no witness;
+    after a witness or a hypothesis violation every edge of the component
+    gets a branch, as the class guarantees nothing there."""
+    if _needs_nothing(g, base, comp):
+        return FOUND, _comp_pairs(base, comp)
+    status, payload = _branch_on(g, base, comp,
+                                 _covering_edges(g, base, comp), stats)
+    if status == FOUND or (status == NONE and s115() is None):
+        return status, payload
+    tried = stats.xy_tried
+    comp_edges = [(u, v) for u in comp for v in g.adj[u] if u < v]
+    status, payload = _branch_on(g, base, comp, comp_edges, stats)
+    stats.xy_fallback += stats.xy_tried - tried
+    return status, payload
 
 
 def solve(g: Graph) -> SolveOutcome:
@@ -788,8 +789,9 @@ def solve(g: Graph) -> SolveOutcome:
         return SolveOutcome(NONE, detail=state.contradiction, stats=stats)
     pairs: set[tuple[int, int]] = set(state.mate_pairs())
     hv_details: list[str] = []
+    s115 = cache(lambda: patterns.find_induced(g, patterns.S115))
     for comp in connected_components(g, state.live_mask()):
-        status, payload = _solve_component(g, state, comp, stats)
+        status, payload = _solve_component(g, state, comp, stats, s115)
         if status == NONE:
             return SolveOutcome(NONE, detail=str(payload), stats=stats)
         if status == HYPOTHESIS_VIOLATED:
@@ -797,8 +799,7 @@ def solve(g: Graph) -> SolveOutcome:
             continue
         pairs |= payload
     if hv_details:
-        witness = patterns.find_induced(g, patterns.S115) \
-            if g.n <= 200 else None
+        witness = s115() if g.n <= 200 else None
         return SolveOutcome(HYPOTHESIS_VIOLATED, detail="; ".join(hv_details),
                             witness=witness, stats=stats)
     cert = DimCertificate(frozenset(pairs))
@@ -827,15 +828,8 @@ def solve_with_xy(g: Graph, xy: tuple[int, int]) -> DimCertificate | None:
             return None
         if base.color[u] == WHITE or base.color[v] == WHITE:
             return None
-        if not _in_live_p3(g, base, u, v):
-            # without a path of three around xy, force xy; its component
-            # then settles to the pair alone
-            base = base.clone()
-            assign(base, u, BLACK)
-            assign(base, v, BLACK)
-            if not settle(g, base):
-                return None
     pairs = set(base.mate_pairs())
+    s115 = cache(lambda: patterns.find_induced(g, patterns.S115))
     for comp in connected_components(g, base.live_mask()):
         if u in comp:
             try:
@@ -843,7 +837,7 @@ def solve_with_xy(g: Graph, xy: tuple[int, int]) -> DimCertificate | None:
             except HypothesisViolation:
                 return None
         else:
-            status, got = _solve_component(g, base, comp, stats)
+            status, got = _solve_component(g, base, comp, stats, s115)
             if status != FOUND:
                 return None
         if got is None:

@@ -79,11 +79,11 @@ def test_oracle_budget_must_be_positive(capsys):
             main(["oracle", "--budget", bad])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
-    # a budget given in the config is used as given, never replaced by the
-    # default
+    # a budget given in the config is checked by the oracle, never replaced
+    # by the default
     p4 = "4 3\n0 1\n1 2\n2 3\n"
     code, out = run(RunConfig("oracle", budget=0), text=p4)
-    assert code == 2 and out.startswith("BUDGET EXCEEDED")
+    assert code == 2 and out.startswith("error: ")
     code, out = run(RunConfig("oracle"), text=p4)
     assert code == 0 and out.splitlines()[0] == "DIM 1"
 

@@ -62,3 +62,13 @@ def test_budget_abort():
     g = build_graph(n, pairs)  # K16, no d.i.m., big search tree
     with pytest.raises(BudgetExceeded):
         brute_force_dim(g, budget=5)
+
+
+def test_budget_below_one_is_rejected():
+    g = make_named(path(4))
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            brute_force_dim(g, budget=bad)
+        with pytest.raises(ValueError, match="at least 1"):
+            enumerate_dims(g, budget=bad)
+    assert brute_force_dim(g, budget=3).exists

@@ -1,13 +1,19 @@
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from dimatch import (brute_force_dim, build_graph, enumerate_dims, solve,
                      solve_with_xy, verify_dim)
 from dimatch.coloring import ColoringState, WHITE
-from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
-                              make_named, path, random_s115_free)
+from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115, cycle,
+                              find_induced, make_named, path,
+                              random_s115_free)
 from dimatch.levels import LevelDecomposition
 from dimatch.solver import constrained_subsolver
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from diffcheck import planted  # noqa: E402
 
 
 def _agree(g):
@@ -463,3 +469,60 @@ def test_disjoint_unions_solve_part_by_part():
             assert got is not None and set(got.edges) == want
             xy_found += 1
     assert found > 50 and xy_calls > 300 and xy_found > 50
+
+
+def _fuzz_graphs(rng):
+    """Planted graphs with 0-3 noise edges, G(n,p) graphs and
+    random_s115_free graphs, all small enough for the oracle."""
+    for _ in range(1500):
+        n, edges = planted(rng, rng.randint(4, 14))
+        edges = {(min(e), max(e)) for e in edges}
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        yield build_graph(n, sorted(edges))
+    for _ in range(1500):
+        n, p = rng.randint(2, 12), rng.uniform(0.15, 0.6)
+        yield build_graph(n, [(u, v) for u in range(n)
+                              for v in range(u + 1, n) if rng.random() < p])
+    for _ in range(300):
+        yield random_s115_free(rng.randint(8, 16), rng.uniform(0.15, 0.4),
+                               rng.randrange(10**6))
+
+
+def test_fuzz_against_oracle_inside_and_outside_the_class():
+    # a `none` must be right on every graph, a `found` must verify, and a
+    # hypothesis violation needs an induced S115; inside the class the
+    # covering edges decide every component without the full-edge loop
+    seen, fallbacks = {}, 0
+    for g in _fuzz_graphs(random.Random(5)):
+        out = solve(g)
+        free = find_induced(g, S115) is None
+        if out.status == "none":
+            assert not brute_force_dim(g).exists
+        elif out.status == "found":
+            assert verify_dim(g, out.certificate)
+        else:
+            assert not free
+        if free:
+            assert out.stats.xy_fallback == 0
+        seen[out.status, free] = seen.get((out.status, free), 0) + 1
+        fallbacks += out.stats.xy_fallback > 0
+    # both answers occur inside and outside the class, and the full-edge
+    # loop runs
+    assert min(seen.get((status, free), 0) for status in ("found", "none")
+               for free in (True, False)) > 20
+    assert fallbacks > 20
+
+
+def test_branch_count_is_bounded_by_degree():
+    # covering edges: at most deg(v) + deg(w) - 1 branches per component
+    for n in (100, 1000):
+        g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        out = solve(g)
+        assert out.status == "none" and out.stats.xy_tried <= 3
+    for k in (5, 20):
+        g = build_graph(2 * k, [(i, k + j) for i in range(k)
+                                for j in range(k)])
+        out = solve(g)
+        assert out.status == "none" and out.stats.xy_tried <= 2 * k - 1

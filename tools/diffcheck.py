@@ -18,11 +18,16 @@ its directory and answers the same seeded requests through
 * `generate` (`random_s115_free`) for a fixed list of seeded sizes and
   edge probabilities, n = 10-40 and p = 0.1-0.3.
 
-`stats.case_seconds` (wall-clock timings) is dropped from each answer;
-all else must match exactly, so `check-s115` must name the same witness.
-Prints the counts per pool and request kind and exits 1 on any
-difference.  Given one tree, the script is the worker: it prints
-that tree's answers, one JSON line per request.  Standard library only.
+`stats.case_seconds` (wall-clock timings) is dropped from each answer.
+`check-s115` and `generate` answers must match exactly, so `check-s115`
+must name the same witness.  `solve` answers must agree in exit code and
+`result`; where their certificates differ, both must pass SRC_A's
+`verify_dim` (and contain the requested xy).  Prints the counts per pool
+and request kind, then the total of each difference class: status,
+unverified certificate, certificate, detail and stats-only.  Exits 1 on
+a status difference or an unverified certificate.  Given one tree, the
+script is the worker: it prints that tree's answers, one JSON line per
+request.  Standard library only.
 """
 
 import json
@@ -46,17 +51,7 @@ def _graph(rng, pool):
         return n, [(u, v) for u in range(n) for v in range(u + 1, n)
                    if rng.random() < p]
     if pool == "planted":
-        # matched pairs B, independent rest W, random B-W edges: has a d.i.m.
-        # Not bench.instances.planted_dim: that one fails for most n < 10
-        # and never leaves a white vertex isolated.
-        n = rng.randint(2, 12)
-        vs = rng.sample(range(n), n)
-        k = rng.randint(1, n // 2)
-        pairs, whites = vs[:2 * k], vs[2 * k:]
-        p = rng.uniform(0.1, 0.6)
-        edges = [(pairs[i], pairs[i + 1]) for i in range(0, 2 * k, 2)]
-        edges += [(b, w) for b in pairs for w in whites if rng.random() < p]
-        return n, edges
+        return planted(rng, rng.randint(2, 12))
     if pool == "sparse":
         n = rng.randint(30, 100)
         p = rng.uniform(1.0, 3.0) / n
@@ -69,6 +64,20 @@ def _graph(rng, pool):
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
     return n, [(label[6 * i + j], label[6 * i + j + 1])
                for i in range(k) for j in range(5)]
+
+
+def planted(rng, n):
+    """(n, edges) of a graph with a planted d.i.m.: matched pairs B, an
+    independent rest W and random B-W edges.  Not bench.instances.planted_dim:
+    that one fails for most n < 10 and never leaves a white vertex isolated.
+    """
+    vs = rng.sample(range(n), n)
+    k = rng.randint(1, n // 2)
+    pairs, whites = vs[:2 * k], vs[2 * k:]
+    p = rng.uniform(0.1, 0.6)
+    edges = [(pairs[i], pairs[i + 1]) for i in range(0, 2 * k, 2)]
+    edges += [(b, w) for b in pairs for w in whites if rng.random() < p]
+    return n, edges
 
 
 def _layered(rng):
@@ -147,6 +156,27 @@ def worker(src):
         print(line)
 
 
+# difference classes, most severe first; the first two fail the check
+CLASSES = ("status", "unverified", "certificate", "detail", "stats-only")
+
+
+def _classify(kind, a, b):
+    """The class of a difference between two answers [code, obj] to one
+    request.  `solve` answers with the same exit code and `result` may
+    differ in `edges` (checked by the caller), `detail` and `stats`;
+    every other difference, and any in `check-s115` or `generate`, is a
+    status difference."""
+    if kind not in ("solve", "solve_with_xy") or a[0] != b[0] \
+            or not all(isinstance(x[1], dict) for x in (a, b)):
+        return "status"
+    keys = {k for k in a[1].keys() | b[1].keys() if a[1].get(k) != b[1].get(k)}
+    if keys - {"edges", "detail", "stats"}:
+        return "status"
+    if "edges" in keys:
+        return "certificate"
+    return "detail" if "detail" in keys else "stats-only"
+
+
 def main(src_a, src_b):
     outs, procs = [], []
     for src in (src_a, src_b):
@@ -168,25 +198,48 @@ def main(src_a, src_b):
     if not len(reqs) == len(lines_a) == len(lines_b):
         sys.exit(f"{len(reqs)} requests, answers {len(lines_a)} and "
                  f"{len(lines_b)}")
-    counts, diffs = {}, 0
-    for (pool, i, kind, fields, _), a, b in zip(reqs, lines_a, lines_b):
-        row = counts.setdefault((pool, kind), [0, 0, set(), 0])
+    sys.path.insert(0, os.path.abspath(src_a))
+    from dimatch import DimCertificate, build_graph, verify_dim
+
+    def verifies(graph, xy, edges):
+        try:
+            cert = DimCertificate(frozenset(map(tuple, edges)))
+        except ValueError:              # not a matching
+            return False
+        return (verify_dim(build_graph(*graph), cert)
+                and (xy is None or tuple(xy) in cert.edges))
+
+    # per (pool, kind): runs, graphs, witnesses, then one count per
+    # difference class
+    counts, shown = {}, 0
+    for (pool, i, kind, fields, graph), a, b in zip(reqs, lines_a, lines_b):
+        row = counts.setdefault((pool, kind),
+                                [0, set(), 0] + [0] * len(CLASSES))
         row[0] += 1
-        row[2].add(i)
+        row[1].add(i)
         # check-s115 exits 3 on a witness
-        row[3] += kind == "check-s115" and json.loads(a)[0] == 3
-        if a != b:
-            row[1] += 1
-            diffs += 1
-            if diffs <= 5:
-                print(f"DIFF {pool} #{i} {fields}\n"
-                      f"  A: {a.strip()}\n  B: {b.strip()}")
-    for (pool, kind), (runs, bad, graphs, witnesses) in counts.items():
+        row[2] += kind == "check-s115" and json.loads(a)[0] == 3
+        if a == b:
+            continue
+        cls = _classify(kind, json.loads(a), json.loads(b))
+        if cls == "certificate" and not all(
+                verifies(graph, fields.get("xy"), obj[1]["edges"])
+                for obj in (json.loads(a), json.loads(b))):
+            cls = "unverified"
+        row[3 + CLASSES.index(cls)] += 1
+        if CLASSES.index(cls) < 2 and shown < 5:
+            shown += 1
+            print(f"DIFF ({cls}) {pool} #{i} {fields}\n"
+                  f"  A: {a.strip()}\n  B: {b.strip()}")
+    for (pool, kind), (runs, graphs, witnesses, *diffs) in counts.items():
         extra = f" ({witnesses} witnesses)" if kind == "check-s115" else ""
         print(f"{pool:10} {kind:14} {runs:7} runs on {len(graphs):5} "
-              f"graphs, {bad} differ{extra}")
-    print(f"total: {sum(r[0] for r in counts.values())} runs, {diffs} differ")
-    return 1 if diffs else 0
+              f"graphs, {sum(diffs)} differ{extra}")
+    totals = [sum(row[3 + j] for row in counts.values())
+              for j in range(len(CLASSES))]
+    print(f"total: {sum(r[0] for r in counts.values())} runs, "
+          + ", ".join(f"{t} {c}" for c, t in zip(CLASSES, totals)))
+    return 1 if any(totals[:2]) else 0
 
 
 if __name__ == "__main__":

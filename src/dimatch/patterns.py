@@ -158,31 +158,66 @@ def _find_s115(g: Graph) -> PatternWitness | None:
     """Induced S_{1,1,5}: centers ascending, then nonadjacent pairs a < b
     of the center's neighbors, then the first 5-leg in sorted order that
     avoids the closed neighborhoods of a and b.  This is the
-    lexicographically first (center, a, b, leg) witness."""
-    adj, adjset = g.adj, g.adjset
+    lexicographically first (center, a, b, leg) witness.
 
-    def legs(path, blocked):
-        # induced 5-legs from the center, in sorted order; `blocked` holds
-        # the path, the neighbors of every path vertex but the tip, and
-        # whatever else the leg must avoid
-        if len(path) == 6:
-            yield path
-            return
-        tip = path[-1]
+    An induced 5-leg is a non-backtracking walk of 5 edges, so a center
+    that starts no such walk is skipped (`walks`) before its legs are
+    searched.  The leg search builds the union of the blocked set and
+    the tip's neighbors only at a tip that has a candidate, which most
+    tips of dense or hub-like graphs lack.  Memory is O(n + m)."""
+    adj, adjset = g.adj, g.adjset
+    kept: dict[int, dict[int, list[int]]] = {2: {}, 3: {}, 4: {}}
+
+    def walks(w, j):
+        """The first two neighbors x of w, in sorted order, such that a
+        non-backtracking walk of j edges (2 <= j <= 4) starts w, x.  A
+        walk v, w and j more edges exists iff one of them is not v.
+        Memoized per (w, j), so O(m) in total; computed on demand."""
+        memo = kept[j]
+        got = memo.get(w)
+        if got is None:
+            got = []
+            for x in adj[w]:
+                # w, x and j - 1 more edges
+                if (len(adj[x]) > 1 if j == 2
+                        else any(y != w for y in walks(x, j - 1))):
+                    got.append(x)
+                    if len(got) == 2:
+                        break
+            memo[w] = got
+        return got
+
+    def leg(tip, blocked, left):
+        # the first induced continuation of `left` vertices from tip, in
+        # sorted order, or None; `blocked` holds the path, the neighbors
+        # of every path vertex but the tip, and whatever else the leg
+        # must avoid
+        cand = adjset[tip] - blocked
+        if not cand:
+            return None
+        if left == 1:
+            return [min(cand)]
         nxt = blocked | adjset[tip]
-        for w in sorted(adjset[tip] - blocked):
-            yield from legs(path + [w], nxt)
+        for w in adj[tip]:
+            if w in cand:
+                rest = leg(w, nxt, left - 1)
+                if rest is not None:
+                    return [w, *rest]
+        return None
 
     for u in range(g.n):
-        # a center with no 5-leg at all has none that avoids a and b
-        if len(adj[u]) < 3 or next(legs([u], {u}), None) is None:
+        # an induced 5-leg is a walk u, x and 4 more edges; a center with
+        # no 5-leg at all has none that avoids a and b
+        if len(adj[u]) < 3 \
+                or not any(y != u for x in adj[u] for y in walks(x, 4)) \
+                or leg(u, {u}, 5) is None:
             continue
-        for a, b in combinations(sorted(adj[u]), 2):
+        for a, b in combinations(adj[u], 2):
             if b in adjset[a]:
                 continue
-            leg = next(legs([u], {u, a, b} | adjset[a] | adjset[b]), None)
-            if leg is not None:
-                return PatternWitness(S115, (u, a, b, *leg[1:]))
+            rest = leg(u, {u, a, b} | adjset[a] | adjset[b], 5)
+            if rest is not None:
+                return PatternWitness(S115, (u, a, b, *rest))
     return None
 
 

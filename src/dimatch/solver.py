@@ -49,6 +49,7 @@ class SolveStats:
     case_seconds: dict[str, float] = field(default_factory=dict)
     xy_tried: int = 0
     xy_fallback: int = 0        # of xy_tried, run by the full-edge loop
+    class_checks: int = 0       # 1 if the S_{1,1,5} class check ran
 
     def record(self, kind: str, explored: int, bound: int) -> None:
         self.branch_points.append(BranchPoint(kind, explored, bound))
@@ -750,6 +751,17 @@ def _branch_on(g: Graph, base: ColoringState, comp, edges,
     return NONE, "every candidate edge was exhausted"
 
 
+def _class_check(g: Graph, stats: SolveStats):
+    """The class check of one call: a function that searches g for an
+    induced S_{1,1,5} on its first call, counts that in
+    `stats.class_checks`, and returns the same result on every call."""
+    @cache
+    def s115():
+        stats.class_checks = 1
+        return patterns.find_induced(g, patterns.S115)
+    return s115
+
+
 def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
                      s115) -> tuple[str, object]:
     """Returns (status, pairs-or-detail) for one live component.
@@ -789,7 +801,7 @@ def solve(g: Graph) -> SolveOutcome:
         return SolveOutcome(NONE, detail=state.contradiction, stats=stats)
     pairs: set[tuple[int, int]] = set(state.mate_pairs())
     hv_details: list[str] = []
-    s115 = cache(lambda: patterns.find_induced(g, patterns.S115))
+    s115 = _class_check(g, stats)
     for comp in connected_components(g, state.live_mask()):
         status, payload = _solve_component(g, state, comp, stats, s115)
         if status == NONE:
@@ -799,9 +811,8 @@ def solve(g: Graph) -> SolveOutcome:
             continue
         pairs |= payload
     if hv_details:
-        witness = s115() if g.n <= 200 else None
         return SolveOutcome(HYPOTHESIS_VIOLATED, detail="; ".join(hv_details),
-                            witness=witness, stats=stats)
+                            witness=s115(), stats=stats)
     cert = DimCertificate(frozenset(pairs))
     ok, why = verify_dim_report(g, cert)
     if not ok:
@@ -829,7 +840,7 @@ def solve_with_xy(g: Graph, xy: tuple[int, int]) -> DimCertificate | None:
         if base.color[u] == WHITE or base.color[v] == WHITE:
             return None
     pairs = set(base.mate_pairs())
-    s115 = cache(lambda: patterns.find_induced(g, patterns.S115))
+    s115 = _class_check(g, stats)
     for comp in connected_components(g, base.live_mask()):
         if u in comp:
             try:

@@ -127,6 +127,78 @@ def test_s115_search_is_fast_on_complete_bipartite():
     assert time.perf_counter() - start < 5.0
 
 
+def _first_s115_brute(g):
+    """Lexicographic reference: centers ascending, nonadjacent pairs
+    a < b of the center's neighbors, then every walk of five distinct
+    vertices from the center in lexicographic order; the first tuple that
+    `check_witness` accepts."""
+    def walks(tip, used, left):
+        if left == 0:
+            yield []
+            return
+        for w in g.adj[tip]:
+            if w not in used:
+                for rest in walks(w, used | {w}, left - 1):
+                    yield [w, *rest]
+
+    for u in range(g.n):
+        for a, b in combinations(g.adj[u], 2):
+            if g.has_edge(a, b):
+                continue
+            for leg in walks(u, {u, a, b}, 5):
+                w = PatternWitness(S115, (u, a, b, *leg))
+                if check_witness(g, w):
+                    return w.vertices
+    return None
+
+
+def test_s115_witness_is_the_lexicographically_first():
+    rng = random.Random(1151)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(8, 11)
+        p = rng.uniform(0.15, 0.35)
+        g = build_graph(n, [(u, v) for u in range(n)
+                            for v in range(u + 1, n) if rng.random() < p])
+        w = find_induced(g, S115)
+        assert (w and w.vertices) == _first_s115_brute(g), g.edges
+        found += w is not None
+    assert found > 20
+
+
+def test_s115_found_under_every_relabeling():
+    # the walk prefilter must keep the one center of the spider itself;
+    # a twin 9 of the second leg vertex and a second end 8 give the
+    # spider's leg two choices at two places, and vertex 6 another center
+    s = make_named(S115)
+    fork = build_graph(10, list(s.edges) + [(3, 9), (5, 9), (6, 8)])
+    rng = random.Random(8)
+    for base in (s, fork):
+        for _ in range(200):
+            perm = rng.sample(range(base.n), base.n)
+            g = build_graph(base.n, [(perm[u], perm[v])
+                                     for u, v in base.edges])
+            w = find_induced(g, S115)
+            assert w is not None and w.vertices == _first_s115_brute(g)
+            assert base is fork or w.vertices[0] == perm[0]
+
+
+def test_s115_search_is_fast_on_a_hub():
+    # edge (0, 1), 2 on 0, k singletons on 2 with 2 or 3 leaves each: no
+    # vertex starts a non-backtracking walk of five edges
+    k, rng = 1000, random.Random(3)
+    pairs, nxt = [(0, 1), (0, 2)], 3 + k
+    for u in range(3, 3 + k):
+        pairs.append((2, u))
+        for _ in range(rng.choice((2, 3))):
+            pairs.append((u, nxt))
+            nxt += 1
+    g = build_graph(nxt, pairs)
+    start = time.perf_counter()
+    assert find_induced(g, S115) is None
+    assert time.perf_counter() - start < 5.0
+
+
 def test_witnesses_check_out_on_random_graphs():
     rng = random.Random(17)
     hits = 0

@@ -6,9 +6,9 @@ from pathlib import Path
 from dimatch import (brute_force_dim, build_graph, enumerate_dims, solve,
                      solve_with_xy, verify_dim)
 from dimatch.coloring import ColoringState, WHITE
-from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115, cycle,
-                              find_induced, make_named, path,
-                              random_s115_free)
+from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
+                              check_witness, cycle, find_induced, make_named,
+                              path, random_s115_free)
 from dimatch.levels import LevelDecomposition
 from dimatch.solver import constrained_subsolver
 
@@ -471,9 +471,31 @@ def test_disjoint_unions_solve_part_by_part():
     assert found > 50 and xy_calls > 300 and xy_found > 50
 
 
+def _far_level_variant(rng):
+    """A random variant of the shapes of test_far_level_structures_agree:
+    2-5 singletons with blocks of 1-2 vertices, one or two far-level
+    shapes hung off random block members, relabeled at random."""
+    edges, us, ts, nxt = _layer_base(rng.randint(2, 5), rng.randint(1, 2))
+    members = [t for blk in ts for t in blk]
+    for _ in range(rng.randint(1, 2)):
+        s, t = rng.sample(members, 2)
+        a, b, c = nxt, nxt + 1, nxt + 2
+        shape = rng.choice((
+            [(s, a), (a, b)],                           # pendant pair
+            [(s, a), (t, b), (a, b)],                   # far pair
+            [(s, a), (t, a)],                           # far vertex
+            [(s, a), (t, b), (a, b), (a, c), (b, c)],   # far triangle
+            [(s, a), (t, b), (a, c), (b, c)]))          # far path of three
+        edges += shape
+        nxt = 1 + max(max(e) for e in shape)
+    label = rng.sample(range(nxt), nxt)
+    return build_graph(nxt, [(label[u], label[v]) for u, v in edges])
+
+
 def _fuzz_graphs(rng):
-    """Planted graphs with 0-3 noise edges, G(n,p) graphs and
-    random_s115_free graphs, all small enough for the oracle."""
+    """Planted graphs with 0-3 noise edges, G(n,p) graphs,
+    random_s115_free graphs and far-level variants, all small enough for
+    the oracle."""
     for _ in range(1500):
         n, edges = planted(rng, rng.randint(4, 14))
         edges = {(min(e), max(e)) for e in edges}
@@ -488,6 +510,8 @@ def _fuzz_graphs(rng):
     for _ in range(300):
         yield random_s115_free(rng.randint(8, 16), rng.uniform(0.15, 0.4),
                                rng.randrange(10**6))
+    for _ in range(300):
+        yield _far_level_variant(rng)
 
 
 def test_fuzz_against_oracle_inside_and_outside_the_class():
@@ -513,6 +537,23 @@ def test_fuzz_against_oracle_inside_and_outside_the_class():
     assert min(seen.get((status, free), 0) for status in ("found", "none")
                for free in (True, False)) > 20
     assert fallbacks > 20
+
+
+def test_hypothesis_violated_witness_past_200_vertices():
+    # the graph of test_hypothesis_violation_reports_witness padded with
+    # disjoint edges keeps its answer and gets its witness
+    padded = build_graph(202, HV_EDGES + [(v, v + 1)
+                                          for v in range(22, 202, 2)])
+    out = solve(padded)
+    assert padded.n > 200 and out.status == "hypothesis-violated"
+    assert out.witness is not None and check_witness(padded, out.witness)
+
+
+def test_class_checks_counts_the_s115_search():
+    out = solve(build_graph(100, [(i, (i + 1) % 100) for i in range(100)]))
+    assert out.status == "none" and out.stats.class_checks == 1
+    out = solve(build_graph(100, [(i, i + 1) for i in range(99)]))
+    assert out.status == "found" and out.stats.class_checks == 0
 
 
 def test_branch_count_is_bounded_by_degree():

@@ -8,12 +8,15 @@ the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
 `dimatch.cli.run(RunConfig(mode, fmt="json", ...))`:
 
-* `solve` and `check-s115` on every graph of five pools: G(n,p) and
+* `solve` and `check-s115` on every graph of six pools: G(n,p) and
   planted graphs with n = 2-12, sparse graphs with n = 30-100, disjoint
-  unions of P6, and layered hubs: an edge xy, a vertex on x, 2-9
+  unions of P6, layered hubs (an edge xy, a vertex on x, 2-9
   second-level singletons on that vertex with a block of 1-3 vertices
   each, random cross edges between blocks, pendant far vertices and far
-  triangles (half of the unions and hubs relabeled at random);
+  triangles), and dense graphs: G(n,p) with n = 15-40 and p = 0.3-0.7,
+  K_{k,k} with k = 5-30 minus 0-3 edges, and the benchmark's hub with
+  k <= 100 whose leaves carry 0-3 tails of 1-5 vertices (half of the
+  unions, hubs and dense graphs relabeled at random);
 * `solve_with_xy` (`solve --xy`) on every edge of a prefix of each pool;
 * `generate` (`random_s115_free`) for a fixed list of seeded sizes and
   edge probabilities, n = 10-40 and p = 0.1-0.3.
@@ -40,7 +43,7 @@ import tempfile
 SEED = 0
 # pool name -> (graphs, how many of them also get solve_with_xy per edge)
 POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
-         "p6-unions": (24, 6), "layered": (1000, 100)}
+         "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0)}
 GENERATE = 200                  # generate requests
 
 
@@ -59,6 +62,8 @@ def _graph(rng, pool):
                    if rng.random() < p]
     if pool == "layered":
         return _layered(rng)
+    if pool == "dense":
+        return _dense(rng)
     k = rng.randint(2, 150)
     n = 6 * k
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
@@ -105,6 +110,39 @@ def _layered(rng):
         if rng.random() < 0.5:
             edges.append((rng.choice(members), b))
         n += 3
+    if rng.random() < 0.5:
+        label = rng.sample(range(n), n)
+        edges = [(label[u], label[v]) for u, v in edges]
+    return n, edges
+
+
+def _dense(rng):
+    """G(n,p), K_{k,k} minus a few edges, or a hub with tails: the walk
+    prefilter of the S115 search passes a center of the hub only where a
+    tail of two or more vertices hangs off a leaf."""
+    kind = rng.choice(("gnp", "kkk", "hub"))
+    if kind == "gnp":
+        n, p = rng.randint(15, 40), rng.uniform(0.3, 0.7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p]
+    elif kind == "kkk":
+        k = rng.randint(5, 30)
+        n, edges = 2 * k, [(i, k + j) for i in range(k) for j in range(k)]
+        for e in rng.sample(edges, rng.randint(0, 3)):
+            edges.remove(e)
+    else:
+        k = rng.randint(2, 100)
+        edges, leaves, n = [(0, 1), (0, 2)], [], 3 + k
+        for u in range(3, 3 + k):
+            edges.append((2, u))
+            for _ in range(rng.choice((2, 3))):
+                edges.append((u, n))
+                leaves.append(n)
+                n += 1
+        for tip in rng.sample(leaves, rng.randint(0, 3)):
+            for _ in range(rng.randint(1, 5)):
+                edges.append((tip, n))
+                tip, n = n, n + 1
     if rng.random() < 0.5:
         label = rng.sample(range(n), n)
         edges = [(label[u], label[v]) for u, v in edges]

@@ -127,52 +127,47 @@ def propagate(g: Graph, state: ColoringState) -> None:
     call drains the list: it queues each colored pending vertex and the
     live black neighbors of every pending vertex (rules (b) and (c) fire
     there).  Colors forced here feed the queue directly.
+
+    Removing a white needs no further call: no rule reads a white as a
+    black neighbor or a mate candidate (see `settle`).
     """
     pending, state.pending = state.pending, []
     if state.contradiction is not None:
         return
+    adj, n = g.adj, state.n
     color, removed, mate = state.color, state.removed, state.mate
+    excluded, fresh_whites = state.excluded, state.fresh_whites
     queue: deque[int] = deque()
     inq = bytearray(g.n)
 
-    def push(v: int) -> None:
-        if not inq[v] and not removed[v]:
-            inq[v] = 1
-            queue.append(v)
-
     for v in dict.fromkeys(pending):
-        if color[v] != UNKNOWN:         # no rule fires on an unknown
-            push(v)
-        for w in g.adj[v]:
-            if color[w] == BLACK:
-                push(w)
+        if color[v] != UNKNOWN and not inq[v] and not removed[v]:
+            inq[v] = 1              # no rule fires on an unknown
+            queue.append(v)
+        for w in adj[v]:
+            if color[w] == BLACK and not inq[w] and not removed[w]:
+                inq[w] = 1
+                queue.append(w)
 
     def set_color(v: int, c: int) -> None:
-        cur = color[v]
-        if cur == c:
-            return
-        if cur != UNKNOWN:
-            state.fail(f"vertex {v} is {COLOR_NAMES[cur]}, cannot become "
-                       f"{COLOR_NAMES[c]}")
-            return
+        # v is live and unknown, so it cannot conflict or be queued yet
         color[v] = c
         if c == WHITE:
-            state.fresh_whites.append(v)
-        push(v)
-        for w in g.adj[v]:
-            if not removed[w] and color[w] == BLACK:
-                push(w)
+            fresh_whites.append(v)
+        inq[v] = 1
+        queue.append(v)
+        for w in adj[v]:
+            if color[w] == BLACK and not inq[w] and not removed[w]:
+                inq[w] = 1
+                queue.append(w)
 
+    # each contradiction below returns at once: no turn starts after one
     while queue:
-        if state.contradiction is not None:
-            return
         v = queue.popleft()
         inq[v] = 0
-        if removed[v]:
-            continue
         c = color[v]
         if c == WHITE:
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if removed[w]:
                     continue
                 cw = color[w]
@@ -182,13 +177,13 @@ def propagate(g: Graph, state: ColoringState) -> None:
                 if cw == UNKNOWN:
                     set_color(w, BLACK)
         elif c == BLACK:
-            if mate[v] >= 0 and color[mate[v]] == BLACK \
-                    and not removed[mate[v]]:
+            m = mate[v]
+            if m >= 0 and color[m] == BLACK and not removed[m]:
                 # mating already whitened every other neighbor; whites
                 # are final, so nothing new can fire here
                 continue
             black_nbr = -1
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if not removed[w] and color[w] == BLACK:
                     if black_nbr >= 0:
                         state.fail(f"black vertex {v} has two black "
@@ -197,13 +192,13 @@ def propagate(g: Graph, state: ColoringState) -> None:
                     black_nbr = w
             if black_nbr >= 0:
                 w = black_nbr
-                if state.is_excluded(v, w):
+                if (v * n + w if v < w else w * n + v) in excluded:
                     state.fail(f"excluded edge ({v}, {w}) joins two blacks")
                     return
                 if not _set_mate(state, v, w):
                     return
                 for (a, b) in ((v, w), (w, v)):
-                    for z in g.adj[a]:
+                    for z in adj[a]:
                         if z == b or removed[z]:
                             continue
                         cz = color[z]
@@ -214,31 +209,28 @@ def propagate(g: Graph, state: ColoringState) -> None:
                         if cz == UNKNOWN:
                             set_color(z, WHITE)
             else:
-                if mate[v] >= 0:
+                if m >= 0:
                     # mate was removed together with v in reductions only,
                     # so a live mated black always keeps a live black mate
-                    state.fail(f"black vertex {v} lost its mate {mate[v]}")
+                    state.fail(f"black vertex {v} lost its mate {m}")
                     return
                 cand = -1
                 many = False
-                for w in g.adj[v]:
+                for w in adj[v]:
                     if removed[w] or color[w] != UNKNOWN:
                         continue
-                    if state.is_excluded(v, w):
+                    if (v * n + w if v < w else w * n + v) in excluded:
                         set_color(w, WHITE)
                         continue
                     if cand >= 0:
                         many = True
                     else:
                         cand = w
-                if state.contradiction is not None:
-                    return
                 if cand < 0:
                     state.fail(f"black vertex {v} has no mate candidate")
                     return
                 if not many:
                     set_color(cand, BLACK)
-    return
 
 
 def vertex_reduction(g: Graph, state: ColoringState, v: int) -> None:
@@ -292,20 +284,26 @@ def edge_reduction(g: Graph, state: ColoringState, u: int, v: int) -> None:
     propagate(g, state)
 
 
-def sweep_whites(g: Graph, state: ColoringState) -> None:
-    """Vertex-reduce every live white until none remain."""
-    while state.fresh_whites and state.contradiction is None:
-        v = state.fresh_whites.pop()
-        if state.removed[v] or state.color[v] != WHITE:
-            continue
-        vertex_reduction(g, state, v)
-
-
 def settle(g: Graph, state: ColoringState) -> bool:
-    """Propagate and sweep whites to a joint fixpoint; False on contradiction."""
+    """Propagate to fixpoint and remove every fresh white from the working
+    graph; False on contradiction.
+
+    This is the fixpoint of propagating and vertex-reducing each white,
+    reached without a propagation per white: at the fixpoint every live
+    neighbor of a live white is already black (rule (a)), so the vertex
+    reduction would color nothing, and removing a white changes the
+    premise of no rule, since a white is nobody's black neighbor and
+    nobody's mate candidate.
+    """
     propagate(g, state)
-    sweep_whites(g, state)
-    return state.contradiction is None
+    if state.contradiction is not None:
+        return False
+    color, removed = state.color, state.removed
+    for v in state.fresh_whites:
+        if color[v] == WHITE:
+            removed[v] = 1
+    state.fresh_whites.clear()
+    return True
 
 
 def preprocess(g: Graph) -> ColoringState:

@@ -344,3 +344,67 @@ def test_worklist_reaches_the_full_fixpoint():
         assert st.contradiction is None
         assert (bytes(st.color), tuple(st.mate), bytes(st.removed)) == before
     assert checked > 5000
+
+
+def _sweep_settle(g, st):
+    """Reference settle: propagate, then vertex-reduce each fresh white
+    popped from the list, each reduction propagating again."""
+    propagate(g, st)
+    while st.fresh_whites and st.contradiction is None:
+        v = st.fresh_whites.pop()
+        if not st.removed[v] and st.color[v] == WHITE:
+            vertex_reduction(g, st, v)
+    return st.contradiction is None
+
+
+def _fields(st):
+    return (bytes(st.color), tuple(st.mate), bytes(st.removed),
+            frozenset(st.excluded), st.contradiction,
+            tuple(st.fresh_whites), tuple(st.pending))
+
+
+def test_settle_matches_the_per_white_sweep():
+    # removing the swept whites directly gives the state that
+    # vertex-reducing them one by one gives; most steps follow a d.i.m. of
+    # the graph, where there is one, so that most states stay consistent
+    rng = random.Random(83)
+    swept = failed = 0
+    for _ in range(4000):
+        n = rng.randint(3, 14)
+        p = rng.uniform(0.1, 0.5)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        dims = enumerate_dims(g)
+        dim = set(rng.choice(dims).edges) if dims else set()
+        black = {v for e in dim for v in e}
+        st = ColoringState(n)
+        for _ in range(rng.randint(1, 5)):
+            live = [v for v in range(n) if not st.removed[v]]
+            live_edges = [(u, v) for (u, v) in g.edges
+                          if not st.removed[u] and not st.removed[v]]
+            planted = dims and rng.random() < 0.9
+            step = rng.random()
+            if step < 0.4 or not live_edges:
+                v = rng.choice(live)
+                c = BLACK if v in black else WHITE
+                assign(st, v, c if planted else rng.choice((BLACK, WHITE)))
+            else:
+                # a planted exclusion avoids the d.i.m., a planted
+                # reduction takes one of its edges
+                keep = [e for e in live_edges if (e in dim) == (step >= 0.7)]
+                e = rng.choice(keep if planted and keep else live_edges)
+                if step < 0.7:
+                    st.exclude(*e)
+                else:
+                    edge_reduction(g, st, *e)
+            if rng.random() < 0.3:
+                settle(g, st)
+            if st.contradiction is not None or all(st.removed):
+                break
+        ref = st.clone()
+        before = sum(st.removed)
+        assert settle(g, st) == _sweep_settle(g, ref)
+        assert _fields(st) == _fields(ref)
+        swept += sum(st.removed) > before
+        failed += st.contradiction is not None
+    assert swept > 500 and failed > 500

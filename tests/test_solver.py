@@ -492,10 +492,23 @@ def _far_level_variant(rng):
     return build_graph(nxt, [(label[u], label[v]) for u, v in edges])
 
 
+def _hv_variant(rng):
+    """The graph of test_hypothesis_violation_reports_witness beside 0-3
+    disjoint edges or copies of P6, relabeled at random."""
+    edges, n = list(HV_EDGES), 22
+    size = rng.choice((2, 6))
+    for _ in range(rng.randint(0, 3)):
+        edges += [(n + i, n + i + 1) for i in range(size - 1)]
+        n += size
+    label = rng.sample(range(n), n)
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
 def _fuzz_graphs(rng):
     """Planted graphs with 0-3 noise edges, G(n,p) graphs,
     random_s115_free graphs and far-level variants, all small enough for
-    the oracle."""
+    the oracle, then variants of a graph outside the class that answers
+    `hypothesis-violated` (the oracle runs only on a `none`)."""
     for _ in range(1500):
         n, edges = planted(rng, rng.randint(4, 14))
         edges = {(min(e), max(e)) for e in edges}
@@ -512,6 +525,8 @@ def _fuzz_graphs(rng):
                                rng.randrange(10**6))
     for _ in range(300):
         yield _far_level_variant(rng)
+    for _ in range(100):
+        yield _hv_variant(rng)
 
 
 def test_fuzz_against_oracle_inside_and_outside_the_class():
@@ -528,14 +543,16 @@ def test_fuzz_against_oracle_inside_and_outside_the_class():
             assert verify_dim(g, out.certificate)
         else:
             assert not free
+            assert out.witness is not None and check_witness(g, out.witness)
         if free:
             assert out.stats.xy_fallback == 0
         seen[out.status, free] = seen.get((out.status, free), 0) + 1
         fallbacks += out.stats.xy_fallback > 0
-    # both answers occur inside and outside the class, and the full-edge
-    # loop runs
+    # both answers occur inside and outside the class, a hypothesis
+    # violation occurs, and the full-edge loop runs
     assert min(seen.get((status, free), 0) for status in ("found", "none")
                for free in (True, False)) > 20
+    assert seen.get(("hypothesis-violated", False), 0) > 20
     assert fallbacks > 20
 
 

@@ -8,15 +8,16 @@ the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
 `dimatch.cli.run(RunConfig(mode, fmt="json", ...))`:
 
-* `solve` and `check-s115` on every graph of six pools: G(n,p) and
+* `solve` and `check-s115` on every graph of seven pools: G(n,p) and
   planted graphs with n = 2-12, sparse graphs with n = 30-100, disjoint
   unions of P6, layered hubs (an edge xy, a vertex on x, 2-9
   second-level singletons on that vertex with a block of 1-3 vertices
   each, random cross edges between blocks, pendant far vertices and far
-  triangles), and dense graphs: G(n,p) with n = 15-40 and p = 0.3-0.7,
+  triangles), dense graphs: G(n,p) with n = 15-40 and p = 0.3-0.7,
   K_{k,k} with k = 5-30 minus 0-3 edges, and the benchmark's hub with
   k <= 100 whose leaves carry 0-3 tails of 1-5 vertices (half of the
-  unions, hubs and dense graphs relabeled at random);
+  unions, hubs and dense graphs relabeled at random), and sparse planted
+  graphs with n = 100-250 in the shape of the benchmark's batch graphs;
 * `solve_with_xy` (`solve --xy`) on every edge of a prefix of each pool;
 * `generate` (`random_s115_free`) for a fixed list of seeded sizes and
   edge probabilities, n = 10-40 and p = 0.1-0.3.
@@ -43,7 +44,8 @@ import tempfile
 SEED = 0
 # pool name -> (graphs, how many of them also get solve_with_xy per edge)
 POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
-         "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0)}
+         "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0),
+         "sparse-planted": (200, 5)}
 GENERATE = 200                  # generate requests
 
 
@@ -64,6 +66,8 @@ def _graph(rng, pool):
         return _layered(rng)
     if pool == "dense":
         return _dense(rng)
+    if pool == "sparse-planted":
+        return _sparse_planted(rng)
     k = rng.randint(2, 150)
     n = 6 * k
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
@@ -82,6 +86,21 @@ def planted(rng, n):
     p = rng.uniform(0.1, 0.6)
     edges = [(pairs[i], pairs[i + 1]) for i in range(0, 2 * k, 2)]
     edges += [(b, w) for b in pairs for w in whites if rng.random() < p]
+    return n, edges
+
+
+def _sparse_planted(rng):
+    """(n, edges) in the shape of bench.instances.planted_dim: matched
+    pairs holding 40-60% of the vertices, and whites that each join 1 to
+    2-4 random blacks."""
+    n = rng.randint(100, 250)
+    vs = rng.sample(range(n), n)
+    k = max(1, int(n * rng.uniform(0.4, 0.6)) // 2)
+    blacks, whites = vs[:2 * k], vs[2 * k:]
+    edges = [(blacks[i], blacks[i + 1]) for i in range(0, 2 * k, 2)]
+    top = rng.choice((2, 3, 3, 4))
+    for w in whites:
+        edges += [(w, b) for b in rng.sample(blacks, rng.randint(1, top))]
     return n, edges
 
 
@@ -271,7 +290,7 @@ def main(src_a, src_b):
                   f"  A: {a.strip()}\n  B: {b.strip()}")
     for (pool, kind), (runs, graphs, witnesses, *diffs) in counts.items():
         extra = f" ({witnesses} witnesses)" if kind == "check-s115" else ""
-        print(f"{pool:10} {kind:14} {runs:7} runs on {len(graphs):5} "
+        print(f"{pool:14} {kind:14} {runs:7} runs on {len(graphs):5} "
               f"graphs, {sum(diffs)} differ{extra}")
     totals = [sum(row[3 + j] for row in counts.values())
               for j in range(len(CLASSES))]

@@ -8,9 +8,10 @@ Each xy branch builds the distance levels, normalizes them, and
 dispatches on the shape of the far levels.  The covering edges' `none`
 is complete on graphs with no induced S_{1,1,5}; that class check runs
 once per call, and only before such a `none` would be returned.  With a
-witness, or after a branch raised a hypothesis violation, every edge of
-the component gets a branch.  Produced certificates are always verified
-against the original graph.
+witness, or after a branch raised a hypothesis violation, every other
+edge of the component gets a branch; the covering edges keep their
+outcomes.  Produced certificates are always verified against the
+original graph.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from math import prod
 
 from .graph import (Graph, DimCertificate, connected_components, edge_key,
                     verify_dim, verify_dim_report)
@@ -547,8 +549,10 @@ def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
 
 def _solve_n2_small(ctx, state) -> ColoringState | None:
     """Far levels reached but at most four second-level singletons: one
-    black per block, enumerated as a product, fixes the whole near side
-    and the fourth level; the rest is finished by the exact subsolver."""
+    black per block fixes the whole near side and the fourth level; the
+    rest is finished by the exact subsolver.  The picks are searched depth
+    first in product order, each prefix applied and settled once; a pick
+    that contradicts prunes (and counts as explored) all its extensions."""
     g = ctx.g
     blocks = _unresolved_blocks(ctx.decomp, state).members
     names = sorted(blocks)
@@ -558,21 +562,25 @@ def _solve_n2_small(ctx, state) -> ColoringState | None:
         if not cands:
             return None
         cand_lists.append(cands)
-    bound = 1
-    for c in cand_lists:
-        bound *= len(c)
     tried = 0
-    result = None
-    for tup in product(*cand_lists):
-        tried += 1
-        child = _apply_blacks(ctx, state, tuple(zip(names, tup)))
-        if child is None:
-            continue
-        got = constrained_subsolver(g, child, within=ctx.comp)
-        if got is not None:
-            result = got
-            break
-    ctx.stats.record("tuple", tried, bound)
+
+    def search(st, i):
+        nonlocal tried
+        if i == len(names):
+            tried += 1
+            return constrained_subsolver(g, st, within=ctx.comp)
+        for t in cand_lists[i]:
+            child = _apply_blacks(ctx, st, ((names[i], t),))
+            if child is None:
+                tried += prod(map(len, cand_lists[i + 1:]))
+                continue
+            got = search(child, i + 1)
+            if got is not None:
+                return got
+        return None
+
+    result = search(state, 0)
+    ctx.stats.record("tuple", tried, prod(map(len, cand_lists)))
     return result
 
 
@@ -730,22 +738,27 @@ def _covering_edges(g: Graph, state: ColoringState, comp
 
 
 def _branch_on(g: Graph, base: ColoringState, comp, edges,
-               stats: SolveStats) -> tuple[str, object]:
+               stats: SolveStats, outcomes: dict) -> tuple[str, object]:
     """One xy branch per live, non-white edge of `edges`, in order; the
-    first found pairs win."""
+    first found pairs win.  `outcomes` maps each edge whose branch ran on
+    this base without finding to its violation message or None; such an
+    edge is not branched again, as its branch would end the same way."""
     removed, color = base.removed, base.color
     violations: list[str] = []
     for (u, v) in edges:
         if removed[u] or removed[v] or color[u] == WHITE or color[v] == WHITE:
             continue
-        stats.xy_tried += 1
-        try:
-            pairs = _solve_with_xy_internal(g, base, comp, (u, v), stats)
-        except HypothesisViolation as hv:
-            violations.append(f"xy=({u},{v}): {hv}")
-            continue
-        if pairs is not None:
-            return FOUND, pairs
+        if (u, v) not in outcomes:
+            stats.xy_tried += 1
+            try:
+                pairs = _solve_with_xy_internal(g, base, comp, (u, v), stats)
+                if pairs is not None:
+                    return FOUND, pairs
+                outcomes[u, v] = None
+            except HypothesisViolation as hv:
+                outcomes[u, v] = f"xy=({u},{v}): {hv}"
+        if outcomes[u, v] is not None:
+            violations.append(outcomes[u, v])
     if violations:
         return HYPOTHESIS_VIOLATED, "; ".join(violations[:3])
     return NONE, "every candidate edge was exhausted"
@@ -773,13 +786,15 @@ def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
     gets a branch, as the class guarantees nothing there."""
     if _needs_nothing(g, base, comp):
         return FOUND, _comp_pairs(base, comp)
+    outcomes: dict[tuple[int, int], str | None] = {}
     status, payload = _branch_on(g, base, comp,
-                                 _covering_edges(g, base, comp), stats)
+                                 _covering_edges(g, base, comp), stats,
+                                 outcomes)
     if status == FOUND or (status == NONE and s115() is None):
         return status, payload
     tried = stats.xy_tried
     comp_edges = [(u, v) for u in comp for v in g.adj[u] if u < v]
-    status, payload = _branch_on(g, base, comp, comp_edges, stats)
+    status, payload = _branch_on(g, base, comp, comp_edges, stats, outcomes)
     stats.xy_fallback += stats.xy_tried - tried
     return status, payload
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 from dimatch import (brute_force_dim, build_graph, enumerate_dims, solve,
                      solve_with_xy, verify_dim)
-from dimatch.coloring import ColoringState, WHITE
+from dimatch import solver
+from dimatch.coloring import UNKNOWN, ColoringState, WHITE
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
                               check_witness, cycle, find_induced, make_named,
                               path, random_s115_free)
@@ -13,7 +14,7 @@ from dimatch.levels import LevelDecomposition
 from dimatch.solver import constrained_subsolver
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from diffcheck import planted  # noqa: E402
+from diffcheck import _sparse_planted, planted  # noqa: E402
 
 
 def _agree(g):
@@ -553,6 +554,86 @@ def test_fuzz_against_oracle_inside_and_outside_the_class():
     assert min(seen.get((status, free), 0) for status in ("found", "none")
                for free in (True, False)) > 20
     assert seen.get(("hypothesis-violated", False), 0) > 20
+    assert fallbacks > 20
+
+
+def _n2_small_by_product(ctx, state):
+    """The deep case as a plain tuple product: every tuple applied and
+    settled from scratch, then finished by the subsolver."""
+    blocks = solver._unresolved_blocks(ctx.decomp, state).members
+    names = sorted(blocks)
+    cand_lists = []
+    for u in names:
+        cands = [t for t in blocks[u] if state.color[t] == UNKNOWN]
+        if not cands:
+            return None
+        cand_lists.append(cands)
+    bound = 1
+    for c in cand_lists:
+        bound *= len(c)
+    tried = 0
+    result = None
+    for tup in itertools.product(*cand_lists):
+        tried += 1
+        child = solver._apply_blacks(ctx, state, tuple(zip(names, tup)))
+        if child is None:
+            continue
+        got = constrained_subsolver(ctx.g, child, within=ctx.comp)
+        if got is not None:
+            result = got
+            break
+    ctx.stats.record("tuple", tried, bound)
+    return result
+
+
+def test_n2_small_matches_the_tuple_product(monkeypatch):
+    # the depth-first search with shared prefixes returns the coloring of
+    # the first tuple of the product that completes, and records the
+    # tuple product's explored count and bound
+    sites = []
+    search = solver._solve_n2_small
+
+    def capture(ctx, state):
+        sites.append((ctx, state.clone()))
+        return search(ctx, state)
+
+    monkeypatch.setattr(solver, "_solve_n2_small", capture)
+    for g in _fuzz_graphs(random.Random(5)):
+        solve(g)
+    rng = random.Random(3)
+    for _ in range(40):
+        solve(build_graph(*_sparse_planted(rng)))
+    outcomes = set()
+    for ctx, state in sites:
+        got = []
+        for fn in (search, _n2_small_by_product):
+            fresh = solver._XyContext(ctx.g, ctx.decomp, solver.SolveStats(),
+                                      ctx.comp)
+            res = fn(fresh, state.clone())
+            got.append((res and (res.color, res.mate, res.removed),
+                        fresh.stats.branch_points))
+        assert got[0] == got[1]
+        outcomes.add(got[0][0] is None)
+    assert len(sites) > 100 and outcomes == {True, False}
+
+
+def test_full_edge_loop_branches_each_edge_once(monkeypatch):
+    # the full-edge loop reuses the covering branches' outcomes, so no
+    # edge gets a second branch and xy_tried counts the branches that ran
+    runs = []
+    branch = solver._solve_with_xy_internal
+
+    def record(g, base, comp, xy, stats):
+        runs.append((tuple(comp), xy))
+        return branch(g, base, comp, xy, stats)
+
+    monkeypatch.setattr(solver, "_solve_with_xy_internal", record)
+    fallbacks = 0
+    for g in _fuzz_graphs(random.Random(5)):
+        runs.clear()
+        out = solve(g)
+        assert len(set(runs)) == len(runs) == out.stats.xy_tried
+        fallbacks += out.stats.xy_fallback > 0
     assert fallbacks > 20
 
 

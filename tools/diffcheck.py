@@ -28,7 +28,8 @@ must name the same witness.  `solve` answers must agree in exit code and
 `result`; where their certificates differ, both must pass SRC_A's
 `verify_dim` (and contain the requested xy).  Prints the counts per pool
 and request kind, then the total of each difference class: status,
-unverified certificate, certificate, detail and stats-only.  Exits 1 on
+unverified certificate, certificate, detail and stats-only, and for the
+stats-only differences how many differ in each `stats` key.  Exits 1 on
 a status difference or an unverified certificate.  Given one tree, the
 script is the worker: it prints that tree's answers, one JSON line per
 request.  Standard library only.
@@ -268,7 +269,7 @@ def main(src_a, src_b):
 
     # per (pool, kind): runs, graphs, witnesses, then one count per
     # difference class
-    counts, shown = {}, 0
+    counts, shown, stats_keys = {}, 0, {}
     for (pool, i, kind, fields, graph), a, b in zip(reqs, lines_a, lines_b):
         row = counts.setdefault((pool, kind),
                                 [0, set(), 0] + [0] * len(CLASSES))
@@ -278,11 +279,17 @@ def main(src_a, src_b):
         row[2] += kind == "check-s115" and json.loads(a)[0] == 3
         if a == b:
             continue
-        cls = _classify(kind, json.loads(a), json.loads(b))
+        ja, jb = json.loads(a), json.loads(b)
+        cls = _classify(kind, ja, jb)
         if cls == "certificate" and not all(
                 verifies(graph, fields.get("xy"), obj[1]["edges"])
-                for obj in (json.loads(a), json.loads(b))):
+                for obj in (ja, jb)):
             cls = "unverified"
+        if cls == "stats-only":
+            sa, sb = ja[1].get("stats", {}), jb[1].get("stats", {})
+            for k in sa.keys() | sb.keys():
+                if sa.get(k) != sb.get(k):
+                    stats_keys[k] = stats_keys.get(k, 0) + 1
         row[3 + CLASSES.index(cls)] += 1
         if CLASSES.index(cls) < 2 and shown < 5:
             shown += 1
@@ -296,6 +303,9 @@ def main(src_a, src_b):
               for j in range(len(CLASSES))]
     print(f"total: {sum(r[0] for r in counts.values())} runs, "
           + ", ".join(f"{t} {c}" for c, t in zip(CLASSES, totals)))
+    if stats_keys:
+        print("stats-only, by stats key: " + ", ".join(
+            f"{k} {c}" for k, c in sorted(stats_keys.items())))
     return 1 if any(totals[:2]) else 0
 
 

@@ -95,6 +95,7 @@ def _stats_dict(outcome) -> dict:
         "xy_tried": outcome.stats.xy_tried,
         "xy_fallback": outcome.stats.xy_fallback,
         "class_checks": outcome.stats.class_checks,
+        "subsolver_nodes": outcome.stats.subsolver_nodes,
         "branch_points": [[b.kind, b.explored, b.bound]
                           for b in outcome.stats.branch_points],
         "case_seconds": {k: round(v, 6)

@@ -52,6 +52,7 @@ class SolveStats:
     xy_tried: int = 0
     xy_fallback: int = 0        # of xy_tried, run by the full-edge loop
     class_checks: int = 0       # 1 if the S_{1,1,5} class check ran
+    subsolver_nodes: int = 0    # nodes settled by constrained_subsolver
 
     def record(self, kind: str, explored: int, bound: int) -> None:
         self.branch_points.append(BranchPoint(kind, explored, bound))
@@ -110,29 +111,51 @@ def _needs_nothing(g: Graph, state: ColoringState, comp) -> bool:
     return True
 
 
-def constrained_subsolver(g: Graph, state: ColoringState,
-                          within=None) -> ColoringState | None:
-    """Exact completion search: branch the first unknown vertex white or
-    black, propagate, repeat.  Correct on every graph; exponential in the
-    worst case, so callers keep the residuals small.  `within` limits the
-    completion to one component's vertices."""
+def constrained_subsolver(g: Graph, state: ColoringState, within=None,
+                          stats: SolveStats | None = None
+                          ) -> ColoringState | None:
+    """Exact completion search, fail first: settle, then branch on the
+    mate of the live unmated black with the fewest candidates (live
+    unknown neighbors over non-excluded edges), one child per candidate
+    in id order.  Its mate must be one of them, so the children are
+    exhaustive, and mating one whitens the others, so they are disjoint.
+    With no unmated black left, the first unknown vertex is branched,
+    white first; with no unknown either, the state is complete.  Correct
+    on every graph; exponential in the worst case, so callers keep the
+    residuals small.  `within` limits the completion to one component's
+    vertices; `stats.subsolver_nodes` counts the nodes settled."""
     scope = tuple(within) if within is not None else tuple(range(g.n))
+    adj = g.adj
     stack = [state]
     while stack:
         st = stack.pop()
+        if stats is not None:
+            stats.subsolver_nodes += 1
         if not settle(g, st):
             continue
-        if _comp_complete(st, scope):
+        color, removed, mate = st.color, st.removed, st.mate
+        first_unknown, cands = -1, None
+        for v in scope:
+            if removed[v]:
+                continue
+            c = color[v]
+            if c == UNKNOWN:
+                if first_unknown < 0:
+                    first_unknown = v
+            elif c == BLACK and mate[v] < 0:
+                options = [w for w in adj[v] if not removed[w] and
+                           color[w] == UNKNOWN and not st.is_excluded(v, w)]
+                if cands is None or len(options) < len(cands):
+                    cands = options
+                    if len(options) <= 2:   # settle leaves no fewer than two
+                        break
+        if cands is not None:
+            branches = [(w, BLACK) for w in reversed(cands)]
+        elif first_unknown >= 0:        # white is tried first (popped last)
+            branches = [(first_unknown, BLACK), (first_unknown, WHITE)]
+        else:
             return st
-        v = -1
-        color, removed = st.color, st.removed
-        for u in scope:
-            if not removed[u] and color[u] == UNKNOWN:
-                v = u
-                break
-        if v < 0:
-            continue
-        for c in (BLACK, WHITE):        # white is tried first (popped last)
+        for (v, c) in branches:
             child = st.clone()
             assign(child, v, c)
             stack.append(child)
@@ -568,7 +591,8 @@ def _solve_n2_small(ctx, state) -> ColoringState | None:
         nonlocal tried
         if i == len(names):
             tried += 1
-            return constrained_subsolver(g, st, within=ctx.comp)
+            return constrained_subsolver(g, st, within=ctx.comp,
+                                         stats=ctx.stats)
         for t in cand_lists[i]:
             child = _apply_blacks(ctx, st, ((names[i], t),))
             if child is None:

@@ -6,7 +6,8 @@ from pathlib import Path
 from dimatch import (brute_force_dim, build_graph, enumerate_dims, solve,
                      solve_with_xy, verify_dim)
 from dimatch import solver
-from dimatch.coloring import UNKNOWN, ColoringState, WHITE
+from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
+                              settle)
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
                               check_witness, cycle, find_induced, make_named,
                               path, random_s115_free)
@@ -14,7 +15,7 @@ from dimatch.levels import LevelDecomposition
 from dimatch.solver import constrained_subsolver
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from diffcheck import _sparse_planted, planted  # noqa: E402
+from diffcheck import SEED, _sparse_planted, planted  # noqa: E402
 
 
 def _agree(g):
@@ -615,6 +616,89 @@ def test_n2_small_matches_the_tuple_product(monkeypatch):
         assert got[0] == got[1]
         outcomes.add(got[0][0] is None)
     assert len(sites) > 100 and outcomes == {True, False}
+
+
+def _first_unknown_search(g, state, within):
+    """The subsolver as a blind search: settle, stop when complete, else
+    branch the first unknown vertex by id, white first.  Returns the
+    completion (or None) and the number of nodes popped."""
+    stack, nodes = [state], 0
+    while stack:
+        st = stack.pop()
+        nodes += 1
+        if not settle(g, st):
+            continue
+        if solver._comp_complete(st, within):
+            return st, nodes
+        v = next((u for u in within
+                  if not st.removed[u] and st.color[u] == UNKNOWN), -1)
+        if v < 0:
+            continue
+        for c in (BLACK, WHITE):
+            child = st.clone()
+            assign(child, v, c)
+            stack.append(child)
+    return None, nodes
+
+
+def test_subsolver_matches_the_first_unknown_search(monkeypatch):
+    # branching on the mates of the most constrained black finds a
+    # completion exactly when the blind search does, and pops far fewer
+    # nodes doing so
+    sites = []
+    search = solver.constrained_subsolver
+
+    def capture(g, state, within=None, **kw):
+        sites.append((g, state.clone(), tuple(within)))
+        return search(g, state, within, **kw)
+
+    monkeypatch.setattr(solver, "constrained_subsolver", capture)
+    for g in _fuzz_graphs(random.Random(5)):
+        solve(g)
+    # the first 40 graphs of diffcheck's sparse-planted pool, which hold
+    # calls where the blind search pops hundreds of nodes
+    rng = random.Random(f"{SEED}:sparse-planted")
+    for _ in range(40):
+        solve(build_graph(*_sparse_planted(rng)))
+    outcomes, old_nodes, new_nodes = set(), [], []
+    for g, state, within in sites:
+        old, nodes = _first_unknown_search(g, state.clone(), within)
+        stats = solver.SolveStats()
+        new = search(g, state.clone(), within, stats=stats)
+        assert (old is None) == (new is None)
+        old_nodes.append(nodes)
+        new_nodes.append(stats.subsolver_nodes)
+        outcomes.add(new is None)
+        if new is None:
+            continue
+        assert solver._comp_complete(new, within)
+        for v in range(g.n):
+            assert state.color[v] in (UNKNOWN, new.color[v])
+            assert state.mate[v] in (-1, new.mate[v])
+    assert len(sites) > 100 and outcomes == {True, False}
+    assert 2 * sum(new_nodes) <= sum(old_nodes)
+    worst = old_nodes.index(max(old_nodes))
+    assert 10 * new_nodes[worst] <= old_nodes[worst]
+
+
+def test_subsolver_nodes_counts_the_settled_nodes(monkeypatch):
+    for g in (build_graph(100, [(i, (i + 1) % 100) for i in range(100)]),
+              build_graph(100, [(i, i + 1) for i in range(99)])):
+        assert solve(g).stats.subsolver_nodes == 0
+    # each subsolver call settles at least its input state
+    calls = []
+    search = solver.constrained_subsolver
+
+    def capture(g, state, within=None, **kw):
+        calls.append(within)
+        return search(g, state, within, **kw)
+
+    monkeypatch.setattr(solver, "constrained_subsolver", capture)
+    for g in _fuzz_graphs(random.Random(5)):
+        out = solve(g)
+        if calls:
+            break
+    assert out.stats.subsolver_nodes >= len(calls) > 0
 
 
 def test_full_edge_loop_branches_each_edge_once(monkeypatch):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .graph import Graph, GraphInputError, build_graph, verify_dim
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, brute_force_dim
 from .patterns import S115, find_induced, random_s115_free
-from .solver import FOUND, NONE, HYPOTHESIS_VIOLATED, solve, solve_with_xy
+from .solver import (FOUND, NONE, HYPOTHESIS_VIOLATED, NODES_PER_VERTEX,
+                     HypothesisViolation, SolveOutcome, solve, solve_with_xy)
 
 EXIT_OK, EXIT_NONE, EXIT_INPUT, EXIT_UNKNOWN = 0, 1, 2, 3
 
@@ -26,7 +27,6 @@ class RunConfig:
     mode: str                      # solve | oracle | compare | check-s115 | generate
     path: str | None = None
     strict: bool = False
-    fallback: bool = False
     fmt: str = "text"              # text | json
     xy: tuple[int, int] | None = None
     n: int = 0
@@ -93,7 +93,7 @@ def _structured(mode: str, g: Graph | None, result: str,
 def _stats_dict(outcome) -> dict:
     return {
         "xy_tried": outcome.stats.xy_tried,
-        "xy_fallback": outcome.stats.xy_fallback,
+        "exact_calls": outcome.stats.exact_calls,
         "class_checks": outcome.stats.class_checks,
         "subsolver_nodes": outcome.stats.subsolver_nodes,
         "branch_points": [[b.kind, b.explored, b.bound]
@@ -108,57 +108,37 @@ def _budget(cfg: RunConfig) -> dict:
 
 
 def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
+    stats = None                    # --xy answers carry no stats
     if cfg.xy is not None:
         u, v = cfg.xy
         if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
             raise GraphInputError(f"--xy ({u}, {v}) is not an edge")
-        cert = solve_with_xy(g, (u, v))
-        if cert is None:
-            out = (_structured("solve", g, "none") if cfg.fmt == "json"
-                   else "NONE")
-            return EXIT_NONE, out
-        lines = [f"DIM {len(cert)}"]
-        lines += [f"{a} {b}" for (a, b) in cert.sorted_edges()]
-        out = (_structured("solve", g, "found", cert.edges)
-               if cfg.fmt == "json" else "\n".join(lines))
-        return EXIT_OK, out
-
-    outcome = solve(g)
-    if outcome.status == HYPOTHESIS_VIOLATED and cfg.fallback:
-        report = brute_force_dim(g, **_budget(cfg))
-        if report.exists:
-            cert = report.witness
-            lines = [f"DIM {len(cert)} (oracle fallback)"]
-            lines += [f"{a} {b}" for (a, b) in cert.sorted_edges()]
-            out = (_structured("solve", g, "found", cert.edges,
-                               _stats_dict(outcome), "oracle fallback")
-                   if cfg.fmt == "json" else "\n".join(lines))
-            return EXIT_OK, out
-        out = (_structured("solve", g, "none", None, _stats_dict(outcome),
-                           "oracle fallback") if cfg.fmt == "json"
-               else "NONE (oracle fallback)")
-        return EXIT_NONE, out
-
+        try:
+            cert = solve_with_xy(g, (u, v), cfg.budget)
+            outcome = SolveOutcome(NONE if cert is None else FOUND, cert)
+        except HypothesisViolation as hv:
+            outcome = SolveOutcome(HYPOTHESIS_VIOLATED, detail=str(hv))
+    else:
+        outcome = solve(g, cfg.budget)
+        stats = _stats_dict(outcome)
     if outcome.status == FOUND:
         cert = outcome.certificate
         lines = [f"DIM {len(cert)}"]
         lines += [f"{a} {b}" for (a, b) in cert.sorted_edges()]
-        out = (_structured("solve", g, "found", cert.edges,
-                           _stats_dict(outcome)) if cfg.fmt == "json"
-               else "\n".join(lines))
+        out = (_structured("solve", g, "found", cert.edges, stats)
+               if cfg.fmt == "json" else "\n".join(lines))
         return EXIT_OK, out
     if outcome.status == NONE:
-        out = (_structured("solve", g, "none", None, _stats_dict(outcome),
-                           outcome.detail) if cfg.fmt == "json"
+        out = (_structured("solve", g, "none", None, stats, outcome.detail)
+               if cfg.fmt == "json"
                else ("NONE" + (f" ({outcome.detail})"
                                if outcome.detail else "")))
         return EXIT_NONE, out
     msg = "UNKNOWN (hypothesis violated)"
     if cfg.strict and outcome.witness is not None:
         msg += f"\nwitness: {' '.join(map(str, outcome.witness.vertices))}"
-    out = (_structured("solve", g, "hypothesis-violated", None,
-                       _stats_dict(outcome), outcome.detail)
-           if cfg.fmt == "json" else msg)
+    out = (_structured("solve", g, "hypothesis-violated", None, stats,
+                       outcome.detail) if cfg.fmt == "json" else msg)
     return EXIT_UNKNOWN, out
 
 
@@ -286,15 +266,13 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="graph file, or - for stdin")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--budget", type=_positive_int, default=None,
-                       help="oracle node budget, a positive integer "
-                            f"(default {DEFAULT_BUDGET})")
+                       help="node budget, a positive integer (default: "
+                            f"{DEFAULT_BUDGET}, solve {NODES_PER_VERTEX}/vertex)")
 
     p = sub.add_parser("solve", help="run the structural solver")
     add_common(p)
     p.add_argument("--strict", action="store_true",
                    help="report hypothesis violations with a witness")
-    p.add_argument("--fallback", action="store_true",
-                   help="answer via the oracle when the hypothesis fails")
     p.add_argument("--xy", nargs=2, type=int, metavar=("U", "V"),
                    help="solve under the assumption that edge UV is matched")
 
@@ -321,7 +299,6 @@ def main(argv=None) -> int:
         mode=args.mode,
         path=getattr(args, "input", None),
         strict=getattr(args, "strict", False),
-        fallback=getattr(args, "fallback", False),
         fmt=getattr(args, "format", "text"),
         xy=tuple(args.xy) if getattr(args, "xy", None) else None,
         n=getattr(args, "n", 0),

@@ -8,10 +8,11 @@ Each xy branch builds the distance levels, normalizes them, and
 dispatches on the shape of the far levels.  The covering edges' `none`
 is complete on graphs with no induced S_{1,1,5}; that class check runs
 once per call, and only before such a `none` would be returned.  With a
-witness, or after a branch raised a hypothesis violation, every other
-edge of the component gets a branch; the covering edges keep their
-outcomes.  Produced certificates are always verified against the
-original graph.
+witness, or after a branch raised a hypothesis violation, the exact
+subsolver decides the component from the preprocessed state, under a
+node budget per call: `none` is exact on every graph, and
+`hypothesis-violated` means only that the budget ran out.  Produced
+certificates are always verified against the original graph.
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ from . import patterns
 
 FOUND, NONE, HYPOTHESIS_VIOLATED = "found", "none", "hypothesis-violated"
 
+# the default node budget of the exact subsolver, per vertex of the graph
+NODES_PER_VERTEX = 50
+
 
 class HypothesisViolation(Exception):
-    """A structural guarantee of the target graph class failed; the
-    polynomial machinery cannot decide this branch."""
+    """A guarantee of the target class failed, or the exact subsolver ran
+    over its node budget: the polynomial machinery cannot decide this."""
 
 
 @dataclass
@@ -50,7 +54,7 @@ class SolveStats:
     branch_points: list[BranchPoint] = field(default_factory=list)
     case_seconds: dict[str, float] = field(default_factory=dict)
     xy_tried: int = 0
-    xy_fallback: int = 0        # of xy_tried, run by the full-edge loop
+    exact_calls: int = 0        # components handed to the exact search
     class_checks: int = 0       # 1 if the S_{1,1,5} class check ran
     subsolver_nodes: int = 0    # nodes settled by constrained_subsolver
 
@@ -112,8 +116,8 @@ def _needs_nothing(g: Graph, state: ColoringState, comp) -> bool:
 
 
 def constrained_subsolver(g: Graph, state: ColoringState, within=None,
-                          stats: SolveStats | None = None
-                          ) -> ColoringState | None:
+                          stats: SolveStats | None = None,
+                          budget: int | None = None) -> ColoringState | None:
     """Exact completion search, fail first: settle, then branch on the
     mate of the live unmated black with the fewest candidates (live
     unknown neighbors over non-excluded edges), one child per candidate
@@ -121,9 +125,10 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
     exhaustive, and mating one whitens the others, so they are disjoint.
     With no unmated black left, the first unknown vertex is branched,
     white first; with no unknown either, the state is complete.  Correct
-    on every graph; exponential in the worst case, so callers keep the
-    residuals small.  `within` limits the completion to one component's
-    vertices; `stats.subsolver_nodes` counts the nodes settled."""
+    on every graph; exponential in the worst case, hence the budget.
+    `within` limits the completion to one component's vertices;
+    `stats.subsolver_nodes` counts the nodes settled, and a count past
+    `budget` raises HypothesisViolation."""
     scope = tuple(within) if within is not None else tuple(range(g.n))
     adj = g.adj
     stack = [state]
@@ -131,6 +136,9 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
         st = stack.pop()
         if stats is not None:
             stats.subsolver_nodes += 1
+            if budget is not None and stats.subsolver_nodes > budget:
+                raise HypothesisViolation(
+                    f"exact search over its budget of {budget} nodes")
         if not settle(g, st):
             continue
         color, removed, mate = st.color, st.removed, st.mate
@@ -286,12 +294,13 @@ class _XyContext:
     """Per-xy working set shared by the case solvers."""
 
     def __init__(self, g: Graph, decomp, stats: SolveStats, comp,
-                 triangles=()):
+                 triangles=(), budget: int | None = None):
         self.g = g
         self.decomp = decomp
         self.stats = stats
         self.comp = tuple(comp)
         self.triangles = tuple(triangles)
+        self.budget = budget
 
 
 def _triangle_unresolved(state, tri) -> bool:
@@ -573,9 +582,10 @@ def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
 def _solve_n2_small(ctx, state) -> ColoringState | None:
     """Far levels reached but at most four second-level singletons: one
     black per block fixes the whole near side and the fourth level; the
-    rest is finished by the exact subsolver.  The picks are searched depth
-    first in product order, each prefix applied and settled once; a pick
-    that contradicts prunes (and counts as explored) all its extensions."""
+    rest is finished by the exact subsolver, under the call's node budget.
+    The picks are searched depth first in product order, each prefix
+    applied and settled once; a pick that contradicts prunes (and counts
+    as explored) all its extensions."""
     g = ctx.g
     blocks = _unresolved_blocks(ctx.decomp, state).members
     names = sorted(blocks)
@@ -592,7 +602,7 @@ def _solve_n2_small(ctx, state) -> ColoringState | None:
         if i == len(names):
             tried += 1
             return constrained_subsolver(g, st, within=ctx.comp,
-                                         stats=ctx.stats)
+                                         stats=ctx.stats, budget=ctx.budget)
         for t in cand_lists[i]:
             child = _apply_blacks(ctx, st, ((names[i], t),))
             if child is None:
@@ -707,7 +717,8 @@ def _solve_n2_large(ctx, state) -> ColoringState | None:
 # -- per-xy and per-component drivers --------------------------------------
 
 def _solve_with_xy_internal(g: Graph, base: ColoringState, comp,
-                            xy: tuple[int, int], stats: SolveStats
+                            xy: tuple[int, int], stats: SolveStats,
+                            budget: int | None = None
                             ) -> set[tuple[int, int]] | None:
     x, y = xy
     state = base.clone()
@@ -721,7 +732,7 @@ def _solve_with_xy_internal(g: Graph, base: ColoringState, comp,
         return None
     if not normalize(g, state, decomp):
         return None
-    ctx = _XyContext(g, decomp, stats, comp)
+    ctx = _XyContext(g, decomp, stats, comp, budget=budget)
     if _comp_complete(state, ctx.comp):
         return _comp_pairs(state, comp)
 
@@ -762,30 +773,26 @@ def _covering_edges(g: Graph, state: ColoringState, comp
 
 
 def _branch_on(g: Graph, base: ColoringState, comp, edges,
-               stats: SolveStats, outcomes: dict) -> tuple[str, object]:
-    """One xy branch per live, non-white edge of `edges`, in order; the
-    first found pairs win.  `outcomes` maps each edge whose branch ran on
-    this base without finding to its violation message or None; such an
-    edge is not branched again, as its branch would end the same way."""
+               stats: SolveStats, budget: int
+               ) -> tuple[set[tuple[int, int]] | None, bool]:
+    """One xy branch per live, non-white edge of `edges`, in order.
+    Returns the first found pairs or None, and whether some branch raised
+    a hypothesis violation."""
     removed, color = base.removed, base.color
-    violations: list[str] = []
+    raised = False
     for (u, v) in edges:
         if removed[u] or removed[v] or color[u] == WHITE or color[v] == WHITE:
             continue
-        if (u, v) not in outcomes:
-            stats.xy_tried += 1
-            try:
-                pairs = _solve_with_xy_internal(g, base, comp, (u, v), stats)
-                if pairs is not None:
-                    return FOUND, pairs
-                outcomes[u, v] = None
-            except HypothesisViolation as hv:
-                outcomes[u, v] = f"xy=({u},{v}): {hv}"
-        if outcomes[u, v] is not None:
-            violations.append(outcomes[u, v])
-    if violations:
-        return HYPOTHESIS_VIOLATED, "; ".join(violations[:3])
-    return NONE, "every candidate edge was exhausted"
+        stats.xy_tried += 1
+        try:
+            pairs = _solve_with_xy_internal(g, base, comp, (u, v), stats,
+                                            budget)
+        except HypothesisViolation:
+            raised = True
+            continue
+        if pairs is not None:
+            return pairs, raised
+    return None, raised
 
 
 def _class_check(g: Graph, stats: SolveStats):
@@ -800,57 +807,69 @@ def _class_check(g: Graph, stats: SolveStats):
 
 
 def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
-                     s115) -> tuple[str, object]:
-    """Returns (status, pairs-or-detail) for one live component.
-
-    The covering edges decide the component inside the class.  Their
-    `none` is kept only when the class check `s115()` (the graph's
-    induced S_{1,1,5} or None, searched once per call) finds no witness;
-    after a witness or a hypothesis violation every edge of the component
-    gets a branch, as the class guarantees nothing there."""
-    if _needs_nothing(g, base, comp):
+                     s115, budget: int, xy=None) -> tuple[str, object]:
+    """Returns (status, pairs-or-detail) for one live component, with the
+    edge `xy` matched when it is given.  The covering edges (or xy) decide
+    it inside the class, so their `none` stands when the class check
+    `s115()` (searched once per call) finds no witness.  Otherwise, or
+    after a hypothesis violation, the exact subsolver decides it from
+    `base`, and only running over `budget` answers hypothesis-violated."""
+    if xy is not None:
+        edges = [xy]
+    elif _needs_nothing(g, base, comp):
         return FOUND, _comp_pairs(base, comp)
-    outcomes: dict[tuple[int, int], str | None] = {}
-    status, payload = _branch_on(g, base, comp,
-                                 _covering_edges(g, base, comp), stats,
-                                 outcomes)
-    if status == FOUND or (status == NONE and s115() is None):
-        return status, payload
-    tried = stats.xy_tried
-    comp_edges = [(u, v) for u in comp for v in g.adj[u] if u < v]
-    status, payload = _branch_on(g, base, comp, comp_edges, stats, outcomes)
-    stats.xy_fallback += stats.xy_tried - tried
-    return status, payload
+    else:
+        edges = _covering_edges(g, base, comp)
+    pairs, raised = _branch_on(g, base, comp, edges, stats, budget)
+    if pairs is not None:
+        return FOUND, pairs
+    if not raised and s115() is None:
+        return NONE, "every candidate edge was exhausted"
+    state = base.clone()
+    if xy is not None:
+        edge_reduction(g, state, *xy)
+    stats.exact_calls += 1
+    try:
+        final = constrained_subsolver(g, state, within=comp, stats=stats,
+                                      budget=budget)
+    except HypothesisViolation as hv:
+        return HYPOTHESIS_VIOLATED, str(hv)
+    if final is None:
+        return NONE, "the exact search found no completion"
+    return FOUND, _comp_pairs(final, comp)
 
 
-def solve(g: Graph) -> SolveOutcome:
+def solve(g: Graph, budget: int | None = None) -> SolveOutcome:
     """Decide whether the graph has a dominating induced matching and
     construct one when it does.
 
-    A "found" answer is always certified against the input graph.  A
-    "none" answer is complete for the supported class (no induced
-    S_{1,1,5}); on other inputs a structural failure surfaces as
-    "hypothesis-violated" instead of a wrong answer.
+    A "found" answer is always certified against the input graph, and a
+    "none" answer is exact on every graph.  The exact subsolver may settle
+    at most `budget` nodes over the whole call (NODES_PER_VERTEX per
+    vertex by default); past that the answer is "hypothesis-violated",
+    with the graph's induced S_{1,1,5} as witness when it has one.
     """
     stats = SolveStats()
     if g.m == 0:
         return SolveOutcome(FOUND, DimCertificate(), stats=stats)
+    budget = NODES_PER_VERTEX * g.n if budget is None else budget
     state = preprocess(g)
     if state.contradiction is not None:
         return SolveOutcome(NONE, detail=state.contradiction, stats=stats)
     pairs: set[tuple[int, int]] = set(state.mate_pairs())
-    hv_details: list[str] = []
+    over_budget = ""
     s115 = _class_check(g, stats)
     for comp in connected_components(g, state.live_mask()):
-        status, payload = _solve_component(g, state, comp, stats, s115)
+        status, payload = _solve_component(g, state, comp, stats, s115,
+                                           budget)
         if status == NONE:
             return SolveOutcome(NONE, detail=str(payload), stats=stats)
         if status == HYPOTHESIS_VIOLATED:
-            hv_details.append(str(payload))
+            over_budget = str(payload)
             continue
         pairs |= payload
-    if hv_details:
-        return SolveOutcome(HYPOTHESIS_VIOLATED, detail="; ".join(hv_details),
+    if over_budget:
+        return SolveOutcome(HYPOTHESIS_VIOLATED, detail=over_budget,
                             witness=s115(), stats=stats)
     cert = DimCertificate(frozenset(pairs))
     ok, why = verify_dim_report(g, cert)
@@ -859,17 +878,21 @@ def solve(g: Graph) -> SolveOutcome:
     return SolveOutcome(FOUND, cert, stats=stats)
 
 
-def solve_with_xy(g: Graph, xy: tuple[int, int]) -> DimCertificate | None:
+def solve_with_xy(g: Graph, xy: tuple[int, int], budget: int | None = None
+                  ) -> DimCertificate | None:
     """A full d.i.m. of the graph containing the edge xy, or None.
 
     Debugging entry point: preprocessing runs first, the component of xy
     is solved under the assumption that xy is matched, and the remaining
-    components are solved normally.
+    components are solved normally, all as in `solve` and under the same
+    budget.  Raises HypothesisViolation where `solve` would answer
+    "hypothesis-violated".
     """
     u, v = edge_key(*xy)
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     stats = SolveStats()
+    budget = NODES_PER_VERTEX * g.n if budget is None else budget
     base = preprocess(g)
     if base.contradiction is not None:
         return None
@@ -881,16 +904,11 @@ def solve_with_xy(g: Graph, xy: tuple[int, int]) -> DimCertificate | None:
     pairs = set(base.mate_pairs())
     s115 = _class_check(g, stats)
     for comp in connected_components(g, base.live_mask()):
-        if u in comp:
-            try:
-                got = _solve_with_xy_internal(g, base, comp, (u, v), stats)
-            except HypothesisViolation:
-                return None
-        else:
-            status, got = _solve_component(g, base, comp, stats, s115)
-            if status != FOUND:
-                return None
-        if got is None:
+        status, got = _solve_component(g, base, comp, stats, s115, budget,
+                                       (u, v) if u in comp else None)
+        if status == HYPOTHESIS_VIOLATED:
+            raise HypothesisViolation(got)
+        if status != FOUND:
             return None
         pairs |= got
     cert = DimCertificate(frozenset(pairs))

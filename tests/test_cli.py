@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from dimatch import solver
 from dimatch.cli import RunConfig, emit_graph, main, parse_graph, run
-from dimatch.patterns import make_named, cycle, K4, S115
+from dimatch.patterns import (make_named, cycle, K4, S115, PatternWitness,
+                              check_witness)
 
 P6_TEXT = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 
@@ -137,20 +139,58 @@ HV_TEXT = "22 25\n" + "\n".join(
 
 
 def test_solve_hypothesis_violation_exit_code():
-    code, out = run(RunConfig("solve"), text=HV_TEXT)
+    # only a search over its node budget answers hypothesis-violated
+    code, out = run(RunConfig("solve", budget=1), text=HV_TEXT)
     assert code == 3 and out.startswith("UNKNOWN")
+    code, out = run(RunConfig("solve", budget=1, fmt="json"), text=HV_TEXT)
+    obj = json.loads(out)
+    assert code == 3 and obj["result"] == "hypothesis-violated"
+    assert "budget of 1 nodes" in obj["detail"]
 
 
 def test_solve_strict_prints_witness():
-    code, out = run(RunConfig("solve", strict=True), text=HV_TEXT)
+    code, out = run(RunConfig("solve", strict=True, budget=1), text=HV_TEXT)
     assert code == 3 and "witness:" in out
+    witness = tuple(int(v) for v in out.split("witness:")[1].split())
+    assert check_witness(parse_graph(HV_TEXT), PatternWitness(S115, witness))
 
 
-def test_solve_fallback_uses_oracle():
-    code, out = run(RunConfig("solve", fallback=True), text=HV_TEXT)
-    assert code == 1 and out.startswith("NONE")
+def test_solve_decides_out_of_class_graphs(capsys):
+    # the exact search answers a graph outside the class that has no
+    # d.i.m.; the oracle fallback option is gone
+    code, out = run(RunConfig("solve", fmt="json"), text=HV_TEXT)
+    obj = json.loads(out)
+    assert code == 1 and obj["result"] == "none"
+    assert obj["stats"]["exact_calls"] == 1
+    assert "xy_fallback" not in obj["stats"]
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--fallback"])
+    assert exc.value.code == 2
+    assert "--fallback" in capsys.readouterr().err
 
 
-def test_compare_unknown_on_violation():
+def test_compare_unknown_on_violation(monkeypatch):
+    monkeypatch.setattr(solver, "NODES_PER_VERTEX", 0)
     code, out = run(RunConfig("compare"), text=HV_TEXT)
     assert code == 3 and "UNKNOWN" in out and "NONE" in out
+
+
+# outside the class; its d.i.m. is {0-21, 3-9, 4-20, 5-13, 7-15, 8-11, 17-19}
+XY_TEXT = "22 23\n" + "\n".join(
+    f"{u} {v}" for (u, v) in
+    [(0, 1), (0, 6), (0, 16), (0, 21), (1, 3), (1, 8), (1, 21), (2, 7),
+     (2, 11), (2, 19), (3, 9), (4, 20), (5, 13), (5, 18), (6, 9), (7, 15),
+     (7, 18), (8, 11), (11, 16), (12, 17), (17, 19), (18, 20),
+     (18, 21)]) + "\n"
+
+
+def test_solve_xy_outside_the_class_finds_the_dim():
+    # a class-only deduction prunes the 7-15 branch; the exact search
+    # still finds the d.i.m. through that edge
+    code, out = run(RunConfig("solve", xy=(7, 15)), text=XY_TEXT)
+    assert code == 0, out
+    lines = out.splitlines()
+    assert lines[0] == "DIM 7" and "7 15" in lines[1:]
+    # over the budget the answer is unknown, not NONE
+    code, out = run(RunConfig("solve", xy=(7, 15), budget=1), text=XY_TEXT)
+    assert code == 3 and out == "UNKNOWN (hypothesis violated)"

@@ -362,13 +362,16 @@ HV_EDGES = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 8),
 
 def test_hypothesis_violation_reports_witness():
     # a wide second level with a far-level path of four: outside the
-    # supported class, and the solver says so instead of answering
+    # supported class, where the exact search decides it (9 nodes); with
+    # a budget of one node it reports the class witness instead
     g = build_graph(22, HV_EDGES)
     out = solve(g)
-    assert out.status == "hypothesis-violated"
-    assert "far-level" in out.detail
-    assert out.witness is not None and len(out.witness.vertices) == 8
+    assert out.status == "none" and out.stats.exact_calls == 1
     assert not brute_force_dim(g).exists
+    out = solve(g, budget=1)
+    assert out.status == "hypothesis-violated"
+    assert "over its budget of 1 nodes" in out.detail
+    assert out.witness is not None and check_witness(g, out.witness)
 
 
 def _case_pairs(g, xy):
@@ -509,8 +512,8 @@ def _hv_variant(rng):
 def _fuzz_graphs(rng):
     """Planted graphs with 0-3 noise edges, G(n,p) graphs,
     random_s115_free graphs and far-level variants, all small enough for
-    the oracle, then variants of a graph outside the class that answers
-    `hypothesis-violated` (the oracle runs only on a `none`)."""
+    the oracle, then variants of a graph outside the class with no
+    d.i.m. (the oracle runs only on a `none`)."""
     for _ in range(1500):
         n, edges = planted(rng, rng.randint(4, 14))
         edges = {(min(e), max(e)) for e in edges}
@@ -532,30 +535,58 @@ def _fuzz_graphs(rng):
 
 
 def test_fuzz_against_oracle_inside_and_outside_the_class():
-    # a `none` must be right on every graph, a `found` must verify, and a
-    # hypothesis violation needs an induced S115; inside the class the
-    # covering edges decide every component without the full-edge loop
-    seen, fallbacks = {}, 0
+    # a `none` must be right on every graph and a `found` must verify;
+    # the default budget decides every graph; inside the class the
+    # covering edges decide every component without the exact search
+    seen, exact = {}, 0
     for g in _fuzz_graphs(random.Random(5)):
         out = solve(g)
         free = find_induced(g, S115) is None
+        assert out.status != "hypothesis-violated", out.detail
         if out.status == "none":
             assert not brute_force_dim(g).exists
-        elif out.status == "found":
-            assert verify_dim(g, out.certificate)
         else:
-            assert not free
-            assert out.witness is not None and check_witness(g, out.witness)
+            assert verify_dim(g, out.certificate)
         if free:
-            assert out.stats.xy_fallback == 0
+            assert out.stats.exact_calls == 0
         seen[out.status, free] = seen.get((out.status, free), 0) + 1
-        fallbacks += out.stats.xy_fallback > 0
-    # both answers occur inside and outside the class, a hypothesis
-    # violation occurs, and the full-edge loop runs
+        exact += out.stats.exact_calls > 0
+    # both answers occur inside and outside the class, and the exact
+    # search runs
     assert min(seen.get((status, free), 0) for status in ("found", "none")
                for free in (True, False)) > 20
-    assert seen.get(("hypothesis-violated", False), 0) > 20
-    assert fallbacks > 20
+    assert exact > 20
+
+
+def _planted_matching(rng, n):
+    """(graph, planted matching) in the shape of diffcheck.planted: k
+    matched pairs, independent whites and random white-black edges."""
+    vs = rng.sample(range(n), n)
+    k = rng.randint(1, n // 2)
+    matching = [(min(a, b), max(a, b)) for a, b in zip(vs[0:2 * k:2],
+                                                      vs[1:2 * k:2])]
+    p = rng.uniform(0.02, 0.3)
+    edges = matching + [(min(b, w), max(b, w)) for b in vs[:2 * k]
+                        for w in vs[2 * k:] if rng.random() < p]
+    return build_graph(n, sorted(edges)), matching
+
+
+def test_planted_graphs_never_answer_none():
+    # n = 20-60 reaches the fifth distance level, where class-only
+    # deductions prune branches outside the class: the planted d.i.m.
+    # must still be found by `solve` and through each of its edges
+    rng = random.Random(11)
+    free = xy_calls = 0
+    for _ in range(120):
+        g, matching = _planted_matching(rng, rng.randint(20, 60))
+        free += find_induced(g, S115) is None
+        out = solve(g)
+        assert out.status == "found" and verify_dim(g, out.certificate)
+        for e in matching:
+            cert = solve_with_xy(g, e)
+            assert cert is not None and e in cert.edges, (g.edges, e)
+            xy_calls += 1
+    assert 10 <= free <= 110 and xy_calls > 1000
 
 
 def _n2_small_by_product(ctx, state):
@@ -701,32 +732,39 @@ def test_subsolver_nodes_counts_the_settled_nodes(monkeypatch):
     assert out.stats.subsolver_nodes >= len(calls) > 0
 
 
-def test_full_edge_loop_branches_each_edge_once(monkeypatch):
-    # the full-edge loop reuses the covering branches' outcomes, so no
-    # edge gets a second branch and xy_tried counts the branches that ran
+def test_only_covering_edges_branch_then_one_exact_search(monkeypatch):
+    # each component branches on its covering edges only, each at most
+    # once, xy_tried counts those branches, and a component the branches
+    # leave undecided gets one exact search
     runs = []
     branch = solver._solve_with_xy_internal
 
-    def record(g, base, comp, xy, stats):
-        runs.append((tuple(comp), xy))
-        return branch(g, base, comp, xy, stats)
+    def record(g, base, comp, xy, stats, budget=None):
+        runs.append((tuple(comp), xy, base))
+        return branch(g, base, comp, xy, stats, budget)
 
     monkeypatch.setattr(solver, "_solve_with_xy_internal", record)
-    fallbacks = 0
+    exact = 0
     for g in _fuzz_graphs(random.Random(5)):
         runs.clear()
         out = solve(g)
-        assert len(set(runs)) == len(runs) == out.stats.xy_tried
-        fallbacks += out.stats.xy_fallback > 0
-    assert fallbacks > 20
+        keys = [(comp, xy) for comp, xy, _ in runs]
+        assert len(set(keys)) == len(keys) == out.stats.xy_tried
+        for comp, xy, base in runs:
+            assert xy in solver._covering_edges(g, base, comp)
+        assert out.stats.exact_calls <= len({comp for comp, _ in keys})
+        exact += out.stats.exact_calls > 0
+    assert exact > 20
 
 
 def test_hypothesis_violated_witness_past_200_vertices():
     # the graph of test_hypothesis_violation_reports_witness padded with
-    # disjoint edges keeps its answer and gets its witness
+    # disjoint edges keeps its answers: none, and over a budget of one
+    # node, hypothesis-violated with its witness
     padded = build_graph(202, HV_EDGES + [(v, v + 1)
                                           for v in range(22, 202, 2)])
-    out = solve(padded)
+    assert solve(padded).status == "none"
+    out = solve(padded, budget=1)
     assert padded.n > 200 and out.status == "hypothesis-violated"
     assert out.witness is not None and check_witness(padded, out.witness)
 

@@ -26,13 +26,24 @@ its directory and answers the same seeded requests through
 `check-s115` and `generate` answers must match exactly, so `check-s115`
 must name the same witness.  `solve` answers must agree in exit code and
 `result`; where their certificates differ, both must pass SRC_A's
-`verify_dim` (and contain the requested xy).  Prints the counts per pool
-and request kind, then the total of each difference class: status,
-unverified certificate, certificate, detail and stats-only, and for the
-stats-only differences how many differ in each `stats` key.  Exits 1 on
-a status difference or an unverified certificate.  Given one tree, the
-script is the worker: it prints that tree's answers, one JSON line per
-request.  Standard library only.
+`verify_dim` (and contain the requested xy).  On a graph where SRC_A's
+`check-s115` finds a witness, three status differences are accepted, as
+SRC_B may decide what SRC_A could not:
+
+* `solve` hypothesis-violated in A, found in B, with a certificate that
+  verifies;
+* `solve` hypothesis-violated in A, none in B, confirmed by SRC_A's
+  `brute_force_dim` within its default budget;
+* `solve --xy` none in A, found in B, with a certificate that verifies
+  and contains xy.
+
+Prints the counts per pool and request kind, then the total of each
+difference class: status, unverified certificate, accepted status,
+certificate, detail and stats-only; then how many of each accepted form,
+and for the stats-only differences how many differ in each `stats` key.
+Exits 1 on a status difference that is not accepted or an unverified
+certificate.  Given one tree, the script is the worker: it prints that
+tree's answers, one JSON line per request.  Standard library only.
 """
 
 import json
@@ -215,7 +226,8 @@ def worker(src):
 
 
 # difference classes, most severe first; the first two fail the check
-CLASSES = ("status", "unverified", "certificate", "detail", "stats-only")
+CLASSES = ("status", "unverified", "accepted", "certificate", "detail",
+           "stats-only")
 
 
 def _classify(kind, a, b):
@@ -257,7 +269,8 @@ def main(src_a, src_b):
         sys.exit(f"{len(reqs)} requests, answers {len(lines_a)} and "
                  f"{len(lines_b)}")
     sys.path.insert(0, os.path.abspath(src_a))
-    from dimatch import DimCertificate, build_graph, verify_dim
+    from dimatch import (BudgetExceeded, DimCertificate, brute_force_dim,
+                         build_graph, verify_dim)
 
     def verifies(graph, xy, edges):
         try:
@@ -267,9 +280,32 @@ def main(src_a, src_b):
         return (verify_dim(build_graph(*graph), cert)
                 and (xy is None or tuple(xy) in cert.edges))
 
+    def has_no_dim(graph):
+        try:
+            return not brute_force_dim(build_graph(*graph)).exists
+        except BudgetExceeded:
+            return False
+
+    def accepted_form(kind, graph, xy, ja, jb):
+        """The name of the accepted form of a status difference, or None."""
+        ra, rb = (j[1].get("result") if isinstance(j[1], dict) else None
+                  for j in (ja, jb))
+        if kind == "solve" and ra == "hypothesis-violated":
+            if rb == "found" and verifies(graph, None, jb[1]["edges"]):
+                return "hypothesis-violated -> found"
+            if rb == "none" and has_no_dim(graph):
+                return "hypothesis-violated -> none (oracle)"
+        if kind == "solve_with_xy" and ra == "none" and rb == "found" \
+                and verifies(graph, xy, jb[1]["edges"]):
+            return "--xy none -> found"
+        return None
+
+    # the graphs on which A's check-s115 names a witness
+    witnessed = {(pool, i) for (pool, i, kind, _, _), a in zip(reqs, lines_a)
+                 if kind == "check-s115" and json.loads(a)[0] == 3}
     # per (pool, kind): runs, graphs, witnesses, then one count per
     # difference class
-    counts, shown, stats_keys = {}, 0, {}
+    counts, shown, stats_keys, forms = {}, 0, {}, {}
     for (pool, i, kind, fields, graph), a, b in zip(reqs, lines_a, lines_b):
         row = counts.setdefault((pool, kind),
                                 [0, set(), 0] + [0] * len(CLASSES))
@@ -285,6 +321,11 @@ def main(src_a, src_b):
                 verifies(graph, fields.get("xy"), obj[1]["edges"])
                 for obj in (ja, jb)):
             cls = "unverified"
+        if cls == "status" and (pool, i) in witnessed:
+            form = accepted_form(kind, graph, fields.get("xy"), ja, jb)
+            if form is not None:
+                cls = "accepted"
+                forms[form] = forms.get(form, 0) + 1
         if cls == "stats-only":
             sa, sb = ja[1].get("stats", {}), jb[1].get("stats", {})
             for k in sa.keys() | sb.keys():
@@ -303,6 +344,9 @@ def main(src_a, src_b):
               for j in range(len(CLASSES))]
     print(f"total: {sum(r[0] for r in counts.values())} runs, "
           + ", ".join(f"{t} {c}" for c, t in zip(CLASSES, totals)))
+    if forms:
+        print("accepted status differences: " + ", ".join(
+            f"{c} {f}" for f, c in sorted(forms.items())))
     if stats_keys:
         print("stats-only, by stats key: " + ", ".join(
             f"{k} {c}" for k, c in sorted(stats_keys.items())))

@@ -3,7 +3,8 @@
 Graph format: first non-comment line `n m`, then m lines `u v` with
 0-based vertex ids separated by one space; `#` starts a comment line and
 blank lines are ignored.  Exit codes: 0 found / check passed / agree,
-1 no d.i.m., 2 input error, 3 hypothesis violated or disagreement.
+1 no d.i.m., 2 input error, 3 hypothesis violated or disagreement,
+4 internal error (an exception escaped; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .graph import Graph, GraphInputError, build_graph, verify_dim
@@ -19,7 +21,7 @@ from .patterns import S115, find_induced, random_s115_free
 from .solver import (FOUND, NONE, HYPOTHESIS_VIOLATED, NODES_PER_VERTEX,
                      HypothesisViolation, SolveOutcome, solve, solve_with_xy)
 
-EXIT_OK, EXIT_NONE, EXIT_INPUT, EXIT_UNKNOWN = 0, 1, 2, 3
+EXIT_OK, EXIT_NONE, EXIT_INPUT, EXIT_UNKNOWN, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 @dataclass
@@ -307,7 +309,11 @@ def main(argv=None) -> int:
         count=getattr(args, "count", 1),
         budget=getattr(args, "budget", None),
     )
-    code, out = run(cfg)
+    try:
+        code, out = run(cfg)
+    except Exception:               # never mistaken for "no d.i.m."
+        traceback.print_exc()
+        return EXIT_INTERNAL
     if out:
         print(out)
     return code

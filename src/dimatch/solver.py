@@ -28,7 +28,6 @@ from .graph import (Graph, DimCertificate, connected_components, edge_key,
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
                        edge_reduction, preprocess, propagate, settle)
 from .levels import Blocks, LevelDecomposition, decompose, normalize
-from .treedp import complete_on_subset
 from . import patterns
 
 FOUND, NONE, HYPOTHESIS_VIOLATED = "found", "none", "hypothesis-violated"
@@ -233,45 +232,42 @@ def _find_cross_p3(owner, cross):
 def _find_block_cycle(comp, owner, edges):
     """First cycle in the contact multigraph of the blocks `comp` (sorted)
     over their cross edges.  Returns one cycle block together with its two
-    cycle vertices, or None.  Recursive DFS guarantees non-tree edges
-    reach ancestors only."""
-    adj: dict[int, list[tuple[int, int, int, int]]] = {u: [] for u in comp}
+    cycle vertices, or None.  A depth-first search with an explicit stack,
+    so non-tree edges reach ancestors only and a long path of blocks
+    cannot exhaust the recursion limit."""
+    adj: dict[int, list[tuple[int, int]]] = {u: [] for u in comp}
     for i, (t, w) in enumerate(edges):
-        adj[owner[t]].append((owner[w], i, t, w))   # (other, id, mine, far)
-        adj[owner[w]].append((owner[t], i, w, t))
-    entry_vertex: dict[int, int | None] = {}
+        adj[owner[t]].append((owner[w], i))     # (other block, edge id)
+        adj[owner[w]].append((owner[t], i))
     via_edge: dict[int, int] = {}
     parent: dict[int, int | None] = {}
-    onstack: set[int] = set()
-
-    def dfs(u: int):
-        for (b, ei, mine, far) in sorted(adj[u]):
-            if ei == via_edge.get(u, -1):
-                continue
-            if b in entry_vertex:
-                if b in onstack:
-                    # cycle: back edge (u, b) plus the tree path b .. u
-                    return (b, u, ei)
-                continue
-            entry_vertex[b] = far
-            via_edge[b] = ei
-            parent[b] = u
-            onstack.add(b)
-            got = dfs(b)
-            if got is not None:
-                return got
-            onstack.discard(b)
-        return None
-
     for start in comp:
-        if start in entry_vertex:
+        if start in parent:
             continue
-        entry_vertex[start] = None
         via_edge[start] = -1
         parent[start] = None
-        onstack.add(start)
-        got = dfs(start)
-        onstack.discard(start)
+        onstack = {start}
+        stack = [(start, iter(sorted(adj[start])))]
+        got = None
+        while stack and got is None:
+            u, todo = stack[-1]
+            for (b, ei) in todo:
+                if ei == via_edge[u]:
+                    continue
+                if b in parent:
+                    if b in onstack:
+                        # cycle: back edge (u, b) plus the tree path b .. u
+                        got = (b, u, ei)
+                        break
+                    continue
+                via_edge[b] = ei
+                parent[b] = u
+                onstack.add(b)
+                stack.append((b, iter(sorted(adj[b]))))
+                break
+            else:
+                stack.pop()
+                onstack.discard(u)
         if got is None:
             continue
         b, u, back_ei = got
@@ -438,22 +434,17 @@ def _solve_cycle_component(ctx, state, cyc) -> ColoringState | None:
 
 def _solve_chordal_component(ctx, state, comp_blocks, blocks
                              ) -> ColoringState | None:
+    """A block component with neither a cross path of three nor a cycle:
+    its cross edges form a matching along a tree of blocks, and the exact
+    subsolver completes its owners and unknown members.  Its fail-first
+    pick fixes every side of the chosen block but one, and the sides left
+    open by different picks are disjoint, so the search settles at most
+    one node per candidate, plus one, whatever the component's size."""
     verts = list(comp_blocks)
     for u in comp_blocks:
         verts.extend(t for t in blocks[u] if state.color[t] == UNKNOWN)
-    try:
-        got = complete_on_subset(ctx.g, state, verts)
-    except ValueError as err:
-        raise HypothesisViolation(f"chordal fallback rejected: {err}")
-    if got is None:
-        return None
-    child = state.clone()
-    for v in sorted(got):
-        if child.color[v] == UNKNOWN:
-            assign(child, v, got[v])
-    if not settle(ctx.g, child):
-        raise AssertionError("tree DP completion failed to propagate")
-    return child
+    return constrained_subsolver(ctx.g, state, within=verts,
+                                 stats=ctx.stats, budget=ctx.budget)
 
 
 def _branch_triangle(ctx, state, tri) -> ColoringState | None:
@@ -485,11 +476,12 @@ def _branch_triangle(ctx, state, tri) -> ColoringState | None:
 def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
     """Drive the remaining unknown structure to a complete coloring.
 
-    Deterministic sites (trivial blocks, chordal pieces, local triangle
-    mates, isolated leftovers) are committed in a loop; the leading
-    trivial blocks of one block view go in a single sweep.  Genuinely
-    branching sites (cross path of three, block cycle, coupled triangle)
-    recurse over their bounded alternatives.
+    Deterministic sites (trivial blocks, chordal pieces completed by the
+    exact subsolver, local triangle mates, isolated leftovers) are
+    committed in a loop; the leading trivial blocks of one block view go
+    in a single sweep.  Genuinely branching sites (cross path of three,
+    block cycle, coupled triangle) recurse over their bounded
+    alternatives.
     """
     g = ctx.g
     while True:

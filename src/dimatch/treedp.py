@@ -1,238 +1,7 @@
-"""Dynamic program for completing a coloring on a K4-free chordal piece.
+"""Empty: the clique-tree dynamic program that lived here is gone.
 
-A K4-free chordal graph has maximal cliques of size at most 3, hence
-treewidth at most 2.  The DP walks a clique tree; per clique it
-enumerates black/white assignments and tracks, for every black vertex,
-how many black neighbors it has met among the edges owned by the
-processed subtree.  A vertex leaving the tree must be white or a black
-with exactly one black neighbor.
+The solver completes chordal block components with its exact subsolver
+(`solver.constrained_subsolver`).  The module stays only because the
+benchmark harness (`bench/spans.py`, `MODULES`) imports it by name; it
+goes once the harness no longer lists it.
 """
-
-from __future__ import annotations
-
-from itertools import product
-
-from .graph import Graph
-from .coloring import BLACK, WHITE, ColoringState
-
-
-def _mcs_order(verts: list[int], nbrs: dict[int, list[int]]) -> list[int]:
-    """Maximum cardinality search; returns a perfect elimination order
-    candidate (eliminated-first order)."""
-    weight = {v: 0 for v in verts}
-    picked: list[int] = []
-    left = set(verts)
-    while left:
-        v = max(left, key=lambda u: (weight[u], -u))
-        picked.append(v)
-        left.discard(v)
-        for w in nbrs[v]:
-            if w in left:
-                weight[w] += 1
-    picked.reverse()
-    return picked
-
-
-def _check_peo(order: list[int], nbrs: dict[int, list[int]]) -> None:
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [w for w in nbrs[v] if pos[w] > pos[v]]
-        if len(later) > 2:
-            raise ValueError("clique number exceeds 3")
-        for i in range(len(later)):
-            for j in range(i + 1, len(later)):
-                a, b = later[i], later[j]
-                if b not in nbrs[a] and a not in nbrs[b]:
-                    raise ValueError("graph piece is not chordal")
-
-
-def _clique_tree(order: list[int], nbrs: dict[int, list[int]]
-                 ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Maximal cliques of a chordal graph plus a valid clique tree
-    (maximum-weight spanning tree on separator sizes)."""
-    pos = {v: i for i, v in enumerate(order)}
-    bags = []
-    for v in order:
-        bag = frozenset([v] + [w for w in nbrs[v] if pos[w] > pos[v]])
-        bags.append(bag)
-    maximal = [b for b in bags
-               if not any(b < other for other in bags)]
-    cliques = sorted(set(maximal), key=sorted)
-    k = len(cliques)
-    tree: list[list[int]] = [[] for _ in range(k)]
-    if k > 1:
-        in_tree = [0] * k
-        in_tree[0] = 1
-        best = [(len(cliques[0] & cliques[i]), 0) for i in range(k)]
-        for _ in range(k - 1):
-            pick, bw = -1, (-1, 0)
-            for i in range(k):
-                if not in_tree[i] and best[i] > bw:
-                    bw, pick = best[i], i
-            in_tree[pick] = 1
-            tree[pick].append(bw[1])
-            tree[bw[1]].append(pick)
-            for i in range(k):
-                if not in_tree[i]:
-                    w = len(cliques[pick] & cliques[i])
-                    if (w, pick) > best[i]:
-                        best[i] = (w, pick)
-    return [tuple(sorted(c)) for c in cliques], tree
-
-
-def complete_on_subset(g: Graph, state: ColoringState,
-                       vertices) -> dict[int, int] | None:
-    """Find a complete feasible coloring of the given live vertices that
-    extends the state, or None.
-
-    Matched partners must both lie inside the subset unless a black
-    vertex already carries a mate outside it.  Excluded edges may not
-    join two blacks; adjacent whites are forbidden.  Raises ValueError
-    when the induced piece is not chordal or has a K4.
-    """
-    verts = sorted(vertices)
-    if not verts:
-        return {}
-    vset = set(verts)
-    nbrs = {v: [w for w in g.adj[v] if w in vset and not state.removed[w]]
-            for v in verts}
-    order = _mcs_order(verts, nbrs)
-    _check_peo(order, nbrs)
-    cliques, tree = _clique_tree(order, nbrs)
-
-    owner: dict[tuple[int, int], int] = {}
-    for ci, cl in enumerate(cliques):
-        for i in range(len(cl)):
-            for j in range(i + 1, len(cl)):
-                a, b = cl[i], cl[j]
-                if b in g.adjset[a] and (a, b) not in owner:
-                    owner[(a, b)] = ci
-    local_edges: list[list[tuple[int, int]]] = [[] for _ in cliques]
-    for e, ci in owner.items():
-        local_edges[ci].append(e)
-
-    # a black whose recorded mate lies outside the subset already has
-    # its one black neighbor
-    credit = {v: 1 if state.mate[v] >= 0 and state.mate[v] not in vset else 0
-              for v in verts}
-
-    def options(v: int):
-        c = state.color[v]
-        if c == BLACK:
-            return (BLACK,)
-        if c == WHITE:
-            return (WHITE,)
-        return (BLACK, WHITE)
-
-    # dp[ci]: key -> (own coloring, chosen child keys); key is the tuple
-    # of (color, black-neighbor count) per clique vertex
-    dp: list[dict] = [dict() for _ in cliques]
-    root = 0
-    post: list[int] = []
-    parent = {root: -1}
-    stack = [root]
-    while stack:
-        c = stack.pop()
-        post.append(c)
-        for d in tree[c]:
-            if d != parent[c]:
-                parent[d] = c
-                stack.append(d)
-    post.reverse()
-
-    for ci in post:
-        cl = cliques[ci]
-        children = [d for d in tree[ci] if d != parent[ci]]
-        projections = []
-        ok_children = True
-        for d in children:
-            sep = set(cliques[d]) & set(cl)
-            proj: dict[tuple, tuple] = {}
-            for key, _ in sorted(dp[d].items()):
-                entry = dict(zip(cliques[d], key))
-                good = True
-                for v in cliques[d]:
-                    col, cnt = entry[v]
-                    if v in sep:
-                        continue
-                    if col == BLACK and cnt + credit[v] != 1:
-                        good = False
-                        break
-                if not good:
-                    continue
-                pkey = tuple(entry[v] for v in sorted(sep))
-                if pkey not in proj:
-                    proj[pkey] = key
-            if not proj:
-                ok_children = False
-                break
-            projections.append((sorted(sep), proj))
-        if not ok_children:
-            continue
-        for colors in product(*(options(v) for v in cl)):
-            asg = dict(zip(cl, colors))
-            cnt = {v: 0 for v in cl}
-            bad = False
-            for (a, b) in local_edges[ci]:
-                ca, cb = asg[a], asg[b]
-                if ca == WHITE and cb == WHITE:
-                    bad = True
-                    break
-                if ca == BLACK and cb == BLACK:
-                    if state.is_excluded(a, b):
-                        bad = True
-                        break
-                    cnt[a] += 1
-                    cnt[b] += 1
-                    if cnt[a] > 1 or cnt[b] > 1:
-                        bad = True
-                        break
-            if bad:
-                continue
-
-            def merge(i: int, cnts: dict[int, int], picks: tuple):
-                if i == len(projections):
-                    key = tuple((asg[v], cnts[v] if asg[v] == BLACK else 0)
-                                for v in cl)
-                    if key not in dp[ci]:
-                        dp[ci][key] = (asg.copy(), picks)
-                    return
-                sep, proj = projections[i]
-                for pkey, childkey in sorted(proj.items()):
-                    ok = True
-                    nc = dict(cnts)
-                    for v, (col, ccnt) in zip(sep, pkey):
-                        if col != asg[v]:
-                            ok = False
-                            break
-                        if col == BLACK:
-                            nc[v] += ccnt
-                            if nc[v] + credit[v] > 1:
-                                ok = False
-                                break
-                    if ok:
-                        merge(i + 1, nc, picks + (childkey,))
-
-            merge(0, cnt, ())
-
-    rootkeys = []
-    for key in dp[root]:
-        entry = dict(zip(cliques[root], key))
-        if all(col == WHITE or cnt + credit[v] == 1
-               for v, (col, cnt) in entry.items()):
-            rootkeys.append(key)
-    if not rootkeys:
-        return None
-
-    result: dict[int, int] = {}
-
-    def walk(ci: int, key):
-        asg, picks = dp[ci][key]
-        result.update(asg)
-        children = [d for d in tree[ci] if d != parent[ci]]
-        for d, childkey in zip(children, picks):
-            walk(d, childkey)
-
-    walk(root, min(rootkeys))
-    return result
-

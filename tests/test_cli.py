@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dimatch import solver
+from dimatch import cli, solver
 from dimatch.cli import RunConfig, emit_graph, main, parse_graph, run
 from dimatch.patterns import (make_named, cycle, K4, S115, PatternWitness,
                               check_witness)
@@ -194,3 +194,18 @@ def test_solve_xy_outside_the_class_finds_the_dim():
     # over the budget the answer is unknown, not NONE
     code, out = run(RunConfig("solve", xy=(7, 15), budget=1), text=XY_TEXT)
     assert code == 3 and out == "UNKNOWN (hypothesis violated)"
+
+
+def test_internal_error_exits_4(monkeypatch, capsys, tmp_path):
+    # an exception escaping the run is an internal error with its
+    # traceback on stderr, never exit 1 ("no d.i.m.")
+    def boom(g, budget=None):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "solve", boom)
+    path = tmp_path / "p6.txt"
+    path.write_text(P6_TEXT)
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RecursionError" in captured.err

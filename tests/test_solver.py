@@ -15,7 +15,8 @@ from dimatch.levels import LevelDecomposition
 from dimatch.solver import constrained_subsolver
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from diffcheck import SEED, _sparse_planted, planted  # noqa: E402
+from diffcheck import (SEED, _sparse_planted, block_tree,  # noqa: E402
+                       planted)
 
 
 def _agree(g):
@@ -129,6 +130,50 @@ def test_subsolver_triangle_with_white():
     assert got is not None and got.mate_pairs() == [(1, 2)]
 
 
+def test_subsolver_honors_exclusions():
+    st = ColoringState(3)
+    st.exclude(0, 1)
+    got = constrained_subsolver(make_named(path(3)), st)
+    assert got is not None and got.mate_pairs() == [(1, 2)]
+
+
+def test_subsolver_isolated_vertex_goes_white():
+    got = constrained_subsolver(build_graph(1, []), ColoringState(1))
+    assert got is not None and got.color[0] == WHITE
+
+
+def _random_chordal_tw2(rng, n):
+    # grow a K4-free chordal graph by attaching each new vertex to a
+    # vertex or an existing edge
+    pairs = []
+    for v in range(1, n):
+        if pairs and rng.random() < 0.4:
+            (a, b) = rng.choice(pairs)
+            pairs += [(a, v), (b, v)]
+        else:
+            pairs.append((rng.randrange(v), v))
+    return build_graph(n, pairs)
+
+
+def test_subsolver_matches_oracle_on_random_chordal_graphs():
+    # K4-free chordal graphs, the shape of the pieces the chordal site
+    # completes
+    rng = random.Random(7)
+    exercised = 0
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        g = _random_chordal_tw2(rng, n)
+        got = constrained_subsolver(g, ColoringState(n))
+        dims = {d.edges for d in enumerate_dims(g)}
+        if got is None:
+            assert not dims
+        else:
+            assert solver._comp_complete(got, range(n))
+            assert frozenset(got.mate_pairs()) in dims
+            exercised += 1
+    assert exercised > 80
+
+
 def test_exhaustive_small():
     for n in range(1, 5):
         pairs = list(itertools.combinations(range(n), 2))
@@ -200,6 +245,37 @@ def test_trivial_blocks_resolve_from_few_block_views(monkeypatch):
     out = solve(g)
     assert out.status == "found" and verify_dim(g, out.certificate)
     assert len(calls) <= 10
+
+
+def test_block_paths_and_trees_complete_in_linear_nodes(monkeypatch):
+    # blocks joined by a matching of cross edges along a path or tree
+    # reach the chordal site, whose exact completion settles at most one
+    # node per candidate, plus one; the cycle search before it walks a
+    # path of 1,500 blocks without recursing
+    calls = []
+    site = solver._solve_chordal_component
+
+    def measure(ctx, state, comp_blocks, blocks):
+        cands = sum(state.color[t] == UNKNOWN
+                    for u in comp_blocks for t in blocks[u])
+        before = ctx.stats.subsolver_nodes
+        got = site(ctx, state, comp_blocks, blocks)
+        calls.append((ctx.stats.subsolver_nodes - before, cands))
+        return got
+
+    monkeypatch.setattr(solver, "_solve_chordal_component", measure)
+    rng = random.Random(12)
+    for k in (10, 30, 100, 300, 1000, 1500):
+        for parents in (list(range(k - 1)),
+                        [rng.randrange(i) for i in range(1, k)]):
+            free = {i for i in range(k) if rng.random() < 0.3}
+            g = build_graph(*block_tree(parents, free))
+            calls.clear()
+            out = solve(g)
+            assert out.status == "found" and verify_dim(g, out.certificate)
+            assert calls
+            for nodes, cands in calls:
+                assert nodes <= cands + 1
 
 
 def test_block_cycle_two_alternatives():

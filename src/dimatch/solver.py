@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
 from math import prod
 
 from .graph import (Graph, DimCertificate, connected_components, edge_key,
@@ -43,7 +42,7 @@ class HypothesisViolation(Exception):
 
 @dataclass
 class BranchPoint:
-    kind: str           # "tuple" | "triangle" | "cycle" | "p3-case"
+    kind: str           # "tuple" | "triangle"
     explored: int
     bound: int
 
@@ -209,83 +208,6 @@ def _block_components(view: Blocks) -> list[list[int]]:
     return comps
 
 
-def _find_cross_p3(owner, cross):
-    """An unknown vertex with unknown cross neighbors in two distinct
-    blocks, or None."""
-    nbrs: dict[int, list[int]] = {}
-    for (t, w) in cross:
-        nbrs.setdefault(t, []).append(w)
-        nbrs.setdefault(w, []).append(t)
-    for t_b in sorted(nbrs):
-        seen_blocks: dict[int, int] = {}
-        for w in sorted(nbrs[t_b]):
-            o = owner[w]
-            if o in seen_blocks:
-                continue
-            seen_blocks[o] = w
-            if len(seen_blocks) == 2:
-                a, c = sorted(seen_blocks.values())
-                return (a, t_b, c)
-    return None
-
-
-def _find_block_cycle(comp, owner, edges):
-    """First cycle in the contact multigraph of the blocks `comp` (sorted)
-    over their cross edges.  Returns one cycle block together with its two
-    cycle vertices, or None.  A depth-first search with an explicit stack,
-    so non-tree edges reach ancestors only and a long path of blocks
-    cannot exhaust the recursion limit."""
-    adj: dict[int, list[tuple[int, int]]] = {u: [] for u in comp}
-    for i, (t, w) in enumerate(edges):
-        adj[owner[t]].append((owner[w], i))     # (other block, edge id)
-        adj[owner[w]].append((owner[t], i))
-    via_edge: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    for start in comp:
-        if start in parent:
-            continue
-        via_edge[start] = -1
-        parent[start] = None
-        onstack = {start}
-        stack = [(start, iter(sorted(adj[start])))]
-        got = None
-        while stack and got is None:
-            u, todo = stack[-1]
-            for (b, ei) in todo:
-                if ei == via_edge[u]:
-                    continue
-                if b in parent:
-                    if b in onstack:
-                        # cycle: back edge (u, b) plus the tree path b .. u
-                        got = (b, u, ei)
-                        break
-                    continue
-                via_edge[b] = ei
-                parent[b] = u
-                onstack.add(b)
-                stack.append((b, iter(sorted(adj[b]))))
-                break
-            else:
-                stack.pop()
-                onstack.discard(u)
-        if got is None:
-            continue
-        b, u, back_ei = got
-        t, w = edges[back_ei]
-        far = t if owner[t] == b else w          # back-edge endpoint in b
-        # walk the tree path from u up to b; the last step enters b
-        cur = u
-        exit_b = None
-        while cur != b:
-            (p, q) = edges[via_edge[cur]]
-            exit_b = p if owner[p] == parent[cur] else q
-            cur = parent[cur]
-        if exit_b is None or exit_b == far:
-            return None
-        return (b, min(far, exit_b), max(far, exit_b))
-    return None
-
-
 class _XyContext:
     """Per-xy working set shared by the case solvers."""
 
@@ -375,71 +297,16 @@ def _solve_trivial_block(ctx, state, u: int, ts: list[int]
     return None
 
 
-def _solve_p3_component(ctx, state, view: Blocks, p3
-                        ) -> ColoringState | None:
-    """Enumerate the feasible colorings around a cross-block path of
-    three: either the middle vertex is black and the outer blocks pick
-    another black each, or the outer two are black and the middle block
-    picks another black."""
-    g = ctx.g
-    t_a, t_b, t_c = p3
-    if g.has_edge(t_a, t_c):
-        # an all-excluded triangle inside the third level is infeasible
-        return None
-    u_a, u_b, u_c = (view.owner[t] for t in p3)
-    rest_a, rest_b, rest_c = (
-        [t for t in view.members[view.owner[s]]
-         if t != s and state.color[t] == UNKNOWN] for s in p3)
-    bound = len(rest_a) * len(rest_c) + len(rest_b)
-    tried = 0
-    result = None
-    for ta2, tc2 in product(rest_a, rest_c):
-        tried += 1
-        child = _apply_blacks(ctx, state,
-                              ((u_b, t_b), (u_a, ta2), (u_c, tc2)))
-        if child is not None:
-            result = _resolve_structures(ctx, child)
-            if result is not None:
-                break
-    if result is None:
-        for tb2 in rest_b:
-            tried += 1
-            child = _apply_blacks(ctx, state,
-                                  ((u_a, t_a), (u_c, t_c), (u_b, tb2)))
-            if child is not None:
-                result = _resolve_structures(ctx, child)
-                if result is not None:
-                    break
-    ctx.stats.record("p3-case", tried, bound)
-    return result
-
-
-def _solve_cycle_component(ctx, state, cyc) -> ColoringState | None:
-    """A block on a contact cycle has its black among its two cycle
-    vertices; each choice cascades around the cycle, giving two
-    alternatives for the whole component."""
-    u, v1, v2 = cyc
-    tried = 0
-    for pick in (v1, v2):
-        tried += 1
-        child = _apply_blacks(ctx, state, ((u, pick),))
-        if child is not None:
-            got = _resolve_structures(ctx, child)
-            if got is not None:
-                ctx.stats.record("cycle", tried, 2)
-                return got
-    ctx.stats.record("cycle", tried, 2)
-    return None
-
-
-def _solve_chordal_component(ctx, state, comp_blocks, blocks
-                             ) -> ColoringState | None:
-    """A block component with neither a cross path of three nor a cycle:
-    its cross edges form a matching along a tree of blocks, and the exact
-    subsolver completes its owners and unknown members.  Its fail-first
+def _solve_block_component(ctx, state, comp_blocks, blocks
+                           ) -> ColoringState | None:
+    """A block component of two or more blocks joined by cross edges: the
+    exact subsolver completes its owners and unknown members.  Where the
+    cross edges form a matching along a tree of blocks, its fail-first
     pick fixes every side of the chosen block but one, and the sides left
     open by different picks are disjoint, so the search settles at most
-    one node per candidate, plus one, whatever the component's size."""
+    one node per candidate, plus one.  Block cycles and cross paths of
+    three have stayed within the same bound on every measured call, which
+    is not proved; the call's node budget bounds them anyway."""
     verts = list(comp_blocks)
     for u in comp_blocks:
         verts.extend(t for t in blocks[u] if state.color[t] == UNKNOWN)
@@ -447,48 +314,30 @@ def _solve_chordal_component(ctx, state, comp_blocks, blocks
                                  stats=ctx.stats, budget=ctx.budget)
 
 
-def _branch_triangle(ctx, state, tri) -> ColoringState | None:
-    """Every triangle holds exactly one matched edge; try the three."""
-    g = ctx.g
-    tried = 0
-    result = None
-    pairs = sorted((p, q) for p in tri for q in tri
-                   if p < q and g.has_edge(p, q))
-    for (p, q) in pairs:
-        if state.removed[p] or state.removed[q]:
-            continue
-        if state.color[p] == WHITE or state.color[q] == WHITE:
-            continue
-        if state.is_excluded(p, q):
-            continue
-        tried += 1
-        child = state.clone()
-        edge_reduction(g, child, p, q)
-        if not settle(g, child):
-            continue
-        result = _resolve_structures(ctx, child)
-        if result is not None:
-            break
-    ctx.stats.record("triangle", tried, 3)
-    return result
+def _triangle_edges(g, state, tri) -> list[tuple[int, int]]:
+    """The edges of the triangle that may still be matched, in id order;
+    every triangle holds exactly one matched edge."""
+    removed, color = state.removed, state.color
+    return sorted((p, q) for p in tri for q in tri
+                  if p < q and g.has_edge(p, q)
+                  and not removed[p] and not removed[q]
+                  and color[p] != WHITE and color[q] != WHITE
+                  and not state.is_excluded(p, q))
 
 
-def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
-    """Drive the remaining unknown structure to a complete coloring.
-
-    Deterministic sites (trivial blocks, chordal pieces completed by the
-    exact subsolver, local triangle mates, isolated leftovers) are
-    committed in a loop; the leading trivial blocks of one block view go
-    in a single sweep.  Genuinely branching sites (cross path of three,
-    block cycle, coupled triangle) recurse over their bounded
-    alternatives.
-    """
+def _commit_forced(ctx, state: ColoringState):
+    """Commit the sites that need no choice (trivial blocks, block
+    components completed by the exact subsolver, local triangle mates,
+    isolated leftovers) in a loop; the leading trivial blocks of one block
+    view go in a single sweep.  Returns (state, None) once the component
+    is complete, (state, triangle) when a coupled or detached triangle
+    must be branched on, and (None, None) on a contradiction."""
     g = ctx.g
     while True:
         if not settle(g, state):
-            return None
+            return None, None
         if _comp_complete(state, ctx.comp):
-            return state
+            return state, None
 
         acted = False
         for tri in ctx.triangles:
@@ -521,32 +370,21 @@ def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
                         u = c[0]
                         if state.mate[u] >= 0:
                             continue
-                        got = _solve_trivial_block(ctx, state, u,
-                                                   view.members[u])
-                        if got is None:
-                            return None
-                        state = got
+                        state = _solve_trivial_block(ctx, state, u,
+                                                     view.members[u])
+                        if state is None:
+                            return None, None
                     continue
-                inside = set(comp)
-                comp_cross = [(t, w) for (t, w) in view.cross
-                              if view.owner[t] in inside]
-                p3 = _find_cross_p3(view.owner, comp_cross)
-                if p3 is not None:
-                    return _solve_p3_component(ctx, state, view, p3)
-                cyc = _find_block_cycle(comp, view.owner, comp_cross)
-                if cyc is not None:
-                    return _solve_cycle_component(ctx, state, cyc)
-                got = _solve_chordal_component(ctx, state, comp,
+                state = _solve_block_component(ctx, state, comp,
                                                view.members)
-                if got is None:
-                    return None
-                state = got
+                if state is None:
+                    return None, None
                 continue
             # every remaining block couples to an unresolved triangle
             for tri in ctx.triangles:
                 if _triangle_unresolved(state, tri) \
                         and _triangle_contacts(ctx, state, tri):
-                    return _branch_triangle(ctx, state, tri)
+                    return state, tri
             raise HypothesisViolation(
                 "unresolved blocks without an attached triangle")
 
@@ -562,11 +400,42 @@ def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
             continue
         for tri in ctx.triangles:
             if _triangle_unresolved(state, tri):
-                return _branch_triangle(ctx, state, tri)
+                return state, tri
         left = [v for v in ctx.comp
                 if not state.removed[v] and state.color[v] == UNKNOWN]
         raise HypothesisViolation(
             f"unresolved vertices outside the block structure: {left[:8]}")
+
+
+def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
+    """Drive the remaining unknown structure to a complete coloring.
+
+    `_commit_forced` commits every site that needs no choice.  A triangle
+    it leaves opens a site on one explicit stack, and the sites are
+    searched depth first: each tries its matchable edges in id order, a
+    child cloned from the site's state only when its turn comes, so no
+    site recurses.  A site records its branch point when it closes."""
+    g = ctx.g
+    sites = []          # per open triangle: [its state, its edges, tried]
+    while True:
+        state, tri = _commit_forced(ctx, state)
+        if tri is not None:
+            sites.append([state, _triangle_edges(g, state, tri), 0])
+        elif state is not None:
+            for site in reversed(sites):
+                ctx.stats.record("triangle", site[2], 3)
+            return state
+        while True:     # the next alternative of the innermost open site
+            if not sites:
+                return None
+            base, edges, tried = sites[-1]
+            if tried < len(edges):
+                break
+            ctx.stats.record("triangle", tried, 3)
+            sites.pop()
+        sites[-1][2] += 1
+        state = base.clone()
+        edge_reduction(g, state, *edges[tried])
 
 
 # -- case solvers ----------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 from dimatch import (brute_force_dim, build_graph, enumerate_dims, solve,
                      solve_with_xy, verify_dim)
 from dimatch import solver
@@ -15,8 +17,8 @@ from dimatch.levels import LevelDecomposition
 from dimatch.solver import constrained_subsolver
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from diffcheck import (SEED, _sparse_planted, block_tree,  # noqa: E402
-                       planted)
+from diffcheck import (SEED, _sparse_planted, block_graph,  # noqa: E402
+                       block_tree, planted)
 
 
 def _agree(g):
@@ -247,13 +249,11 @@ def test_trivial_blocks_resolve_from_few_block_views(monkeypatch):
     assert len(calls) <= 10
 
 
-def test_block_paths_and_trees_complete_in_linear_nodes(monkeypatch):
-    # blocks joined by a matching of cross edges along a path or tree
-    # reach the chordal site, whose exact completion settles at most one
-    # node per candidate, plus one; the cycle search before it walks a
-    # path of 1,500 blocks without recursing
+@pytest.fixture
+def block_site_calls(monkeypatch):
+    """(nodes, unknown candidates) of every block-site call."""
     calls = []
-    site = solver._solve_chordal_component
+    site = solver._solve_block_component
 
     def measure(ctx, state, comp_blocks, blocks):
         cands = sum(state.color[t] == UNKNOWN
@@ -263,22 +263,36 @@ def test_block_paths_and_trees_complete_in_linear_nodes(monkeypatch):
         calls.append((ctx.stats.subsolver_nodes - before, cands))
         return got
 
-    monkeypatch.setattr(solver, "_solve_chordal_component", measure)
+    monkeypatch.setattr(solver, "_solve_block_component", measure)
+    return calls
+
+
+def test_block_paths_and_trees_complete_in_linear_nodes(block_site_calls):
+    # blocks joined by a matching of cross edges along a path or tree,
+    # and blocks whose planted blacks form contact cycles and cross paths
+    # of three, reach the block site, whose exact completion settles at
+    # most one node per candidate, plus one
+    calls = block_site_calls
     rng = random.Random(12)
+    graphs = []
     for k in (10, 30, 100, 300, 1000, 1500):
         for parents in (list(range(k - 1)),
                         [rng.randrange(i) for i in range(1, k)]):
             free = {i for i in range(k) if rng.random() < 0.3}
-            g = build_graph(*block_tree(parents, free))
-            calls.clear()
-            out = solve(g)
-            assert out.status == "found" and verify_dim(g, out.certificate)
-            assert calls
-            for nodes, cands in calls:
-                assert nodes <= cands + 1
+            graphs.append(block_tree(parents, free))
+    for k in (10, 30, 100, 300, 1000):
+        graphs.append(block_graph(rng, k))
+    for n, edges in graphs:
+        g = build_graph(n, edges)
+        calls.clear()
+        out = solve(g)
+        assert out.status == "found" and verify_dim(g, out.certificate)
+        assert calls
+        for nodes, cands in calls:
+            assert nodes <= cands + 1
 
 
-def test_block_cycle_two_alternatives():
+def test_block_cycle_two_alternatives(block_site_calls):
     edges = [(0, 1), (0, 2)]
     us = list(range(3, 9))
     edges += [(2, u) for u in us]
@@ -290,21 +304,77 @@ def test_block_cycle_two_alternatives():
     g = build_graph(21, edges)
     out = _agree(g)
     assert out.status == "found"
-    kinds = [b.kind for b in out.stats.branch_points]
-    assert "cycle" in kinds
-    for b in out.stats.branch_points:
-        if b.kind == "cycle":
-            assert b.explored <= b.bound == 2
+    assert block_site_calls
+    for nodes, cands in block_site_calls:
+        assert nodes <= cands + 1
 
 
-def test_cross_block_p3_enumeration():
+def test_cross_block_p3_enumeration(block_site_calls):
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5),
              (3, 6), (3, 7), (4, 8), (4, 9), (5, 10), (5, 11),
              (6, 8), (8, 10)]
     g = build_graph(12, edges)
     out = _agree(g)
     assert out.status == "found"
-    assert any(b.kind == "p3-case" for b in out.stats.branch_points)
+    assert block_site_calls
+    for nodes, cands in block_site_calls:
+        assert nodes <= cands + 1
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _cycle_hub(cycles):
+    # xy = (0, 1), vertex 2 on x, 3 * cycles second-level singletons with
+    # 2-member blocks; blocks i, i + 1, i + 2 form a contact 3-cycle
+    k = 3 * cycles
+    edges = [(0, 1), (0, 2)] + [(2, 3 + i) for i in range(k)]
+    first = [3 + k + 2 * i for i in range(k)]
+    for i in range(k):
+        edges += [(3 + i, first[i]), (3 + i, first[i] + 1)]
+    for i in range(0, k, 3):
+        edges += [(first[i + j] + 1, first[i + (j + 1) % 3])
+                  for j in range(3)]
+    return build_graph(3 + 3 * k, edges)
+
+
+def _triangle_hub(k):
+    # xy = (0, 1), vertex 2 on x, k second-level singletons with blocks
+    # {t0, t1}; t0 carries the far triangle z, b, c through t0-z
+    edges = [(0, 1), (0, 2)] + [(2, 3 + i) for i in range(k)]
+    n = 3 + k
+    for i in range(k):
+        t0, t1, z, b, c = range(n, n + 5)
+        edges += [(3 + i, t0), (3 + i, t1), (t0, z), (z, b), (z, c),
+                  (b, c)]
+        n += 5
+    return build_graph(n, edges)
+
+
+def _solve_near_recursion_limit(g):
+    # the block and triangle sites take no recursion frame each, so 100
+    # of them solve within 100 frames above the caller's depth; a frame
+    # per site overflows the default limit at 600 cycles or 1,200
+    # triangles
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        out = solve(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == "found" and verify_dim(g, out.certificate)
+
+
+def test_hub_of_block_cycles_does_not_recurse():
+    _solve_near_recursion_limit(_cycle_hub(100))
+
+
+def test_hub_of_far_triangles_does_not_recurse():
+    _solve_near_recursion_limit(_triangle_hub(100))
 
 
 def test_far_level_triangle_branches():
@@ -349,10 +419,9 @@ def test_branch_bounds_respected_on_random_instances():
         out = solve(g)
         for b in out.stats.branch_points:
             assert b.explored <= b.bound
+            assert b.kind in ("tuple", "triangle")
             if b.kind == "triangle":
                 assert b.bound == 3
-            elif b.kind == "cycle":
-                assert b.bound == 2
 
 
 def test_found_certificates_always_contain_forced_pairs():

@@ -8,7 +8,7 @@ the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
 `dimatch.cli.run(RunConfig(mode, fmt="json", ...))`:
 
-* `solve` and `check-s115` on every graph of seven pools: G(n,p) and
+* `solve` and `check-s115` on every graph of nine pools: G(n,p) and
   planted graphs with n = 2-12, sparse graphs with n = 30-100, disjoint
   unions of P6, layered hubs (an edge xy, a vertex on x, 2-9
   second-level singletons on that vertex with a block of 1-3 vertices
@@ -18,9 +18,12 @@ its directory and answers the same seeded requests through
   k <= 100 whose leaves carry 0-3 tails of 1-5 vertices (half of the
   unions, hubs and dense graphs relabeled at random), sparse planted
   graphs with n = 100-250 in the shape of the benchmark's batch graphs,
-  and block trees: a hub whose 5-300 blocks are joined by a matching of
+  block trees: a hub whose 5-300 blocks are joined by a matching of
   cross edges along a random path or tree, some blocks with a free
-  member, half of them relabeled;
+  member, and block graphs: a hub whose 5-300 blocks of 2-4 members
+  each hold a planted black, which sends 1-2 cross edges to white
+  members of other blocks (half of the block trees and block graphs
+  relabeled);
 * `solve_with_xy` (`solve --xy`) on every edge of a prefix of each pool;
 * `generate` (`random_s115_free`) for a fixed list of seeded sizes and
   edge probabilities, n = 10-40 and p = 0.1-0.3.
@@ -60,7 +63,8 @@ SEED = 0
 # pool name -> (graphs, how many of them also get solve_with_xy per edge)
 POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0),
-         "sparse-planted": (200, 5), "block-trees": (60, 5)}
+         "sparse-planted": (200, 5), "block-trees": (60, 5),
+         "block-graphs": (60, 5)}
 GENERATE = 200                  # generate requests
 
 
@@ -85,6 +89,8 @@ def _graph(rng, pool):
         return _sparse_planted(rng)
     if pool == "block-trees":
         return _block_trees(rng)
+    if pool == "block-graphs":
+        return _block_graphs(rng)
     k = rng.randint(2, 150)
     n = 6 * k
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
@@ -190,6 +196,41 @@ def _block_trees(rng):
     share = rng.choice((0.0, 0.2, 0.5))
     n, edges = block_tree(parents, {i for i in range(k)
                                     if rng.random() < share})
+    if rng.random() < 0.5:
+        label = rng.sample(range(n), n)
+        edges = [(label[u], label[v]) for u, v in edges]
+    return n, edges
+
+
+def block_graph(rng, k):
+    """A hub around xy = (0, 1) with a planted d.i.m.: vertex 2 on x
+    carries k second-level singletons, each with a block of 2-4 members
+    whose first member is its planted mate.  Each such black sends 1-2
+    cross edges to white members of other blocks, so the planted d.i.m.
+    stays while the blocks form contact cycles and cross paths of three.
+    No block sends to one that sends to it: two cross edges between two
+    blocks let normalization whiten the rest of both, and that cascade
+    decides the graph before any block site."""
+    edges = [(0, 1), (0, 2)] + [(2, 3 + i) for i in range(k)]
+    blocks, n = [], 3 + k
+    for i in range(k):
+        size = rng.randint(2, 4)
+        blocks.append(list(range(n, n + size)))
+        edges += [(3 + i, t) for t in blocks[-1]]
+        n += size
+    senders = [set() for _ in range(k)]
+    for i, blk in enumerate(blocks):
+        options = [j for j in range(k) if j != i and j not in senders[i]]
+        for j in rng.sample(options, min(len(options), rng.randint(1, 2))):
+            senders[j].add(i)
+            edges.append((blk[0], rng.choice(blocks[j][1:])))
+    return n, edges
+
+
+def _block_graphs(rng):
+    """`block_graph` with 5-300 blocks, relabeled at random half of the
+    time."""
+    n, edges = block_graph(rng, rng.randint(5, 300))
     if rng.random() < 0.5:
         label = rng.sample(range(n), n)
         edges = [(label[u], label[v]) for u, v in edges]

@@ -74,12 +74,13 @@ def build_graph(n: int, edge_pairs) -> Graph:
     return Graph(n, tuple(tuple(sorted(a)) for a in adj), edges)
 
 
-def distance_levels(g: Graph, xy: tuple[int, int],
-                    alive=None) -> list[tuple[int, ...]]:
+def distance_levels(g: Graph, xy: tuple[int, int], alive=None,
+                    limit: int | None = None) -> list[tuple[int, ...]]:
     """BFS distance levels of an edge: level 0 is {x, y}, level i the
     vertices at distance i from the edge.  Only the reachable set appears.
 
-    `alive` optionally restricts the graph to a subset of vertices.
+    `alive` optionally restricts the graph to a subset of vertices, and
+    `limit` stops the search after that level.
     """
     x, y = xy
     if not g.has_edge(x, y):
@@ -93,6 +94,8 @@ def distance_levels(g: Graph, xy: tuple[int, int],
     while q:
         v = q.popleft()
         d = dist[v] + 1
+        if limit is not None and d > limit:
+            break
         for w in g.adj[v]:
             if dist[w] < 0 and (alive is None or alive[w]):
                 dist[w] = d

@@ -98,11 +98,11 @@ class LevelDecomposition:
 
 def decompose(g: Graph, state: ColoringState,
               xy: tuple[int, int]) -> LevelDecomposition | None:
-    """Compute levels for a mated black edge xy and install the matched-edge
-    exclusions (all edges inside the third level, all edges between the
-    third and fourth levels).  Returns None when the forced colors around
-    xy already contradict."""
-    levels = distance_levels(g, xy, state.live_mask())
+    """Compute the levels 0-6 of a mated black edge xy (no caller reads
+    deeper ones) and install the matched-edge exclusions (all edges inside
+    the third level, all edges between the third and fourth levels).
+    Returns None when the forced colors around xy already contradict."""
+    levels = distance_levels(g, xy, state.live_mask(), limit=6)
     decomp = LevelDecomposition(g, xy, levels)
     lof = decomp.level_of
     for t in decomp.level(3):

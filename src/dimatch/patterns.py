@@ -105,8 +105,10 @@ def make_named(kind: PatternKind) -> Graph:
 
 def _find_k4(g: Graph) -> PatternWitness | None:
     for (u, v) in g.edges:
-        common = sorted(g.adjset[u] & g.adjset[v])
-        for a, b in combinations(common, 2):
+        common = g.adjset[u] & g.adjset[v]
+        if len(common) < 2:             # uv lies on no K4
+            continue
+        for a, b in combinations(sorted(common), 2):
             if g.has_edge(a, b):
                 return PatternWitness(K4, (u, v, a, b))
     return None
@@ -121,11 +123,16 @@ def diamonds(g: Graph, removed):
     induced diamond, so after each witness the scan resumes at the same
     edge: the next witness is the first one a new scan would find.  A
     caller that removes nothing in between gets the same witness again.
-    """
+    Each edge's common neighborhood in g is taken once and filtered by
+    `removed` on each rescan; removals only shrink it, so an edge with
+    fewer than two common neighbors is skipped."""
     adjset = g.adjset
     for (u, v) in g.edges:
+        full = adjset[u] & adjset[v]
+        if len(full) < 2:
+            continue
         while not (removed[u] or removed[v]):
-            common = sorted(w for w in adjset[u] & adjset[v] if not removed[w])
+            common = sorted(w for w in full if not removed[w])
             for a, b in combinations(common, 2):
                 if b not in adjset[a]:
                     yield PatternWitness(DIAMOND, (a, u, b, v))
@@ -138,9 +145,12 @@ def butterflies(g: Graph, removed):
     """Yield the induced butterflies of the live graph in scan order:
     centers ascending, then pairs of edges inside the center's
     neighborhood.  Resumes at the center of the last witness, under the
-    same contract as `diamonds`."""
+    same contract as `diamonds`.  A center has four neighbors in a
+    butterfly, so centers of degree below 4 in g are skipped."""
     adj, adjset = g.adj, g.adjset
     for u in range(g.n):
+        if len(adj[u]) < 4:
+            continue
         while not removed[u]:
             inner = sorted((a, b) for a in adj[u] if not removed[a]
                            for b in adjset[a] & adjset[u]

@@ -259,21 +259,15 @@ def _resolve_local_triangle(ctx, state, tri) -> bool:
     return False
 
 
-def _apply_blacks(ctx, state, picks) -> ColoringState | None:
-    """Clone the state and commit the given (owner, black) choices; a
-    choice already realized by an earlier cascade is accepted as is."""
-    child = state.clone()
-    for (u, t) in picks:
-        if child.contradiction is not None:
-            return None
-        if child.mate[t] == u:
-            continue
-        if child.removed[t] or child.color[t] != UNKNOWN:
-            return None
-        edge_reduction(ctx.g, child, u, t)
-    if child.contradiction is not None:
+def _apply_black(ctx, state, u: int, t: int) -> ColoringState | None:
+    """Clone the state and match the owner u with the black t; a choice
+    already realized by an earlier cascade is accepted as is."""
+    if state.mate[t] != u and (state.removed[t] or state.color[t] != UNKNOWN):
         return None
-    if not settle(ctx.g, child):
+    child = state.clone()
+    if child.mate[t] != u:
+        edge_reduction(ctx.g, child, u, t)
+    if child.contradiction is not None or not settle(ctx.g, child):
         return None
     return child
 
@@ -291,7 +285,7 @@ def _solve_trivial_block(ctx, state, u: int, ts: list[int]
     if intra:
         cands = sorted(set(intra[0]))
     for c in cands:
-        child = _apply_blacks(ctx, state, ((u, c),))
+        child = _apply_black(ctx, state, u, c)
         if child is not None:
             return child
     return None
@@ -465,7 +459,7 @@ def _solve_n2_small(ctx, state) -> ColoringState | None:
             return constrained_subsolver(g, st, within=ctx.comp,
                                          stats=ctx.stats, budget=ctx.budget)
         for t in cand_lists[i]:
-            child = _apply_blacks(ctx, st, ((names[i], t),))
+            child = _apply_black(ctx, st, names[i], t)
             if child is None:
                 tried += prod(map(len, cand_lists[i + 1:]))
                 continue
@@ -625,12 +619,23 @@ def _covering_edges(g: Graph, state: ColoringState, comp
                     ) -> list[tuple[int, int]]:
     """The live edges at v or at w, for a live vertex v of least live
     degree and its live neighbor w of least live degree.  The edge vw must
-    be dominated, so every d.i.m. matches one of these edges."""
-    removed = state.removed
-    live = {u: [t for t in g.adj[u] if not removed[t]] for u in comp}
-    v = min(comp, key=lambda u: (len(live[u]), u))
-    w = min(live[v], key=lambda t: (len(live[t]), t))
-    return sorted({edge_key(a, t) for a in (v, w) for t in live[a]})
+    be dominated, so every d.i.m. matches one of these edges.  v is the
+    first of least live degree in id order; the scan stops at live degree
+    1, which no vertex of a component with an edge undercuts."""
+    adj, removed = g.adj, state.removed
+
+    def live(u):
+        return [t for t in adj[u] if not removed[t]]
+
+    v, least = -1, g.n
+    for u in comp:
+        d = len(live(u))
+        if d < least:
+            v, least = u, d
+            if d <= 1:
+                break
+    w = min(live(v), key=lambda t: (len(live(t)), t))
+    return sorted({edge_key(a, t) for a in (v, w) for t in live(a)})
 
 
 def _branch_on(g: Graph, base: ColoringState, comp, edges,

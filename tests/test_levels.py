@@ -1,6 +1,6 @@
 import random
 
-from dimatch import build_graph, enumerate_dims
+from dimatch import build_graph, distance_levels, enumerate_dims
 from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
 from dimatch.levels import decompose, normalize
 from dimatch.solver import _comp_complete
@@ -26,6 +26,21 @@ def test_decompose_p6_middle():
     assert d.s2(st) == [4]
     assert d.blocks(st).members == {4: [5]}
     assert d.m2_pairs(st) == []
+
+
+def test_decompose_places_nothing_past_the_sixth_level():
+    # no caller reads deeper levels; distance_levels without a limit still
+    # returns every level
+    g = make_named(path(40))
+    st = _start(g, (19, 20))
+    d = decompose(g, st, (19, 20))
+    assert len(d.levels) == 7 and d.level(6) == (13, 26) and d.level(7) == ()
+    placed = {v for lv in d.levels for v in lv}
+    assert placed == set(range(13, 27))
+    assert all(d.level_of[v] == -1 for v in range(40) if v not in placed)
+    full = distance_levels(g, (19, 20))
+    assert len(full) == 20 and full[19] == (0, 39)
+    assert full[:7] == d.levels == distance_levels(g, (19, 20), limit=6)
 
 
 def test_decompose_p5_end():

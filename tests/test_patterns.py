@@ -6,9 +6,10 @@ import pytest
 
 from dimatch import build_graph
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
-                              PatternWitness, check_witness, cycle,
-                              find_induced, make_named, path,
-                              random_s115_free, spider, PatternKind)
+                              PatternWitness, butterflies, check_witness,
+                              cycle, diamonds, find_induced, make_named,
+                              path, random_s115_free, spider, PatternKind)
+from test_coloring import _pattern_union
 
 SEARCHED = [K4, DIAMOND, BUTTERFLY, S115]
 
@@ -197,6 +198,70 @@ def test_s115_search_is_fast_on_a_hub():
     start = time.perf_counter()
     assert find_induced(g, S115) is None
     assert time.perf_counter() - start < 5.0
+
+
+def _first_by_subsets(g, kind, live):
+    """Order-free reference for the K4, diamond and butterfly scans: every
+    4- or 5-subset of live vertices that induces the pattern, keyed by the
+    documented scan order, and the witness of the least key.  K4 (u, v,
+    a, b) and diamond (a, u, b, v) scan edges (u, v) ascending, then pairs
+    a < b of common neighbors; the butterfly (a, b, c, d, u) scans centers
+    u ascending, then pairs of edges (a, b) < (c, d) in its neighborhood."""
+    best = None
+    for vs in combinations(live, 5 if kind == BUTTERFLY else 4):
+        inside = set(vs)
+        deg = {v: len(g.adjset[v] & inside) for v in vs}
+        shape = sorted(deg.values())
+        if kind == K4 and shape == [3, 3, 3, 3]:
+            key = wit = vs
+        elif kind == DIAMOND and shape == [2, 2, 3, 3]:
+            (a, b), (u, v) = (sorted(x for x in vs if deg[x] == d)
+                              for d in (2, 3))
+            key, wit = (u, v, a, b), (a, u, b, v)
+        elif kind == BUTTERFLY and shape == [2, 2, 2, 2, 4]:
+            u = next(x for x in vs if deg[x] == 4)
+            (a, b), (c, d) = sorted((x, y) for x, y in combinations(vs, 2)
+                                    if u not in (x, y) and g.has_edge(x, y))
+            key, wit = (u, a, b, c, d), (a, b, c, d, u)
+        else:
+            continue
+        if best is None or key < best[0]:
+            best = (key, wit)
+    return best and best[1]
+
+
+def test_guarded_scans_return_the_first_witness_of_every_subset():
+    # the scans skip edges with fewer than two common neighbors and
+    # centers of degree below 4; on small graphs, pattern unions and
+    # random removal masks they must still return the first witness
+    rng = random.Random(414)
+    graphs = []
+    for _ in range(400):
+        n, p = rng.randint(4, 9), rng.uniform(0.2, 0.8)
+        graphs.append(build_graph(n, [(u, v) for u in range(n)
+                                      for v in range(u + 1, n)
+                                      if rng.random() < p]))
+    unions = [g for g in (_pattern_union(rng) for _ in range(150))
+              if g.n <= 16]
+    graphs += unions
+    thin_edges = low_centers = 0
+    hits = {K4: 0, DIAMOND: 0, BUTTERFLY: 0}
+    for g in graphs:
+        thin_edges += sum(len(g.adjset[u] & g.adjset[v]) < 2
+                          for u, v in g.edges)
+        low_centers += sum(g.degree(v) < 4 for v in range(g.n))
+        for kind in hits:
+            w = find_induced(g, kind)
+            assert (w and w.vertices) == _first_by_subsets(
+                g, kind, range(g.n)), (kind, g.edges)
+            hits[kind] += w is not None
+        removed = bytearray(rng.random() < 0.2 for _ in range(g.n))
+        live = [v for v in range(g.n) if not removed[v]]
+        for kind, scan in ((DIAMOND, diamonds), (BUTTERFLY, butterflies)):
+            w = next(scan(g, removed), None)
+            assert (w and w.vertices) == _first_by_subsets(g, kind, live)
+    assert len(unions) > 40 and thin_edges > 1000 and low_centers > 1000
+    assert 40 < min(hits.values()) <= max(hits.values()) < len(graphs) - 40
 
 
 def test_witnesses_check_out_on_random_graphs():

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from dimatch import (brute_force_dim, build_graph, enumerate_dims, solve,
-                     solve_with_xy, verify_dim)
+from dimatch import (brute_force_dim, build_graph, connected_components,
+                     enumerate_dims, solve, solve_with_xy, verify_dim)
 from dimatch import solver
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
-                              settle)
+                              preprocess, settle)
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
                               check_witness, cycle, find_induced, make_named,
                               path, random_s115_free)
@@ -735,8 +735,9 @@ def test_planted_graphs_never_answer_none():
 
 
 def _n2_small_by_product(ctx, state):
-    """The deep case as a plain tuple product: every tuple applied and
-    settled from scratch, then finished by the subsolver."""
+    """The deep case as a plain tuple product: the picks of every tuple
+    applied and settled one at a time from scratch, then finished by the
+    subsolver."""
     blocks = solver._unresolved_blocks(ctx.decomp, state).members
     names = sorted(blocks)
     cand_lists = []
@@ -752,7 +753,11 @@ def _n2_small_by_product(ctx, state):
     result = None
     for tup in itertools.product(*cand_lists):
         tried += 1
-        child = solver._apply_blacks(ctx, state, tuple(zip(names, tup)))
+        child = state
+        for u, t in zip(names, tup):
+            child = solver._apply_black(ctx, child, u, t)
+            if child is None:
+                break
         if child is None:
             continue
         got = constrained_subsolver(ctx.g, child, within=ctx.comp)
@@ -900,6 +905,47 @@ def test_only_covering_edges_branch_then_one_exact_search(monkeypatch):
         assert out.stats.exact_calls <= len({comp for comp, _ in keys})
         exact += out.stats.exact_calls > 0
     assert exact > 20
+
+
+def _covering_edges_by_min(g, state, comp):
+    """The definition `_covering_edges` had before its scan stopped early:
+    v least over the whole component by (live degree, id)."""
+    removed = state.removed
+    live = {u: [t for t in g.adj[u] if not removed[t]] for u in comp}
+    v = min(comp, key=lambda u: (len(live[u]), u))
+    w = min(live[v], key=lambda t: (len(live[t]), t))
+    return sorted({(min(a, t), max(a, t)) for a in (v, w) for t in live[a]})
+
+
+def test_covering_edges_match_the_minimum_over_the_component():
+    # on preprocessed G(n,p) graphs and cycles with chords, some vertices
+    # removed, components of least live degree 1 and of least degree 2+
+    rng = random.Random(624)
+    least = {1: 0, 2: 0}
+    for i in range(600):
+        n, p = rng.randint(4, 40), rng.uniform(0.05, 0.4)
+        if i % 2:
+            edges = {(u, (u + 1) % n) for u in range(n)}
+            edges |= {tuple(rng.sample(range(n), 2)) for _ in range(n // 8)}
+            edges = {(min(e), max(e)) for e in edges}
+        else:
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p]
+        g = build_graph(n, edges)
+        state = preprocess(g)
+        if state.contradiction is not None:
+            continue
+        for v in rng.sample(range(n), rng.choice((0, n // 8, n // 4))):
+            state.removed[v] = 1
+        for comp in connected_components(g, state.live_mask()):
+            if len(comp) < 2:
+                continue
+            assert solver._covering_edges(g, state, comp) == \
+                _covering_edges_by_min(g, state, comp)
+            degs = [sum(not state.removed[t] for t in g.adj[u])
+                    for u in comp]
+            least[min(min(degs), 2)] += 1
+    assert least[1] > 300 and least[2] > 50
 
 
 def test_hypothesis_violated_witness_past_200_vertices():

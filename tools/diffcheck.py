@@ -8,7 +8,7 @@ the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
 `dimatch.cli.run(RunConfig(mode, fmt="json", ...))`:
 
-* `solve` and `check-s115` on every graph of nine pools: G(n,p) and
+* `solve` and `check-s115` on every graph of ten pools: G(n,p) and
   planted graphs with n = 2-12, sparse graphs with n = 30-100, disjoint
   unions of P6, layered hubs (an edge xy, a vertex on x, 2-9
   second-level singletons on that vertex with a block of 1-3 vertices
@@ -22,8 +22,10 @@ its directory and answers the same seeded requests through
   cross edges along a random path or tree, some blocks with a free
   member, and block graphs: a hub whose 5-300 blocks of 2-4 members
   each hold a planted black, which sends 1-2 cross edges to white
-  members of other blocks (half of the block trees and block graphs
-  relabeled);
+  members of other blocks, and pattern unions: disjoint diamonds,
+  butterflies, triangle fans and P6s with n = 50-400 plus random links,
+  where preprocessing does most of the work (half of the block trees,
+  block graphs and pattern unions relabeled);
 * `solve_with_xy` (`solve --xy`) on every edge of a prefix of each pool;
 * `generate` (`random_s115_free`) for a fixed list of seeded sizes and
   edge probabilities, n = 10-40 and p = 0.1-0.3.
@@ -64,7 +66,7 @@ SEED = 0
 POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0),
          "sparse-planted": (200, 5), "block-trees": (60, 5),
-         "block-graphs": (60, 5)}
+         "block-graphs": (60, 5), "pattern-unions": (200, 5)}
 GENERATE = 200                  # generate requests
 
 
@@ -91,6 +93,8 @@ def _graph(rng, pool):
         return _block_trees(rng)
     if pool == "block-graphs":
         return _block_graphs(rng)
+    if pool == "pattern-unions":
+        return _pattern_unions(rng)
     k = rng.randint(2, 150)
     n = 6 * k
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
@@ -231,6 +235,43 @@ def _block_graphs(rng):
     """`block_graph` with 5-300 blocks, relabeled at random half of the
     time."""
     n, edges = block_graph(rng, rng.randint(5, 300))
+    if rng.random() < 0.5:
+        label = rng.sample(range(n), n)
+        edges = [(label[u], label[v]) for u, v in edges]
+    return n, edges
+
+
+def _pattern_unions(rng):
+    """Disjoint diamonds, butterflies, triangle fans (a vertex joined to
+    every vertex of a path of 2-6 vertices) and P6s until n reaches
+    50-400, plus up to three random links between any two vertices,
+    relabeled at random half of the time.  A fan on four or more path
+    vertices holds two diamonds whose mid-edges meet, which has no
+    d.i.m., so fans make up 0, 2 or 5% of the parts."""
+    target = rng.randint(50, 400)
+    fans = rng.choice((0.0, 0.02, 0.05))
+    edges, n = [], 0
+    while n < target:
+        kind = "fan" if rng.random() < fans else \
+            rng.choice(("diamond", "butterfly", "p6"))
+        if kind == "diamond":
+            size, part = 4, [(0, 1), (1, 2), (3, 0), (3, 1), (3, 2)]
+        elif kind == "butterfly":
+            size, part = 5, [(0, 1), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)]
+        elif kind == "fan":
+            size = 1 + rng.randint(2, 6)
+            part = [(0, i) for i in range(1, size)]
+            part += [(i, i + 1) for i in range(1, size - 1)]
+        else:
+            size, part = 6, [(i, i + 1) for i in range(5)]
+        edges += [(n + u, n + v) for u, v in part]
+        n += size
+    have = {(min(e), max(e)) for e in edges}
+    for _ in range(rng.randint(0, 3)):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in have:
+            have.add((u, v))
+            edges.append((u, v))
     if rng.random() < 0.5:
         label = rng.sample(range(n), n)
         edges = [(label[u], label[v]) for u, v in edges]

@@ -213,26 +213,23 @@ def _run_generate(cfg: RunConfig) -> tuple[int, str]:
 
 def run(cfg: RunConfig, text: str | None = None) -> tuple[int, str]:
     """Execute one mode; returns (exit code, output text)."""
-    if cfg.mode == "generate":
-        return _run_generate(cfg)
-    if text is None:
-        if cfg.path is None or cfg.path == "-":
-            text = sys.stdin.read()
-            source = "<stdin>"
+    try:
+        if cfg.mode == "generate":
+            return _run_generate(cfg)
+        if text is None:
+            if cfg.path is None or cfg.path == "-":
+                text = sys.stdin.read()
+                source = "<stdin>"
+            else:
+                try:
+                    with open(cfg.path, "r", encoding="utf-8") as fh:
+                        text = fh.read()
+                except OSError as err:
+                    return EXIT_INPUT, f"error: {err}"
+                source = cfg.path
         else:
-            try:
-                with open(cfg.path, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as err:
-                return EXIT_INPUT, f"error: {err}"
-            source = cfg.path
-    else:
-        source = "<memory>"
-    try:
+            source = "<memory>"
         g = parse_graph(text, source)
-    except GraphInputError as err:
-        return EXIT_INPUT, f"error: {err}"
-    try:
         if cfg.mode == "solve":
             return _run_solve(cfg, g)
         if cfg.mode == "oracle":
@@ -241,7 +238,7 @@ def run(cfg: RunConfig, text: str | None = None) -> tuple[int, str]:
             return _run_compare(cfg, g)
         if cfg.mode == "check-s115":
             return _run_check(cfg, g)
-    except ValueError as err:       # GraphInputError, or a budget below 1
+    except ValueError as err:       # GraphInputError, or a value out of range
         return EXIT_INPUT, f"error: {err}"
     except BudgetExceeded as err:
         return EXIT_INPUT, f"BUDGET EXCEEDED ({err})"
@@ -291,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     return ap
 
 

@@ -122,11 +122,11 @@ def propagate(g: Graph, state: ColoringState) -> None:
     blacks.
 
     Work comes from `state.pending`: `assign` appends the vertex it
-    colors, `ColoringState.exclude` both endpoints, and the removals in
-    `edge_reduction` / `vertex_reduction` the removed vertices.  This
-    call drains the list: it queues each colored pending vertex and the
-    live black neighbors of every pending vertex (rules (b) and (c) fire
-    there).  Colors forced here feed the queue directly.
+    colors, `ColoringState.exclude` both endpoints, and the removal in
+    `edge_reduction` the removed vertices.  This call drains the list:
+    it queues each colored pending vertex and the live black neighbors
+    of every pending vertex (rules (b) and (c) fire there).  Colors
+    forced here feed the queue directly.
 
     Removing a white needs no further call: no rule reads a white as a
     black neighbor or a mate candidate (see `settle`).
@@ -231,24 +231,6 @@ def propagate(g: Graph, state: ColoringState) -> None:
                     return
                 if not many:
                     set_color(cand, BLACK)
-
-
-def vertex_reduction(g: Graph, state: ColoringState, v: int) -> None:
-    """Remove a white-forced vertex after blackening its neighbors, then
-    propagate."""
-    if state.contradiction is not None:
-        return
-    assign(state, v, WHITE)
-    if state.contradiction is not None:
-        return
-    for w in g.adj[v]:
-        if not state.removed[w]:
-            assign(state, w, BLACK)
-            if state.contradiction is not None:
-                return
-    state.removed[v] = 1
-    state.pending.append(v)
-    propagate(g, state)
 
 
 def edge_reduction(g: Graph, state: ColoringState, u: int, v: int) -> None:

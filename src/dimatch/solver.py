@@ -5,7 +5,9 @@ edge.  For a live vertex v of least live degree and its live neighbor w
 of least live degree, the edge vw must be dominated, so every solution
 matches an edge at v or at w: at most deg(v) + deg(w) - 1 branches.
 Each xy branch builds the distance levels, normalizes them, and
-dispatches on the shape of the far levels.  The covering edges' `none`
+dispatches on the shape of the far levels.  One engine, the fail-first
+exact subsolver, picks the black of every third-level block; the only
+other choices are the far-level triangles.  The covering edges' `none`
 is complete on graphs with no induced S_{1,1,5}; that class check runs
 once per call, and only before such a `none` would be returned.  With a
 witness, or after a branch raised a hypothesis violation, the exact
@@ -20,7 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from math import prod
 
 from .graph import (Graph, DimCertificate, connected_components, edge_key,
                     verify_dim, verify_dim_report)
@@ -42,7 +43,7 @@ class HypothesisViolation(Exception):
 
 @dataclass
 class BranchPoint:
-    kind: str           # "tuple" | "triangle"
+    kind: str           # "triangle"
     explored: int
     bound: int
 
@@ -124,14 +125,20 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
     With no unmated black left, the first unknown vertex is branched,
     white first; with no unknown either, the state is complete.  Correct
     on every graph; exponential in the worst case, hence the budget.
+    A child is cloned from its parent only when its turn comes, and the
+    last sibling takes the parent itself, so the call consumes `state`.
     `within` limits the completion to one component's vertices;
     `stats.subsolver_nodes` counts the nodes settled, and a count past
     `budget` raises HypothesisViolation."""
     scope = tuple(within) if within is not None else tuple(range(g.n))
     adj = g.adj
-    stack = [state]
+    stack = [(state, -1, UNKNOWN, True)]    # (parent, vertex, color, last)
     while stack:
-        st = stack.pop()
+        st, v, c, last = stack.pop()
+        if v >= 0:
+            if not last:
+                st = st.clone()
+            assign(st, v, c)
         if stats is not None:
             stats.subsolver_nodes += 1
             if budget is not None and stats.subsolver_nodes > budget:
@@ -161,10 +168,8 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
             branches = [(first_unknown, BLACK), (first_unknown, WHITE)]
         else:
             return st
-        for (v, c) in branches:
-            child = st.clone()
-            assign(child, v, c)
-            stack.append(child)
+        # the first pushed is popped last, after its siblings' subtrees
+        stack += [(st, v, c, i == 0) for i, (v, c) in enumerate(branches)]
     return None
 
 
@@ -259,48 +264,19 @@ def _resolve_local_triangle(ctx, state, tri) -> bool:
     return False
 
 
-def _apply_black(ctx, state, u: int, t: int) -> ColoringState | None:
-    """Clone the state and match the owner u with the black t; a choice
-    already realized by an earlier cascade is accepted as is."""
-    if state.mate[t] != u and (state.removed[t] or state.color[t] != UNKNOWN):
-        return None
-    child = state.clone()
-    if child.mate[t] != u:
-        edge_reduction(ctx.g, child, u, t)
-    if child.contradiction is not None or not settle(ctx.g, child):
-        return None
-    return child
-
-
-def _solve_trivial_block(ctx, state, u: int, ts: list[int]
-                         ) -> ColoringState | None:
-    """One block with no unknown couplings: its unknown members see only
-    u (plus at most one internal edge partner), so the candidates are
-    interchangeable; take them in id order, falling back on contradiction."""
-    g = ctx.g
-    cands = [t for t in ts if state.color[t] == UNKNOWN]
-    tset = set(cands)
-    intra = sorted((p, q) for p in cands for q in g.adj[p]
-                   if p < q and q in tset)
-    if intra:
-        cands = sorted(set(intra[0]))
-    for c in cands:
-        child = _apply_black(ctx, state, u, c)
-        if child is not None:
-            return child
-    return None
-
-
 def _solve_block_component(ctx, state, comp_blocks, blocks
                            ) -> ColoringState | None:
-    """A block component of two or more blocks joined by cross edges: the
-    exact subsolver completes its owners and unknown members.  Where the
-    cross edges form a matching along a tree of blocks, its fail-first
-    pick fixes every side of the chosen block but one, and the sides left
-    open by different picks are disjoint, so the search settles at most
-    one node per candidate, plus one.  Block cycles and cross paths of
-    three have stayed within the same bound on every measured call, which
-    is not proved; the call's node budget bounds them anyway."""
+    """A block component, one block or several joined by cross edges: the
+    exact subsolver completes its owners and unknown members.  A single
+    block's candidates see only the owner (plus at most one edge inside
+    the block), so the search settles the root plus at most one node per
+    candidate.  Where the cross edges form a matching along a tree of
+    blocks, its fail-first pick fixes every side of the chosen block but
+    one, and the sides left open by different picks are disjoint, so the
+    search settles at most one node per candidate, plus one.  Block
+    cycles and cross paths of three have stayed within the same bound on
+    every measured call, which is not proved; the call's node budget
+    bounds them anyway."""
     verts = list(comp_blocks)
     for u in comp_blocks:
         verts.extend(t for t in blocks[u] if state.color[t] == UNKNOWN)
@@ -320,10 +296,10 @@ def _triangle_edges(g, state, tri) -> list[tuple[int, int]]:
 
 
 def _commit_forced(ctx, state: ColoringState):
-    """Commit the sites that need no choice (trivial blocks, block
-    components completed by the exact subsolver, local triangle mates,
-    isolated leftovers) in a loop; the leading trivial blocks of one block
-    view go in a single sweep.  Returns (state, None) once the component
+    """Commit the sites that need no choice (block components completed
+    by the exact subsolver, local triangle mates, isolated leftovers) in a
+    loop; every block component of one block view that no triangle
+    touches goes in a single sweep.  Returns (state, None) once the component
     is complete, (state, triangle) when a coupled or detached triangle
     must be branched on, and (None, None) on a contradiction."""
     g = ctx.g
@@ -354,25 +330,14 @@ def _commit_forced(ctx, state: ColoringState):
             eligible = [c for c in _block_components(view)
                         if not any(u in coupled for u in c)]
             if eligible:
-                comp = eligible[0]
-                if len(comp) == 1:
-                    # blocks without contact are independent: commit every
-                    # leading trivial one before building the view again
-                    for c in eligible:
-                        if len(c) > 1:
-                            break
-                        u = c[0]
-                        if state.mate[u] >= 0:
-                            continue
-                        state = _solve_trivial_block(ctx, state, u,
-                                                     view.members[u])
-                        if state is None:
-                            return None, None
-                    continue
-                state = _solve_block_component(ctx, state, comp,
-                                               view.members)
-                if state is None:
-                    return None, None
+                # components without contact are independent, and their
+                # cross edges only disappear: commit all of them before
+                # building the view again
+                for comp in eligible:
+                    state = _solve_block_component(ctx, state, comp,
+                                                   view.members)
+                    if state is None:
+                        return None, None
                 continue
             # every remaining block couples to an unresolved triangle
             for tri in ctx.triangles:
@@ -433,45 +398,6 @@ def _resolve_structures(ctx, state: ColoringState) -> ColoringState | None:
 
 
 # -- case solvers ----------------------------------------------------------
-
-def _solve_n2_small(ctx, state) -> ColoringState | None:
-    """Far levels reached but at most four second-level singletons: one
-    black per block fixes the whole near side and the fourth level; the
-    rest is finished by the exact subsolver, under the call's node budget.
-    The picks are searched depth first in product order, each prefix
-    applied and settled once; a pick that contradicts prunes (and counts
-    as explored) all its extensions."""
-    g = ctx.g
-    blocks = _unresolved_blocks(ctx.decomp, state).members
-    names = sorted(blocks)
-    cand_lists = []
-    for u in names:
-        cands = [t for t in blocks[u] if state.color[t] == UNKNOWN]
-        if not cands:
-            return None
-        cand_lists.append(cands)
-    tried = 0
-
-    def search(st, i):
-        nonlocal tried
-        if i == len(names):
-            tried += 1
-            return constrained_subsolver(g, st, within=ctx.comp,
-                                         stats=ctx.stats, budget=ctx.budget)
-        for t in cand_lists[i]:
-            child = _apply_black(ctx, st, names[i], t)
-            if child is None:
-                tried += prod(map(len, cand_lists[i + 1:]))
-                continue
-            got = search(child, i + 1)
-            if got is not None:
-                return got
-        return None
-
-    result = search(state, 0)
-    ctx.stats.record("tuple", tried, prod(map(len, cand_lists)))
-    return result
-
 
 def _classify_far_levels(ctx, state) -> list[tuple[int, ...]]:
     """Reduce the live fourth/fifth-level structure and classify what is
@@ -597,7 +523,11 @@ def _solve_with_xy_internal(g: Graph, base: ColoringState, comp,
         final = _resolve_structures(ctx, state)
     elif decomp.n2_size <= 4:
         case = "n2-small"
-        final = _solve_n2_small(ctx, state)
+        # one black per block fixes the near side and the fourth level;
+        # the owners are the unmated blacks, so fail-first branching on
+        # them makes that choice, and the search finishes the far levels
+        final = constrained_subsolver(g, state, within=comp, stats=stats,
+                                      budget=budget)
     else:
         case = "n2-large"
         if decomp.level(6):

@@ -122,6 +122,21 @@ def test_generate_deterministic():
     assert run(cfg) == run(cfg)
 
 
+def test_generate_input_errors_exit_2(capsys):
+    # a negative size or a probability past 1 is an input error, not a
+    # traceback, and a count below 1 is refused instead of printing nothing
+    for argv in (["--n", "-1", "--p", "0.1"], ["--n", "5", "--p", "2"]):
+        assert main(["generate", *argv, "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error: ")
+        assert "Traceback" not in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--n", "5", "--p", "0.2", "--seed", "0",
+              "--count", "-3"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_compare_many_random_s115_free():
     for seed in range(25):
         gen = RunConfig("generate", n=12, p=0.25, seed=200 + seed, count=1)

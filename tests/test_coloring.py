@@ -2,11 +2,28 @@ import random
 
 from dimatch import build_graph, enumerate_dims
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
-                              edge_reduction, preprocess, propagate, settle,
-                              vertex_reduction)
+                              edge_reduction, preprocess, propagate, settle)
 from dimatch import patterns
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
                               find_induced, make_named, path)
+
+
+def vertex_reduction(g, state, v):
+    """Remove a white-forced vertex after blackening its neighbors, then
+    propagate: the reference of `settle`, which the solver uses instead."""
+    if state.contradiction is not None:
+        return
+    assign(state, v, WHITE)
+    if state.contradiction is not None:
+        return
+    for w in g.adj[v]:
+        if not state.removed[w]:
+            assign(state, w, BLACK)
+            if state.contradiction is not None:
+                return
+    state.removed[v] = 1
+    state.pending.append(v)
+    propagate(g, state)
 
 
 def _live_unknowns(st):

@@ -9,7 +9,7 @@ from dimatch import (brute_force_dim, build_graph, connected_components,
                      enumerate_dims, solve, solve_with_xy, verify_dim)
 from dimatch import solver
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
-                              preprocess, settle)
+                              edge_reduction, preprocess, settle)
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
                               check_witness, cycle, find_induced, make_named,
                               path, random_s115_free)
@@ -144,6 +144,29 @@ def test_subsolver_isolated_vertex_goes_white():
     assert got is not None and got.color[0] == WHITE
 
 
+@pytest.fixture
+def clones(monkeypatch):
+    """A one-element list counting the ColoringState clones made."""
+    count = [0]
+    real = ColoringState.clone
+
+    def counted(self):
+        count[0] += 1
+        return real(self)
+    monkeypatch.setattr(ColoringState, "clone", counted)
+    return count
+
+
+def test_subsolver_clones_a_child_only_when_its_turn_comes(clones):
+    # the black center of a claw has three candidate mates and the first
+    # completes: one clone, where cloning every child up front takes three
+    st = ColoringState(4)
+    assign(st, 0, BLACK)
+    got = constrained_subsolver(make_named(CLAW), st)
+    assert got is not None and got.mate_pairs() == [(0, 1)]
+    assert clones[0] == 1
+
+
 def _random_chordal_tw2(rng, n):
     # grow a K4-free chordal graph by attaching each new vertex to a
     # vertex or an existing edge
@@ -232,9 +255,9 @@ def _layer_base(nblocks=5, bsize=2):
     return edges, us, ts, nxt
 
 
-def test_trivial_blocks_resolve_from_few_block_views(monkeypatch):
+def test_trivial_blocks_resolve_from_few_block_views(monkeypatch, clones):
     # 300 contact-free blocks are committed in one sweep, not one block
-    # view per block
+    # view per block, with at most one clone per block and per xy branch
     edges, us, ts, nxt = _layer_base(nblocks=300, bsize=2)
     g = build_graph(nxt, edges)
     real = LevelDecomposition.blocks
@@ -247,6 +270,7 @@ def test_trivial_blocks_resolve_from_few_block_views(monkeypatch):
     out = solve(g)
     assert out.status == "found" and verify_dim(g, out.certificate)
     assert len(calls) <= 10
+    assert clones[0] <= 300 + out.stats.xy_tried
 
 
 @pytest.fixture
@@ -419,9 +443,7 @@ def test_branch_bounds_respected_on_random_instances():
         out = solve(g)
         for b in out.stats.branch_points:
             assert b.explored <= b.bound
-            assert b.kind in ("tuple", "triangle")
-            if b.kind == "triangle":
-                assert b.bound == 3
+            assert b.kind == "triangle" and b.bound == 3
 
 
 def test_found_certificates_always_contain_forced_pairs():
@@ -440,10 +462,32 @@ def test_found_certificates_always_contain_forced_pairs():
             raise AssertionError("oracle disagrees")
 
 
-def test_tuple_bound_for_block_sizes_3224():
+@pytest.fixture
+def n2_small_sites(monkeypatch):
+    """[xy context, input state, nodes settled] of every n2-small site:
+    the subsolver calls made by the xy branch itself."""
+    sites = []
+    search = solver.constrained_subsolver
+
+    def capture(g, state, within=None, stats=None, budget=None):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name != "_solve_with_xy_internal":
+            return search(g, state, within, stats, budget)
+        site = [caller.f_locals["ctx"], state.clone(), stats.subsolver_nodes]
+        sites.append(site)
+        try:
+            return search(g, state, within, stats, budget)
+        finally:
+            site[2] = stats.subsolver_nodes - site[2]
+
+    monkeypatch.setattr(solver, "constrained_subsolver", capture)
+    return sites
+
+
+def test_tuple_bound_for_block_sizes_3224(n2_small_sites):
     # four second-level singletons with block sizes 3, 2, 2, 4 and a
-    # far-level triangle: the tuple site is bounded by the product 48,
-    # and infeasible tuples (adjacent far whites) get rejected
+    # far-level triangle: one black per block is one of 48 tuples, and
+    # the subsolver settles at most one node per tuple, plus one
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6)]
     blocks = {3: [7, 8, 9], 4: [10, 11], 5: [12, 13], 6: [14, 15, 16, 17]}
     for u, ts in blocks.items():
@@ -451,10 +495,9 @@ def test_tuple_bound_for_block_sizes_3224():
     edges += [(7, 18), (10, 19), (12, 20), (18, 19), (18, 20), (19, 20)]
     g = build_graph(21, edges)
     out = _agree(g)
-    assert out.status == "found"
-    tuples = [b for b in out.stats.branch_points if b.kind == "tuple"]
-    assert tuples and tuples[0].bound == 48
-    assert 1 < tuples[0].explored <= 48
+    assert out.status == "found" and "n2-small" in out.stats.case_seconds
+    assert n2_small_sites
+    assert all(nodes <= 48 + 1 for _, _, nodes in n2_small_sites)
 
 
 def test_deep_case_on_spider_free_instances():
@@ -734,69 +777,74 @@ def test_planted_graphs_never_answer_none():
     assert 10 <= free <= 110 and xy_calls > 1000
 
 
+def _pick(g, state, u, t):
+    """A clone of the state with the owner u matched to the black t and
+    settled, or None on a contradiction; a choice already realized by an
+    earlier cascade is accepted as is."""
+    if state.mate[t] != u and (state.removed[t] or state.color[t] != UNKNOWN):
+        return None
+    child = state.clone()
+    if child.mate[t] != u:
+        edge_reduction(g, child, u, t)
+    if child.contradiction is not None or not settle(g, child):
+        return None
+    return child
+
+
 def _n2_small_by_product(ctx, state):
-    """The deep case as a plain tuple product: the picks of every tuple
-    applied and settled one at a time from scratch, then finished by the
-    subsolver."""
+    """The n2-small case as a plain tuple product: the picks of every
+    tuple applied and settled one at a time from scratch, then finished
+    by the subsolver.  Returns the completion (or None) and the tuples
+    tried."""
     blocks = solver._unresolved_blocks(ctx.decomp, state).members
     names = sorted(blocks)
     cand_lists = []
     for u in names:
         cands = [t for t in blocks[u] if state.color[t] == UNKNOWN]
         if not cands:
-            return None
+            return None, 0
         cand_lists.append(cands)
-    bound = 1
-    for c in cand_lists:
-        bound *= len(c)
     tried = 0
-    result = None
     for tup in itertools.product(*cand_lists):
         tried += 1
         child = state
         for u, t in zip(names, tup):
-            child = solver._apply_black(ctx, child, u, t)
+            child = _pick(ctx.g, child, u, t)
             if child is None:
                 break
         if child is None:
             continue
-        got = constrained_subsolver(ctx.g, child, within=ctx.comp)
+        got = constrained_subsolver(ctx.g, child, within=ctx.comp,
+                                    stats=ctx.stats)
         if got is not None:
-            result = got
-            break
-    ctx.stats.record("tuple", tried, bound)
-    return result
+            return got, tried
+    return None, tried
 
 
-def test_n2_small_matches_the_tuple_product(monkeypatch):
-    # the depth-first search with shared prefixes returns the coloring of
-    # the first tuple of the product that completes, and records the
-    # tuple product's explored count and bound
-    sites = []
-    search = solver._solve_n2_small
-
-    def capture(ctx, state):
-        sites.append((ctx, state.clone()))
-        return search(ctx, state)
-
-    monkeypatch.setattr(solver, "_solve_n2_small", capture)
+def test_n2_small_matches_the_tuple_product(n2_small_sites):
+    # one subsolver call on the component finds a completion exactly when
+    # some tuple of block picks completes, and settles no more nodes than
+    # the tuple product tries tuples and settles nodes
     for g in _fuzz_graphs(random.Random(5)):
         solve(g)
     rng = random.Random(3)
     for _ in range(40):
         solve(build_graph(*_sparse_planted(rng)))
-    outcomes = set()
-    for ctx, state in sites:
-        got = []
-        for fn in (search, _n2_small_by_product):
-            fresh = solver._XyContext(ctx.g, ctx.decomp, solver.SolveStats(),
-                                      ctx.comp)
-            res = fn(fresh, state.clone())
-            got.append((res and (res.color, res.mate, res.removed),
-                        fresh.stats.branch_points))
-        assert got[0] == got[1]
-        outcomes.add(got[0][0] is None)
-    assert len(sites) > 100 and outcomes == {True, False}
+    outcomes, ref_work, nodes = set(), 0, 0
+    for ctx, state, _ in n2_small_sites:
+        ref_stats, stats = solver.SolveStats(), solver.SolveStats()
+        fresh = solver._XyContext(ctx.g, ctx.decomp, ref_stats, ctx.comp)
+        ref, tried = _n2_small_by_product(fresh, state.clone())
+        got = constrained_subsolver(ctx.g, state.clone(), within=ctx.comp,
+                                    stats=stats)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert solver._comp_complete(got, ctx.comp)
+        ref_work += tried + ref_stats.subsolver_nodes
+        nodes += stats.subsolver_nodes
+        outcomes.add(got is None)
+    assert len(n2_small_sites) > 100 and outcomes == {True, False}
+    assert nodes <= ref_work
 
 
 def _first_unknown_search(g, state, within):

@@ -18,8 +18,7 @@ from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
 from .levels import LevelDecomposition, decompose, normalize
 from .oracle import (OracleReport, BudgetExceeded, brute_force_dim,
                      enumerate_dims, dims_by_subset_filter)
-from .solver import (SolveOutcome, SolveStats, BranchPoint,
-                     HypothesisViolation, constrained_subsolver, solve,
-                     solve_with_xy)
+from .solver import (SolveOutcome, SolveStats, HypothesisViolation,
+                     constrained_subsolver, solve, solve_with_xy)
 
 __version__ = "0.1.0"

@@ -95,13 +95,9 @@ def _structured(mode: str, g: Graph | None, result: str,
 def _stats_dict(outcome) -> dict:
     return {
         "xy_tried": outcome.stats.xy_tried,
-        "exact_calls": outcome.stats.exact_calls,
-        "class_checks": outcome.stats.class_checks,
+        "parts": outcome.stats.parts,
         "subsolver_nodes": outcome.stats.subsolver_nodes,
-        "branch_points": [[b.kind, b.explored, b.bound]
-                          for b in outcome.stats.branch_points],
-        "case_seconds": {k: round(v, 6)
-                         for k, v in outcome.stats.case_seconds.items()},
+        "case_seconds": {},     # read by bench/run.py's per-layer pass
     }
 
 

@@ -46,10 +46,6 @@ class LevelDecomposition:
     def level(self, i: int) -> tuple[int, ...]:
         return self.levels[i] if i < len(self.levels) else ()
 
-    @property
-    def n2_size(self) -> int:
-        return len(self.level(2))
-
     # -- live views ------------------------------------------------------
 
     def live_level(self, state: ColoringState, i: int) -> list[int]:
@@ -98,11 +94,12 @@ class LevelDecomposition:
 
 def decompose(g: Graph, state: ColoringState,
               xy: tuple[int, int]) -> LevelDecomposition | None:
-    """Compute the levels 0-6 of a mated black edge xy (no caller reads
-    deeper ones) and install the matched-edge exclusions (all edges inside
-    the third level, all edges between the third and fourth levels).
-    Returns None when the forced colors around xy already contradict."""
-    levels = distance_levels(g, xy, state.live_mask(), limit=6)
+    """Compute the levels 0-4 of a mated black edge xy (the exclusions
+    read levels 3-4 and the normalization rules levels 2-4) and install
+    the matched-edge exclusions (all edges inside the third level, all
+    edges between the third and fourth levels).  Returns None when the
+    forced colors around xy already contradict."""
+    levels = distance_levels(g, xy, state.live_mask(), limit=4)
     decomp = LevelDecomposition(g, xy, levels)
     lof = decomp.level_of
     for t in decomp.level(3):
@@ -238,6 +235,10 @@ def _whiten_off_intra_edge(g, state, decomp) -> bool:
 
 
 def _limit_cross_edges(g, state, decomp) -> bool:
+    # every cross edge joins two members whose one black is its owner's
+    # mate; after _force_double_contact found nothing, the cross edges
+    # between two blocks form a matching, so the two mates cover at most
+    # two of them, and two fix both mates to their ends
     view = decomp.blocks(state)
     owner = view.owner
     cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -275,7 +276,9 @@ def normalize(g: Graph, state: ColoringState,
     third/fourth-level triangles, whitening off block-internal edges,
     and cross-edge counting between block pairs (three edges kill the
     branch, two whiten the rest of both blocks).  Every rule is a sound
-    forcing step, so the fixpoint is order-independent.
+    forcing step on every graph: it forces only what every d.i.m. that
+    matches xy holds.  The cross-edge count is sound once double-contact
+    forcing has found nothing, which the rule order guarantees.
     """
     if not settle(g, state):
         return False

@@ -3,7 +3,7 @@ import random
 from dimatch import build_graph, distance_levels, enumerate_dims
 from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
 from dimatch.levels import decompose, normalize
-from dimatch.solver import _comp_complete
+from dimatch.solver import _undecided_parts
 from dimatch.patterns import cycle, make_named, path
 
 
@@ -28,19 +28,19 @@ def test_decompose_p6_middle():
     assert d.m2_pairs(st) == []
 
 
-def test_decompose_places_nothing_past_the_sixth_level():
+def test_decompose_places_nothing_past_the_fourth_level():
     # no caller reads deeper levels; distance_levels without a limit still
     # returns every level
     g = make_named(path(40))
     st = _start(g, (19, 20))
     d = decompose(g, st, (19, 20))
-    assert len(d.levels) == 7 and d.level(6) == (13, 26) and d.level(7) == ()
+    assert len(d.levels) == 5 and d.level(4) == (15, 24) and d.level(5) == ()
     placed = {v for lv in d.levels for v in lv}
-    assert placed == set(range(13, 27))
+    assert placed == set(range(15, 25))
     assert all(d.level_of[v] == -1 for v in range(40) if v not in placed)
     full = distance_levels(g, (19, 20))
     assert len(full) == 20 and full[19] == (0, 39)
-    assert full[:7] == d.levels == distance_levels(g, (19, 20), limit=6)
+    assert full[:5] == d.levels == distance_levels(g, (19, 20), limit=4)
 
 
 def test_decompose_p5_end():
@@ -72,7 +72,8 @@ def test_normalize_p6_forces_everything():
     st = _start(g, (1, 2))
     d = decompose(g, st, (1, 2))
     assert normalize(g, st, d)
-    assert _comp_complete(st, range(g.n))
+    assert st.contradiction is None
+    assert not _undecided_parts(g, st, range(g.n))
     assert st.mate_pairs() == [(1, 2), (4, 5)]
 
 

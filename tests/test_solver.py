@@ -7,7 +7,7 @@ import pytest
 
 from dimatch import (brute_force_dim, build_graph, connected_components,
                      enumerate_dims, solve, solve_with_xy, verify_dim)
-from dimatch import solver
+from dimatch import patterns, solver
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
                               edge_reduction, preprocess, settle)
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
@@ -19,6 +19,14 @@ from dimatch.solver import constrained_subsolver
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from diffcheck import (SEED, _sparse_planted, block_graph,  # noqa: E402
                        block_tree, planted)
+
+
+def _complete(st, within):
+    """No contradiction, and every vertex of `within` removed, white or
+    mated."""
+    return st.contradiction is None and all(
+        st.removed[v] or st.color[v] == WHITE or st.mate[v] >= 0
+        for v in within)
 
 
 def _agree(g):
@@ -193,7 +201,7 @@ def test_subsolver_matches_oracle_on_random_chordal_graphs():
         if got is None:
             assert not dims
         else:
-            assert solver._comp_complete(got, range(n))
+            assert _complete(got, range(n))
             assert frozenset(got.mate_pairs()) in dims
             exercised += 1
     assert exercised > 80
@@ -274,29 +282,44 @@ def test_trivial_blocks_resolve_from_few_block_views(monkeypatch, clones):
 
 
 @pytest.fixture
-def block_site_calls(monkeypatch):
-    """(nodes, unknown candidates) of every block-site call."""
+def searches(monkeypatch):
+    """[input state, scope, nodes settled, level decomposition of the xy
+    branch that made the call] of every subsolver call; the input state
+    is cloned before the call consumes it."""
     calls = []
-    site = solver._solve_block_component
+    search = solver.constrained_subsolver
 
-    def measure(ctx, state, comp_blocks, blocks):
-        cands = sum(state.color[t] == UNKNOWN
-                    for u in comp_blocks for t in blocks[u])
-        before = ctx.stats.subsolver_nodes
-        got = site(ctx, state, comp_blocks, blocks)
-        calls.append((ctx.stats.subsolver_nodes - before, cands))
-        return got
+    def measure(g, state, within=None, stats=None, budget=None):
+        decomp = sys._getframe(1).f_locals["decomp"]
+        call = [state.clone(), tuple(within), stats.subsolver_nodes, decomp]
+        calls.append(call)
+        try:
+            return search(g, state, within, stats, budget)
+        finally:
+            call[2] = stats.subsolver_nodes - call[2]
 
-    monkeypatch.setattr(solver, "_solve_block_component", measure)
+    monkeypatch.setattr(solver, "constrained_subsolver", measure)
     return calls
 
 
-def test_block_paths_and_trees_complete_in_linear_nodes(block_site_calls):
+def _unknowns(state, scope):
+    return sum(not state.removed[v] and state.color[v] == UNKNOWN
+               for v in scope)
+
+
+def _linear(calls):
+    """Every call settles at most one node per unknown vertex of its
+    scope, plus one."""
+    return all(nodes <= _unknowns(st, scope) + 1
+               for st, scope, nodes, _ in calls)
+
+
+def test_block_paths_and_trees_complete_in_linear_nodes(searches):
     # blocks joined by a matching of cross edges along a path or tree,
     # and blocks whose planted blacks form contact cycles and cross paths
-    # of three, reach the block site, whose exact completion settles at
-    # most one node per candidate, plus one
-    calls = block_site_calls
+    # of three: the exact search of each part settles at most one node
+    # per unknown vertex, plus one
+    calls = searches
     rng = random.Random(12)
     graphs = []
     for k in (10, 30, 100, 300, 1000, 1500):
@@ -311,12 +334,10 @@ def test_block_paths_and_trees_complete_in_linear_nodes(block_site_calls):
         calls.clear()
         out = solve(g)
         assert out.status == "found" and verify_dim(g, out.certificate)
-        assert calls
-        for nodes, cands in calls:
-            assert nodes <= cands + 1
+        assert calls and _linear(calls)
 
 
-def test_block_cycle_two_alternatives(block_site_calls):
+def test_block_cycle_two_alternatives(searches):
     edges = [(0, 1), (0, 2)]
     us = list(range(3, 9))
     edges += [(2, u) for u in us]
@@ -328,21 +349,17 @@ def test_block_cycle_two_alternatives(block_site_calls):
     g = build_graph(21, edges)
     out = _agree(g)
     assert out.status == "found"
-    assert block_site_calls
-    for nodes, cands in block_site_calls:
-        assert nodes <= cands + 1
+    assert searches and _linear(searches)
 
 
-def test_cross_block_p3_enumeration(block_site_calls):
+def test_cross_block_p3_enumeration(searches):
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5),
              (3, 6), (3, 7), (4, 8), (4, 9), (5, 10), (5, 11),
              (6, 8), (8, 10)]
     g = build_graph(12, edges)
     out = _agree(g)
     assert out.status == "found"
-    assert block_site_calls
-    for nodes, cands in block_site_calls:
-        assert nodes <= cands + 1
+    assert searches and _linear(searches)
 
 
 def _stack_depth():
@@ -401,15 +418,31 @@ def test_hub_of_far_triangles_does_not_recurse():
     _solve_near_recursion_limit(_triangle_hub(100))
 
 
-def test_far_level_triangle_branches():
+def test_far_triangle_hub_costs_a_constant_per_triangle(clones):
+    # each block with its far triangle is an undecided part of its own,
+    # and its search settles two nodes and clones once, so the hub's
+    # work grows linearly in its triangles
+    for k in (300, 600, 1200):
+        clones[0] = 0
+        g = _triangle_hub(k)
+        out = solve(g)
+        assert out.status == "found" and verify_dim(g, out.certificate)
+        assert out.stats.parts == k and out.stats.subsolver_nodes == 2 * k
+        assert clones[0] <= k + out.stats.xy_tried
+
+
+def test_far_level_triangle_branches(searches):
+    # a far triangle hung off a block member is completed by the search
+    # of its part, which settles no more nodes than the triangle has
+    # edges, and every part's search stays linear
     edges, us, ts, nxt = _layer_base()
     z, b, c = nxt, nxt + 1, nxt + 2
     edges += [(ts[0][0], z), (z, b), (z, c), (b, c)]
     g = build_graph(nxt + 3, edges)
     out = _agree(g)
-    assert out.status == "found"
-    tri = [bp for bp in out.stats.branch_points if bp.kind == "triangle"]
-    assert tri and all(bp.explored <= bp.bound == 3 for bp in tri)
+    assert out.status == "found" and _linear(searches)
+    tri = [nodes for _, scope, nodes, _ in searches if z in scope]
+    assert tri and all(nodes <= 3 for nodes in tri)
 
 
 def test_far_level_structures_agree():
@@ -435,15 +468,17 @@ def test_far_level_structures_agree():
         _agree(build_graph(n, pairs))
 
 
-def test_branch_bounds_respected_on_random_instances():
+def test_branch_bounds_respected_on_random_instances(searches):
+    # inside the class the exact search settles at most one node per
+    # vertex over a call (0.375 measured), and each part's search at
+    # most one node per unknown vertex, plus one
     rng = random.Random(83)
     for seed in range(60):
         g = random_s115_free(rng.choice((10, 13, 16)),
                              rng.choice((0.1, 0.2, 0.3)), 5000 + seed)
+        searches.clear()
         out = solve(g)
-        for b in out.stats.branch_points:
-            assert b.explored <= b.bound
-            assert b.kind == "triangle" and b.bound == 3
+        assert out.stats.subsolver_nodes <= g.n and _linear(searches)
 
 
 def test_found_certificates_always_contain_forced_pairs():
@@ -462,32 +497,11 @@ def test_found_certificates_always_contain_forced_pairs():
             raise AssertionError("oracle disagrees")
 
 
-@pytest.fixture
-def n2_small_sites(monkeypatch):
-    """[xy context, input state, nodes settled] of every n2-small site:
-    the subsolver calls made by the xy branch itself."""
-    sites = []
-    search = solver.constrained_subsolver
-
-    def capture(g, state, within=None, stats=None, budget=None):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name != "_solve_with_xy_internal":
-            return search(g, state, within, stats, budget)
-        site = [caller.f_locals["ctx"], state.clone(), stats.subsolver_nodes]
-        sites.append(site)
-        try:
-            return search(g, state, within, stats, budget)
-        finally:
-            site[2] = stats.subsolver_nodes - site[2]
-
-    monkeypatch.setattr(solver, "constrained_subsolver", capture)
-    return sites
-
-
-def test_tuple_bound_for_block_sizes_3224(n2_small_sites):
+def test_tuple_bound_for_block_sizes_3224(searches):
     # four second-level singletons with block sizes 3, 2, 2, 4 and a
     # far-level triangle: one black per block is one of 48 tuples, and
-    # the subsolver settles at most one node per tuple, plus one
+    # the search of each part settles at most one node per tuple, plus
+    # one
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6)]
     blocks = {3: [7, 8, 9], 4: [10, 11], 5: [12, 13], 6: [14, 15, 16, 17]}
     for u, ts in blocks.items():
@@ -495,14 +509,15 @@ def test_tuple_bound_for_block_sizes_3224(n2_small_sites):
     edges += [(7, 18), (10, 19), (12, 20), (18, 19), (18, 20), (19, 20)]
     g = build_graph(21, edges)
     out = _agree(g)
-    assert out.status == "found" and "n2-small" in out.stats.case_seconds
-    assert n2_small_sites
-    assert all(nodes <= 48 + 1 for _, _, nodes in n2_small_sites)
+    assert out.status == "found" and out.stats.parts >= 1
+    assert searches
+    assert all(nodes <= 48 + 1 for _, _, nodes, _ in searches)
 
 
 def test_deep_case_on_spider_free_instances():
-    # random wide-second-level instances that stay S115-free and reach
-    # the deep far-level machinery; answers must match the oracle
+    # random wide-second-level instances with far levels that stay
+    # S115-free; answers must match the oracle, and the split search,
+    # which runs on most of them, settles at most one node per vertex
     rng = random.Random(777)
     deep_hits = 0
     compared = 0
@@ -538,7 +553,8 @@ def test_deep_case_on_spider_free_instances():
             continue
         compared += 1
         out = _agree(g)
-        deep_hits += "n2-large" in out.stats.case_seconds
+        assert out.stats.subsolver_nodes <= g.n
+        deep_hits += out.stats.parts > 0
     assert deep_hits > 100
 
 
@@ -550,11 +566,13 @@ HV_EDGES = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 8),
 
 def test_hypothesis_violation_reports_witness():
     # a wide second level with a far-level path of four: outside the
-    # supported class, where the exact search decides it (9 nodes); with
-    # a budget of one node it reports the class witness instead
+    # supported class, where the exact search of a branch decides it (3
+    # nodes); with a budget of one node it reports the class witness
+    # instead
     g = build_graph(22, HV_EDGES)
     out = solve(g)
-    assert out.status == "none" and out.stats.exact_calls == 1
+    assert out.status == "none" and out.stats.parts >= 1
+    assert out.stats.subsolver_nodes > 1
     assert not brute_force_dim(g).exists
     out = solve(g, budget=1)
     assert out.status == "hypothesis-violated"
@@ -564,7 +582,7 @@ def test_hypothesis_violation_reports_witness():
 
 def _case_pairs(g, xy):
     """Pairs of the whole graph when the xy branch runs on the component
-    of xy, with the case timings of that branch."""
+    of xy, with the statistics of that branch."""
     from dimatch import DimCertificate, connected_components
     from dimatch.coloring import preprocess
     from dimatch.solver import SolveStats, _solve_with_xy_internal
@@ -581,13 +599,17 @@ def _case_pairs(g, xy):
 
 
 def test_case_entry_points():
-    # P6 is finished by normalization and never reaches a case solver
-    cert, _ = _case_pairs(make_named(path(6)), (1, 2))
+    # P6 is finished by normalization and never reaches the search
+    cert, stats = _case_pairs(make_named(path(6)), (1, 2))
     assert cert.sorted_edges() == [(1, 2), (4, 5)]
+    assert stats.parts == stats.subsolver_nodes == 0
 
+    # an empty fourth level, four second-level singletons with a far
+    # triangle, and five: each branch completes a verified certificate
+    # through its parts' searches, at most one node per vertex
     edges, us, ts, nxt = _layer_base()
     _, stats = _case_pairs(build_graph(nxt, edges), (0, 1))
-    assert "n4-empty" in stats.case_seconds
+    assert 1 <= stats.parts and stats.subsolver_nodes <= nxt
 
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6)]
     blocks = {3: [7, 8, 9], 4: [10, 11], 5: [12, 13], 6: [14, 15, 16, 17]}
@@ -595,13 +617,13 @@ def test_case_entry_points():
         edges += [(u, t) for t in ts]
     edges += [(7, 18), (10, 19), (12, 20), (18, 19), (18, 20), (19, 20)]
     _, stats = _case_pairs(build_graph(21, edges), (0, 1))
-    assert "n2-small" in stats.case_seconds
+    assert 1 <= stats.parts and stats.subsolver_nodes <= 21
 
     edges, us, ts, nxt = _layer_base()
     z, b, c = nxt, nxt + 1, nxt + 2
     edges += [(ts[0][0], z), (z, b), (z, c), (b, c)]
     _, stats = _case_pairs(build_graph(nxt + 3, edges), (0, 1))
-    assert "n2-large" in stats.case_seconds
+    assert 1 <= stats.parts and stats.subsolver_nodes <= nxt + 3
 
 
 def _union_parts(rng):
@@ -725,8 +747,8 @@ def _fuzz_graphs(rng):
 def test_fuzz_against_oracle_inside_and_outside_the_class():
     # a `none` must be right on every graph and a `found` must verify;
     # the default budget decides every graph; inside the class the
-    # covering edges decide every component without the exact search
-    seen, exact = {}, 0
+    # search settles at most one node per vertex (0.67 measured)
+    seen, searched = {}, {True: 0, False: 0}
     for g in _fuzz_graphs(random.Random(5)):
         out = solve(g)
         free = find_induced(g, S115) is None
@@ -736,14 +758,14 @@ def test_fuzz_against_oracle_inside_and_outside_the_class():
         else:
             assert verify_dim(g, out.certificate)
         if free:
-            assert out.stats.exact_calls == 0
+            assert out.stats.subsolver_nodes <= g.n
         seen[out.status, free] = seen.get((out.status, free), 0) + 1
-        exact += out.stats.exact_calls > 0
-    # both answers occur inside and outside the class, and the exact
-    # search runs
+        searched[free] += out.stats.parts > 0
+    # both answers occur inside and outside the class, and the split
+    # search runs on both sides
     assert min(seen.get((status, free), 0) for status in ("found", "none")
                for free in (True, False)) > 20
-    assert exact > 20
+    assert min(searched.values()) > 20
 
 
 def _planted_matching(rng, n):
@@ -791,59 +813,64 @@ def _pick(g, state, u, t):
     return child
 
 
-def _n2_small_by_product(ctx, state):
-    """The n2-small case as a plain tuple product: the picks of every
-    tuple applied and settled one at a time from scratch, then finished
-    by the subsolver.  Returns the completion (or None) and the tuples
-    tried."""
-    blocks = solver._unresolved_blocks(ctx.decomp, state).members
-    names = sorted(blocks)
+def _n2_small_by_product(g, decomp, state, scope):
+    """The choice of one black per block of a part as a plain tuple
+    product: the picks of every tuple applied and settled one at a time
+    from scratch, then finished by the subsolver.  Returns the completion
+    (or None), the tuples tried and the subsolver nodes settled."""
+    blocks = decomp.blocks(state).members
+    names = sorted(u for u in blocks if u in scope and state.mate[u] < 0)
     cand_lists = []
     for u in names:
         cands = [t for t in blocks[u] if state.color[t] == UNKNOWN]
         if not cands:
-            return None, 0
+            return None, 0, 0
         cand_lists.append(cands)
-    tried = 0
+    tried, stats = 0, solver.SolveStats()
     for tup in itertools.product(*cand_lists):
         tried += 1
         child = state
         for u, t in zip(names, tup):
-            child = _pick(ctx.g, child, u, t)
+            child = _pick(g, child, u, t)
             if child is None:
                 break
         if child is None:
             continue
-        got = constrained_subsolver(ctx.g, child, within=ctx.comp,
-                                    stats=ctx.stats)
+        got = constrained_subsolver(g, child, within=scope, stats=stats)
         if got is not None:
-            return got, tried
-    return None, tried
+            return got, tried, stats.subsolver_nodes
+    return None, tried, stats.subsolver_nodes
 
 
-def test_n2_small_matches_the_tuple_product(n2_small_sites):
-    # one subsolver call on the component finds a completion exactly when
-    # some tuple of block picks completes, and settles no more nodes than
-    # the tuple product tries tuples and settles nodes
-    for g in _fuzz_graphs(random.Random(5)):
-        solve(g)
+def test_n2_small_matches_the_tuple_product(searches):
+    # where the second level holds at most four vertices, one subsolver
+    # call on a part finds a completion exactly when some tuple of block
+    # picks completes, and settles no more nodes than the tuple product
+    # tries tuples and settles nodes
+    graphs = list(_fuzz_graphs(random.Random(5)))
     rng = random.Random(3)
-    for _ in range(40):
-        solve(build_graph(*_sparse_planted(rng)))
+    graphs += [build_graph(*_sparse_planted(rng)) for _ in range(40)]
+    sites = []
+    for g in graphs:
+        searches.clear()
+        solve(g)
+        sites += [(g, decomp, state, scope)
+                  for state, scope, _, decomp in searches
+                  if len(decomp.level(2)) <= 4]
     outcomes, ref_work, nodes = set(), 0, 0
-    for ctx, state, _ in n2_small_sites:
-        ref_stats, stats = solver.SolveStats(), solver.SolveStats()
-        fresh = solver._XyContext(ctx.g, ctx.decomp, ref_stats, ctx.comp)
-        ref, tried = _n2_small_by_product(fresh, state.clone())
-        got = constrained_subsolver(ctx.g, state.clone(), within=ctx.comp,
+    for g, decomp, state, scope in sites:
+        ref, tried, ref_nodes = _n2_small_by_product(g, decomp, state.clone(),
+                                                     scope)
+        stats = solver.SolveStats()
+        got = constrained_subsolver(g, state.clone(), within=scope,
                                     stats=stats)
         assert (got is None) == (ref is None)
         if got is not None:
-            assert solver._comp_complete(got, ctx.comp)
-        ref_work += tried + ref_stats.subsolver_nodes
+            assert _complete(got, scope)
+        ref_work += tried + ref_nodes
         nodes += stats.subsolver_nodes
         outcomes.add(got is None)
-    assert len(n2_small_sites) > 100 and outcomes == {True, False}
+    assert len(sites) > 100 and outcomes == {True, False}
     assert nodes <= ref_work
 
 
@@ -857,7 +884,7 @@ def _first_unknown_search(g, state, within):
         nodes += 1
         if not settle(g, st):
             continue
-        if solver._comp_complete(st, within):
+        if _complete(st, within):
             return st, nodes
         v = next((u for u in within
                   if not st.removed[u] and st.color[u] == UNKNOWN), -1)
@@ -900,7 +927,7 @@ def test_subsolver_matches_the_first_unknown_search(monkeypatch):
         outcomes.add(new is None)
         if new is None:
             continue
-        assert solver._comp_complete(new, within)
+        assert _complete(new, within)
         for v in range(g.n):
             assert state.color[v] in (UNKNOWN, new.color[v])
             assert state.mate[v] in (-1, new.mate[v])
@@ -930,29 +957,41 @@ def test_subsolver_nodes_counts_the_settled_nodes(monkeypatch):
     assert out.stats.subsolver_nodes >= len(calls) > 0
 
 
-def test_only_covering_edges_branch_then_one_exact_search(monkeypatch):
+def test_only_covering_edges_branch_then_one_exact_search(monkeypatch,
+                                                         searches):
     # each component branches on its covering edges only, each at most
-    # once, xy_tried counts those branches, and a component the branches
-    # leave undecided gets one exact search
+    # once, xy_tried counts those branches, and each branch gives every
+    # undecided part of its component one exact search: disjoint scopes
+    # inside the component whose vertices are live and unknown or unmated
+    # blacks, counted in `parts`
     runs = []
     branch = solver._solve_with_xy_internal
 
     def record(g, base, comp, xy, stats, budget=None):
-        runs.append((tuple(comp), xy, base))
-        return branch(g, base, comp, xy, stats, budget)
+        first = len(searches)
+        try:
+            return branch(g, base, comp, xy, stats, budget)
+        finally:
+            runs.append((tuple(comp), xy, base, searches[first:]))
 
     monkeypatch.setattr(solver, "_solve_with_xy_internal", record)
-    exact = 0
+    searched = 0
     for g in _fuzz_graphs(random.Random(5)):
         runs.clear()
+        searches.clear()
         out = solve(g)
-        keys = [(comp, xy) for comp, xy, _ in runs]
+        keys = [(comp, xy) for comp, xy, _, _ in runs]
         assert len(set(keys)) == len(keys) == out.stats.xy_tried
-        for comp, xy, base in runs:
+        assert len(searches) == out.stats.parts
+        for comp, xy, base, calls in runs:
             assert xy in solver._covering_edges(g, base, comp)
-        assert out.stats.exact_calls <= len({comp for comp, _ in keys})
-        exact += out.stats.exact_calls > 0
-    assert exact > 20
+            scopes = [v for _, scope, _, _ in calls for v in scope]
+            assert len(set(scopes)) == len(scopes) and set(scopes) <= set(comp)
+            for st, scope, _, _ in calls:
+                assert not any(st.removed[v] or st.color[v] == WHITE
+                               or st.mate[v] >= 0 for v in scope)
+        searched += out.stats.parts > 0
+    assert searched > 20
 
 
 def _covering_edges_by_min(g, state, comp):
@@ -1008,11 +1047,29 @@ def test_hypothesis_violated_witness_past_200_vertices():
     assert out.witness is not None and check_witness(padded, out.witness)
 
 
-def test_class_checks_counts_the_s115_search():
-    out = solve(build_graph(100, [(i, (i + 1) % 100) for i in range(100)]))
-    assert out.status == "none" and out.stats.class_checks == 1
-    out = solve(build_graph(100, [(i, i + 1) for i in range(99)]))
-    assert out.status == "found" and out.stats.class_checks == 0
+def test_s115_search_runs_only_over_budget(monkeypatch):
+    # a `none` is exact without a class check, so `solve` searches for an
+    # induced S115 only to name the witness of a hypothesis-violated
+    # answer, once
+    graphs = list(_fuzz_graphs(random.Random(5)))
+    graphs += [build_graph(100, [(i, (i + 1) % 100) for i in range(100)]),
+               build_graph(100, [(i, i + 1) for i in range(99)])]
+    graphs += [build_graph(2 * k, [(i, k + j) for i in range(k)
+                                   for j in range(k)]) for k in (20, 40)]
+    searched = []
+    real = patterns.find_induced
+
+    def counted(g, kind):
+        searched.extend([g] if kind == S115 else [])
+        return real(g, kind)
+
+    monkeypatch.setattr(patterns, "find_induced", counted)
+    for g in graphs:
+        assert solve(g).status != "hypothesis-violated"
+    assert not searched
+    g = build_graph(22, HV_EDGES)
+    assert solve(g, budget=1).status == "hypothesis-violated"
+    assert searched == [g]
 
 
 def test_branch_count_is_bounded_by_degree():

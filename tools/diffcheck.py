@@ -49,6 +49,9 @@ Prints the counts per pool and request kind, then the total of each
 difference class: status, unverified certificate, accepted status,
 certificate, detail and stats-only; then how many of each accepted form,
 and for the stats-only differences how many differ in each `stats` key.
+Last, per pool, the worst `stats.subsolver_nodes / n` of SRC_B's `solve`
+answers, on the graphs SRC_B's `check-s115` calls S115-free and on the
+others.
 Exits 1 on a status difference that is not accepted or an unverified
 certificate.  Given one tree, the script is the worker: it prints that
 tree's answers, one JSON line per request.  Standard library only.
@@ -214,7 +217,7 @@ def block_graph(rng, k):
     stays while the blocks form contact cycles and cross paths of three.
     No block sends to one that sends to it: two cross edges between two
     blocks let normalization whiten the rest of both, and that cascade
-    decides the graph before any block site."""
+    decides the graph before any search."""
     edges = [(0, 1), (0, 2)] + [(2, 3 + i) for i in range(k)]
     blocks, n = [], 3 + k
     for i in range(k):
@@ -481,6 +484,21 @@ def main(src_a, src_b):
     if stats_keys:
         print("stats-only, by stats key: " + ", ".join(
             f"{k} {c}" for k, c in sorted(stats_keys.items())))
+    # B's check-s115 exits 0 on an S115-free graph
+    free = {(pool, i) for (pool, i, kind, _, _), b in zip(reqs, lines_b)
+            if kind == "check-s115" and json.loads(b)[0] == 0}
+    worst = {}
+    for (pool, i, kind, _, graph), b in zip(reqs, lines_b):
+        jb = json.loads(b)
+        if kind == "solve" and isinstance(jb[1], dict):
+            key = (pool, (pool, i) in free)
+            nodes = jb[1].get("stats", {}).get("subsolver_nodes", 0)
+            worst[key] = max(worst.get(key, 0.0), nodes / graph[0])
+    for pool in POOLS:
+        cells = [f"{worst[pool, f]:.2f}" if (pool, f) in worst else "-"
+                 for f in (True, False)]
+        print(f"{pool:14} B's worst subsolver nodes per vertex: "
+              f"{cells[0]} S115-free, {cells[1]} the rest")
     return 1 if any(totals[:2]) else 0
 
 

@@ -1,10 +1,10 @@
 """Command line front end.
 
-Graph format: first non-comment line `n m`, then m lines `u v` with
-0-based vertex ids separated by one space; `#` starts a comment line and
-blank lines are ignored.  Exit codes: 0 found / check passed / agree,
-1 no d.i.m., 2 input error, 3 hypothesis violated or disagreement,
-4 internal error (an exception escaped; its traceback goes to stderr).
+Graph format: a header line `n m`, then m lines `u v` of 0-based ids,
+separated by whitespace; lines blank or starting with `#` (after blanks)
+are skipped.  Exit codes: 0 found / check passed / agree, 1 no d.i.m.,
+2 input error, 3 hypothesis violated or disagreement, 4 internal error
+(an exception escaped; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -39,36 +39,42 @@ class RunConfig:
 
 
 def parse_graph(text: str, source: str = "<input>") -> Graph:
-    """Parse the edge-list format with line/column diagnostics."""
-    header: tuple[int, int] | None = None
-    pairs: list[tuple[int, int]] = []
+    """Parse the edge-list format; an error names the source and, for a
+    bad line, its line number.  A leading byte-order mark is dropped."""
+    text = text.removeprefix("\ufeff")
+    data = text
+    if "#" in text:                 # comment lines hold no data
+        data = "\n".join(ln for ln in text.splitlines()
+                         if not ln.lstrip().startswith("#"))
+    two_per_line = {0, 2}.issuperset(map(len, map(str.split, data.splitlines())))
+    try:
+        vals = list(map(int, data.split())) if two_per_line else []
+    except ValueError:
+        vals = []
+    if not vals or 2 * vals[1] != len(vals) - 2:
+        raise _first_bad_line(text, source)
+    try:
+        return build_graph(vals[0], zip(vals[2::2], vals[3::2]))
+    except GraphInputError as err:
+        raise GraphInputError(f"{source}: {err}") from None
+
+
+def _first_bad_line(text: str, source: str) -> GraphInputError:
+    m, k = None, -1                 # the header's edge count, pair lines
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphInputError(
-                f"{source}:{ln}: expected two integers, got {line!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            _, b = map(int, line.split())
         except ValueError:
-            raise GraphInputError(
+            return GraphInputError(
                 f"{source}:{ln}: expected two integers, got {line!r}")
-        if header is None:
-            header = (a, b)
-        else:
-            pairs.append((a, b))
-    if header is None:
-        raise GraphInputError(f"{source}: empty input")
-    n, m = header
-    if len(pairs) != m:
-        raise GraphInputError(
-            f"{source}: header announces {m} edges, found {len(pairs)}")
-    try:
-        return build_graph(n, pairs)
-    except GraphInputError as err:
-        raise GraphInputError(f"{source}: {err}")
+        m = b if m is None else m
+        k += 1
+    if m is None:
+        return GraphInputError(f"{source}: empty input")
+    return GraphInputError(f"{source}: header announces {m} edges, found {k}")
 
 
 def emit_graph(g: Graph) -> str:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from itertools import chain
+from operator import eq, lt
 
 
 class GraphInputError(ValueError):
@@ -30,7 +32,7 @@ class Graph:
                  edges: tuple[tuple[int, int], ...]):
         self.n = n
         self.adj = adj
-        self.adjset = tuple(frozenset(a) for a in adj)
+        self.adjset = tuple(map(frozenset, adj))
         self.edges = edges
         self.m = len(edges)
 
@@ -47,31 +49,53 @@ class Graph:
 def build_graph(n: int, edge_pairs) -> Graph:
     """Build a canonical Graph from a vertex count and unordered pairs.
 
-    Rejects ids out of range, self-loops, and duplicate pairs.
+    Rejects a vertex count that is not a nonnegative int, pairs that are
+    not two ints, self-loops, ids out of range and duplicates: in bulk, and
+    pair by pair only on rejected input, to name the first offending pair.
     """
+    if type(n) is not int:
+        raise GraphInputError(f"vertex count must be an integer, got {n!r}")
     if n < 0:
         raise GraphInputError(f"vertex count must be nonnegative, got {n}")
+    pairs = list(edge_pairs)
+    try:
+        us, vs = zip(*pairs) if pairs else ((), ())
+        valid = {2}.issuperset(map(len, pairs)) \
+            and {int}.issuperset(map(type, chain(us, vs))) \
+            and not any(map(eq, us, vs))
+    except (TypeError, ValueError):     # a pair is not a sequence of two
+        valid = False
+    if valid:
+        if not all(map(lt, us, vs)):
+            us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+        edges = tuple(sorted(zip(us, vs)))
+        if not any(map(eq, edges, edges[1:])) \
+                and (not edges or (edges[0][0] >= 0 and max(vs) < n)):
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for u, v in edges:          # sorted edges leave each list sorted
+                adj[u].append(v)
+                adj[v].append(u)
+            return Graph(n, tuple(map(tuple, adj)), edges)
+    raise _first_bad_pair(n, pairs)
+
+
+def _first_bad_pair(n: int, pairs) -> GraphInputError:
     seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for pair in edge_pairs:
+    for pair in pairs:
         try:
-            u, v = pair
+            u, v = pair if len(pair) == 2 else ()
         except (TypeError, ValueError):
-            raise GraphInputError(f"malformed edge pair: {pair!r}")
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise GraphInputError(f"edge endpoints must be integers: {pair!r}")
+            return GraphInputError(f"malformed edge pair: {pair!r}")
+        if not (type(u) is int and type(v) is int):
+            return GraphInputError(f"edge endpoints must be integers: {pair!r}")
         if u == v:
-            raise GraphInputError(f"self-loop rejected: ({u}, {v})")
+            return GraphInputError(f"self-loop rejected: ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphInputError(f"vertex id out of range 0..{n - 1}: ({u}, {v})")
+            return GraphInputError(f"vertex id out of range 0..{n - 1}: ({u}, {v})")
         e = edge_key(u, v)
         if e in seen:
-            raise GraphInputError(f"duplicate edge rejected: {e}")
+            return GraphInputError(f"duplicate edge rejected: {e}")
         seen.add(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    edges = tuple(sorted(seen))
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj), edges)
 
 
 def distance_levels(g: Graph, xy: tuple[int, int], alive=None,

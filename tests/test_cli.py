@@ -1,9 +1,13 @@
+import io
 import json
+import random
+import sys
 
 import pytest
 
 from dimatch import cli, solver
 from dimatch.cli import RunConfig, emit_graph, main, parse_graph, run
+from dimatch.graph import GraphInputError
 from dimatch.patterns import (make_named, cycle, K4, S115, PatternWitness,
                               check_witness)
 
@@ -19,6 +23,9 @@ def test_parse_comments_and_blanks():
     text = "# a path\n\n3 2\n0 1\n# middle\n1 2\n"
     g = parse_graph(text)
     assert g.n == 3 and g.m == 2
+    # `# c` splits into two tokens like a pair, but it is a comment
+    g = parse_graph("# c\n3 2\n  # 0 1\n0 1\n#\t2\n1 2\n# x y z\n")
+    assert g.n == 3 and g.edges == ((0, 1), (1, 2))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -28,6 +35,135 @@ def test_parse_errors_carry_line_numbers():
     assert code == 2 and "announces" in out
     code, out = run(RunConfig("solve"), text="3 1\n0 0\n")
     assert code == 2 and "self-loop" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "f: empty input"),
+    ("# only a comment\n\n  \n", "f: empty input"),
+    ("3 1\n0 x\n", "f:2: expected two integers, got '0 x'"),
+    ("3 1\n0\n", "f:2: expected two integers, got '0'"),
+    ("3 1\n0 1 2\n", "f:2: expected two integers, got '0 1 2'"),
+    ("3 1\n0 1.0\n", "f:2: expected two integers, got '0 1.0'"),
+    ("3\n", "f:1: expected two integers, got '3'"),
+    ("3 1\n0 1 # edge\n", "f:2: expected two integers, got '0 1 # edge'"),
+    ("3 1\n# c\n\t0 x \n", "f:3: expected two integers, got '0 x'"),
+    ("3 2\n0 x\n1 y z\n5\n", "f:2: expected two integers, got '0 x'"),
+    ("3 2\r\n\r\n0 1\r\n1 y\r\n", "f:4: expected two integers, got '1 y'"),
+    ("3 1\x0b0 1\x0c1 2 3", "f:3: expected two integers, got '1 2 3'"),
+    ("3 1\n\ufeff0 1\n", "f:2: expected two integers, got '\\ufeff0 1'"),
+    ("3 5\n0 x\n", "f:2: expected two integers, got '0 x'"),
+    ("3 2\n0 1\n", "f: header announces 2 edges, found 1"),
+    ("3 0\n0 1\n", "f: header announces 0 edges, found 1"),
+    ("3 -1\n", "f: header announces -1 edges, found 0"),
+    ("3 2\n0 0\n", "f: header announces 2 edges, found 1"),
+    ("-1 0\n", "f: vertex count must be nonnegative, got -1"),
+    ("3 2\n0 1\n1 1\n", "f: self-loop rejected: (1, 1)"),
+    ("3 2\n0 3\n1 1\n", "f: vertex id out of range 0..2: (0, 3)"),
+    ("3 1\n-1 0\n", "f: vertex id out of range 0..2: (-1, 0)"),
+    ("0 1\n0 1\n", "f: vertex id out of range 0..-1: (0, 1)"),
+    ("3 2\n0 1\n0 1\n", "f: duplicate edge rejected: (0, 1)"),
+    ("3 3\n2 1\n0 1\n1 2\n", "f: duplicate edge rejected: (1, 2)"),
+])
+def test_parse_rejections_name_source_line_and_cause(text, message):
+    with pytest.raises(GraphInputError) as err:
+        parse_graph(text, "f")
+    assert str(err.value) == message
+
+
+def _reference_parse(text, source):
+    """Parse line by line and add edges pair by pair: (n, adj, edges), or
+    the error message."""
+    header, pairs = None, []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            return f"{source}:{ln}: expected two integers, got {line!r}"
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            return f"{source}:{ln}: expected two integers, got {line!r}"
+        if header is None:
+            header = (a, b)
+        else:
+            pairs.append((a, b))
+    if header is None:
+        return f"{source}: empty input"
+    n, m = header
+    if len(pairs) != m:
+        return f"{source}: header announces {m} edges, found {len(pairs)}"
+    if n < 0:
+        return f"{source}: vertex count must be nonnegative, got {n}"
+    seen, adj = set(), [[] for _ in range(n)]
+    for u, v in pairs:
+        if u == v:
+            return f"{source}: self-loop rejected: ({u}, {v})"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"{source}: vertex id out of range 0..{n - 1}: ({u}, {v})"
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            return f"{source}: duplicate edge rejected: {e}"
+        seen.add(e)
+        adj[u].append(v)
+        adj[v].append(u)
+    return n, tuple(tuple(sorted(a)) for a in adj), tuple(sorted(seen))
+
+
+def _fuzz_text(rng):
+    n = rng.randint(0, 8)
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = rng.sample(pool, rng.randint(0, len(pool)))
+    rows = [[str(u), str(v)] if rng.random() < 0.5 else [str(v), str(u)]
+            for u, v in edges]
+    if edges and rng.random() < 0.1:                # duplicate or self-loop
+        u, v = rng.choice(edges)
+        rows.append(rng.choice([[str(u), str(v)], [str(v), str(u)],
+                                [str(u), str(u)]]))
+    for row in rows:
+        if rng.random() < 0.05:                     # an odd token
+            row[rng.randrange(2)] = rng.choice(
+                ["+1", "1_0", "-1", "#", "#1", "x", "1.5", "01", "", str(n)])
+        if rng.random() < 0.02:
+            row.append(rng.choice(["2", "#", "# c"]))
+    m = len(rows) + (rng.random() < 0.05) * rng.choice([-1, 1])
+    rows.insert(0, [str(n), str(m)])
+    for _ in range(rng.randint(0, 3)):              # comments and blanks
+        rows.insert(rng.randint(0, len(rows)),
+                    rng.choice([[], ["#"], ["#", "c"], ["#c", "1"], [" "]]))
+    seps = [" ", " ", " ", "\t", "  ", " \t"]
+    breaks = ["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c"]
+    return "".join(rng.choice(["", " ", "\t"]) + rng.choice(seps).join(row)
+                   + rng.choice(["", " "]) + rng.choice(breaks)
+                   for row in rows)
+
+
+def test_parse_agrees_with_a_line_by_line_reference():
+    rng = random.Random(17)
+    kinds = {"graph": 0, "error": 0}
+    for _ in range(3000):
+        text = _fuzz_text(rng)
+        want = _reference_parse(text, "f")
+        try:
+            g = parse_graph(text, "f")
+            got = g.n, g.adj, g.edges
+            assert g.adjset == tuple(map(frozenset, g.adj))
+        except GraphInputError as err:
+            got = str(err)
+        assert got == want, repr(text)
+        kinds["error" if isinstance(want, str) else "graph"] += 1
+    assert min(kinds.values()) > 500, kinds
+
+
+def test_bom_is_dropped_from_files_and_stdin(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "p3.txt"
+    path.write_text("\ufeff3 2\n0 1\n1 2\n", encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("DIM 1\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff# p3\n3 2\n0 1\n1 2\n"))
+    assert main(["check-s115"]) == 0
+    assert capsys.readouterr().out == "S115-FREE\n"
 
 
 def test_solve_p6():

@@ -30,6 +30,49 @@ def test_build_rejects_duplicates_and_range():
         build_graph(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("n, pairs, message", [
+    (-1, [], "vertex count must be nonnegative, got -1"),
+    (3.0, [(0, 1)], "vertex count must be an integer, got 3.0"),
+    (True, [], "vertex count must be an integer, got True"),
+    (3, [(0, 1, 2)], "malformed edge pair: (0, 1, 2)"),
+    (3, [(0, 1), 5], "malformed edge pair: 5"),
+    (3, [(0, 1), (x for x in (1, 2))], "malformed edge pair: <generator"),
+    (3, [(0, 1.0)], "edge endpoints must be integers: (0, 1.0)"),
+    # True == 1, so a bool id used to pass and leave `True` in the edges,
+    # which emit_graph then wrote out
+    (3, [(True, 2)], "edge endpoints must be integers: (True, 2)"),
+    (3, [(0, 1), (False, 2)], "edge endpoints must be integers: (False, 2)"),
+    (3, [(0, 1), (2, 2), (0, 3)], "self-loop rejected: (2, 2)"),
+    (3, [(0, 1), (0, 3), (2, 2)], "vertex id out of range 0..2: (0, 3)"),
+    (3, [(-1, 0)], "vertex id out of range 0..2: (-1, 0)"),
+    (3, [(2, 1), (0, 1), (1, 2)], "duplicate edge rejected: (1, 2)"),
+])
+def test_build_names_the_first_offending_pair(n, pairs, message):
+    # the bulk checks reject the input, and the pair-by-pair rescan names
+    # the first pair a check fails on
+    with pytest.raises(GraphInputError) as err:
+        build_graph(n, pairs)
+    assert str(err.value).startswith(message)
+
+
+def test_build_is_canonical_in_any_pair_order():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        keys = sorted({(u, v) for u in range(n) for v in range(u + 1, n)
+                       if rng.random() < 0.4})
+        adj = [[] for _ in range(n)]
+        for u, v in keys:
+            adj[u].append(v)
+            adj[v].append(u)
+        pairs = [(u, v) if rng.random() < 0.5 else [v, u] for u, v in keys]
+        rng.shuffle(pairs)
+        g = build_graph(n, iter(pairs))
+        assert g.n == n and g.edges == tuple(keys) and g.m == len(keys)
+        assert g.adj == tuple(tuple(sorted(a)) for a in adj)
+        assert g.adjset == tuple(frozenset(a) for a in adj)
+
+
 def test_distance_levels_p6():
     g = make_named(path(6))
     assert distance_levels(g, (1, 2)) == [(1, 2), (0, 3), (4,), (5,)]

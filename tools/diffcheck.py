@@ -27,12 +27,19 @@ its directory and answers the same seeded requests through
   where preprocessing does most of the work (half of the block trees,
   block graphs and pattern unions relabeled);
 * `solve_with_xy` (`solve --xy`) on every edge of a prefix of each pool;
+* `malformed`: `solve` on a seeded corruption of the text of each graph of
+  a prefix of each pool: a dropped or extra token, a non-integer token,
+  an id out of range or negative, a self-loop, a reversed duplicate, a
+  header edge count off by one, a comment (on its own line, or trailing
+  a pair line, which is rejected), blank lines, or CRLF line ends (no
+  byte-order mark, which trees before the bulk parse reject);
 * `generate` (`random_s115_free`) for a fixed list of seeded sizes and
   edge probabilities, n = 10-40 and p = 0.1-0.3.
 
 `stats.case_seconds` (wall-clock timings) is dropped from each answer.
-`check-s115` and `generate` answers must match exactly, so `check-s115`
-must name the same witness.  `solve` answers must agree in exit code and
+`check-s115`, `generate` and `malformed` answers must match exactly, so
+`check-s115` must name the same witness and a rejected text must get the
+same error message.  `solve` answers must agree in exit code and
 `result`; where their certificates differ, both must pass SRC_A's
 `verify_dim` (and contain the requested xy).  On a graph where SRC_A's
 `check-s115` finds a witness, three status differences are accepted, as
@@ -45,8 +52,9 @@ SRC_B may decide what SRC_A could not:
 * `solve --xy` none in A, found in B, with a certificate that verifies
   and contains xy.
 
-Prints the counts per pool and request kind, then the total of each
-difference class: status, unverified certificate, accepted status,
+Prints the counts per pool and request kind (with the witnesses
+`check-s115` names and the texts `malformed` rejects), then the total of
+each difference class: status, unverified certificate, accepted status,
 certificate, detail and stats-only; then how many of each accepted form,
 and for the stats-only differences how many differ in each `stats` key.
 Last, per pool, the worst `stats.subsolver_nodes / n` of SRC_B's `solve`
@@ -71,6 +79,9 @@ POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "sparse-planted": (200, 5), "block-trees": (60, 5),
          "block-graphs": (60, 5), "pattern-unions": (200, 5)}
 GENERATE = 200                  # generate requests
+MALFORMED = 20                  # corrupted texts per pool
+CORRUPTIONS = ("drop", "extra", "word", "range", "negative", "loop",
+               "duplicate", "header", "comment", "blank", "crlf")
 
 
 def _graph(rng, pool):
@@ -314,15 +325,61 @@ def _dense(rng):
     return n, edges
 
 
+def _text(graph):
+    """The graph in dimatch's edge-list format."""
+    n, edges = graph
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def _corrupt(rng, graph):
+    """The graph's text with one seeded corruption (see CORRUPTIONS)."""
+    n, edges = graph
+    lines = _text(graph).splitlines()
+    form = rng.choice(CORRUPTIONS)
+    i = rng.randrange(1, len(lines)) if edges else 0    # the line to corrupt
+    u, v = edges[i - 1] if edges else (0, 1)
+    if form == "drop":
+        lines[i] = lines[i].split()[rng.randrange(2)]
+    elif form == "extra":
+        lines[i] += f" {rng.randrange(max(n, 1))}"
+    elif form == "word":
+        word = rng.choice(["x", "1.5", "0x1", "--1", "1e2", "#"])
+        lines[i] = rng.choice([f"{u} {word}", f"{word} {v}"])
+    elif form == "range":
+        lines[i] = f"{u} {n + rng.randrange(3)}"
+    elif form == "negative":
+        lines[i] = f"{-rng.randint(1, 3)} {v}"
+    elif form == "loop":
+        lines[i] = f"{u} {u}"
+    elif form == "duplicate":
+        lines.insert(rng.randint(1, len(lines)), f"{v} {u}")
+        lines[0] = f"{n} {len(edges) + 1}"
+    elif form == "header":
+        lines[0] = f"{n} {len(edges) + rng.choice((-1, 1))}"
+    elif form == "comment" and rng.random() < 0.3:
+        lines[i] += " # trailing"
+    elif form in ("comment", "blank"):
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(
+                ["# c", "#", "  # 1 2", "#0 1"] if form == "comment"
+                else ["", "  ", "\t"]))
+    return ("\r\n" if form == "crlf" else "\n").join(lines) + "\n"
+
+
 def _requests():
     """Yield (pool, graph index, request kind, RunConfig fields, graph)
-    in a fixed order; the graph is (n, edges), or None for `generate`."""
+    in a fixed order; the graph is (n, edges), the text of a `malformed`
+    request, or None for `generate`."""
     for pool, (count, prefix) in POOLS.items():
         rng = random.Random(f"{SEED}:{pool}")
+        bad = random.Random(f"{SEED}:{pool}:malformed")
         for i in range(count):
             graph = _graph(rng, pool)
             yield pool, i, "solve", {"mode": "solve"}, graph
             yield pool, i, "check-s115", {"mode": "check-s115"}, graph
+            if i < MALFORMED:
+                yield (pool, i, "malformed", {"mode": "solve"},
+                       _corrupt(bad, graph))
             if i < prefix:
                 for e in sorted((min(e), max(e)) for e in graph[1]):
                     yield (pool, i, "solve_with_xy",
@@ -341,14 +398,10 @@ def worker(src):
     if not os.path.abspath(cli.__file__).startswith(os.path.abspath(src)):
         sys.exit(f"imported dimatch from {cli.__file__}, not {src}")
     for _, _, kind, fields, graph in _requests():
-        text = None
-        if graph is not None:
-            n, edges = graph
-            text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n"
-                                                   for u, v in edges)
+        text = _text(graph) if isinstance(graph, tuple) else graph
         try:
             code, out = cli.run(cli.RunConfig(fmt="json", **fields), text)
-            if kind == "generate":      # edge lists, not JSON
+            if kind in ("generate", "malformed"):   # not always JSON
                 obj = out
             else:
                 obj = json.loads(out)
@@ -368,8 +421,8 @@ def _classify(kind, a, b):
     """The class of a difference between two answers [code, obj] to one
     request.  `solve` answers with the same exit code and `result` may
     differ in `edges` (checked by the caller), `detail` and `stats`;
-    every other difference, and any in `check-s115` or `generate`, is a
-    status difference."""
+    every other difference, and any in `check-s115`, `generate` or
+    `malformed`, is a status difference."""
     if kind not in ("solve", "solve_with_xy") or a[0] != b[0] \
             or not all(isinstance(x[1], dict) for x in (a, b)):
         return "status"
@@ -437,16 +490,17 @@ def main(src_a, src_b):
     # the graphs on which A's check-s115 names a witness
     witnessed = {(pool, i) for (pool, i, kind, _, _), a in zip(reqs, lines_a)
                  if kind == "check-s115" and json.loads(a)[0] == 3}
-    # per (pool, kind): runs, graphs, witnesses, then one count per
-    # difference class
+    # per (pool, kind): runs, graphs, witnesses or rejected texts, then one
+    # count per difference class
     counts, shown, stats_keys, forms = {}, 0, {}, {}
     for (pool, i, kind, fields, graph), a, b in zip(reqs, lines_a, lines_b):
         row = counts.setdefault((pool, kind),
                                 [0, set(), 0] + [0] * len(CLASSES))
         row[0] += 1
         row[1].add(i)
-        # check-s115 exits 3 on a witness
-        row[2] += kind == "check-s115" and json.loads(a)[0] == 3
+        # check-s115 exits 3 on a witness, and solve 2 on an input error
+        row[2] += json.loads(a)[0] == {"check-s115": 3,
+                                       "malformed": 2}.get(kind)
         if a == b:
             continue
         ja, jb = json.loads(a), json.loads(b)
@@ -468,10 +522,11 @@ def main(src_a, src_b):
         row[3 + CLASSES.index(cls)] += 1
         if CLASSES.index(cls) < 2 and shown < 5:
             shown += 1
-            print(f"DIFF ({cls}) {pool} #{i} {fields}\n"
+            print(f"DIFF ({cls}) {pool} #{i} {kind} {fields}\n"
                   f"  A: {a.strip()}\n  B: {b.strip()}")
     for (pool, kind), (runs, graphs, witnesses, *diffs) in counts.items():
-        extra = f" ({witnesses} witnesses)" if kind == "check-s115" else ""
+        extra = {"check-s115": f" ({witnesses} witnesses)",
+                 "malformed": f" ({witnesses} rejected)"}.get(kind, "")
         print(f"{pool:14} {kind:14} {runs:7} runs on {len(graphs):5} "
               f"graphs, {sum(diffs)} differ{extra}")
     totals = [sum(row[3 + j] for row in counts.values())

@@ -8,14 +8,13 @@ verifier back it for differential validation on arbitrary graphs.
 """
 
 from .graph import (Graph, GraphInputError, DimCertificate, build_graph,
-                    connected_components, distance_levels, edge_key,
-                    verify_dim, verify_dim_report)
+                    connected_components, edge_key, verify_dim,
+                    verify_dim_report)
 from .patterns import (PatternKind, PatternWitness, K4, DIAMOND, BUTTERFLY,
                        CLAW, S115, spider, path, cycle, make_named,
                        find_induced, check_witness, random_s115_free)
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
                        propagate, edge_reduction, preprocess)
-from .levels import LevelDecomposition, decompose, normalize
 from .oracle import (OracleReport, BudgetExceeded, brute_force_dim,
                      enumerate_dims, dims_by_subset_filter)
 from .solver import (SolveOutcome, SolveStats, HypothesisViolation,

@@ -2,9 +2,9 @@
 
 Black vertices are matched (each has exactly one black neighbor, its
 mate, in a complete coloring), white vertices are unmatched and form an
-independent set.  An excluded edge may not join two blacks.  Reductions
-remove decided vertices from the working graph while keeping ids stable;
-removed vertices keep their colors for certificate extraction.
+independent set.  Reductions remove decided vertices from the working
+graph while keeping ids stable; removed vertices keep their colors for
+certificate extraction.
 """
 
 from __future__ import annotations
@@ -24,15 +24,14 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")   # removed -> live
 class ColoringState:
     """Mutable per-branch coloring over a shared immutable graph."""
 
-    __slots__ = ("n", "color", "mate", "removed", "excluded",
-                 "contradiction", "fresh_whites", "pending")
+    __slots__ = ("n", "color", "mate", "removed", "contradiction",
+                 "fresh_whites", "pending")
 
     def __init__(self, n: int):
         self.n = n
         self.color = bytearray(n)
         self.mate = [-1] * n
         self.removed = bytearray(n)
-        self.excluded: set[int] = set()
         self.contradiction: str | None = None
         self.fresh_whites: list[int] = []
         self.pending: list[int] = []      # touched since the last propagate
@@ -43,7 +42,6 @@ class ColoringState:
         s.color = bytearray(self.color)
         s.mate = list(self.mate)
         s.removed = bytearray(self.removed)
-        s.excluded = set(self.excluded)
         s.contradiction = self.contradiction
         s.fresh_whites = list(self.fresh_whites)
         s.pending = list(self.pending)
@@ -54,15 +52,6 @@ class ColoringState:
     def live_mask(self) -> bytearray:
         """1 for every vertex still in the working graph, 0 otherwise."""
         return self.removed.translate(_FLIP)
-
-    def is_excluded(self, u: int, v: int) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        return a * self.n + b in self.excluded
-
-    def exclude(self, u: int, v: int) -> None:
-        a, b = (u, v) if u < v else (v, u)
-        self.excluded.add(a * self.n + b)
-        self.pending += (u, v)
 
     def mate_pairs(self) -> list[tuple[int, int]]:
         """All matched pairs recorded so far, live or removed."""
@@ -114,19 +103,16 @@ def propagate(g: Graph, state: ColoringState) -> None:
       (b) two adjacent blacks are mates and all their other neighbors
           are white;
       (c) an unmated black with a single remaining mate candidate forces
-          that candidate black;
-      (d) an excluded edge with a black endpoint has a white endpoint.
+          that candidate black.
 
     Contradictions: adjacent whites, a black with two black neighbors, a
-    black with no remaining mate candidate, an excluded edge joining two
-    blacks.
+    black with no remaining mate candidate.
 
     Work comes from `state.pending`: `assign` appends the vertex it
-    colors, `ColoringState.exclude` both endpoints, and the removal in
-    `edge_reduction` the removed vertices.  This call drains the list:
-    it queues each colored pending vertex and the live black neighbors
-    of every pending vertex (rules (b) and (c) fire there).  Colors
-    forced here feed the queue directly.
+    colors, and the removal in `edge_reduction` the removed vertices.
+    This call drains the list: it queues each colored pending vertex and
+    the live black neighbors of every pending vertex (rules (b) and (c)
+    fire there).  Colors forced here feed the queue directly.
 
     Removing a white needs no further call: no rule reads a white as a
     black neighbor or a mate candidate (see `settle`).
@@ -134,9 +120,9 @@ def propagate(g: Graph, state: ColoringState) -> None:
     pending, state.pending = state.pending, []
     if state.contradiction is not None:
         return
-    adj, n = g.adj, state.n
+    adj = g.adj
     color, removed, mate = state.color, state.removed, state.mate
-    excluded, fresh_whites = state.excluded, state.fresh_whites
+    fresh_whites = state.fresh_whites
     queue: deque[int] = deque()
     inq = bytearray(g.n)
 
@@ -192,9 +178,6 @@ def propagate(g: Graph, state: ColoringState) -> None:
                     black_nbr = w
             if black_nbr >= 0:
                 w = black_nbr
-                if (v * n + w if v < w else w * n + v) in excluded:
-                    state.fail(f"excluded edge ({v}, {w}) joins two blacks")
-                    return
                 if not _set_mate(state, v, w):
                     return
                 for (a, b) in ((v, w), (w, v)):
@@ -219,9 +202,6 @@ def propagate(g: Graph, state: ColoringState) -> None:
                 for w in adj[v]:
                     if removed[w] or color[w] != UNKNOWN:
                         continue
-                    if (v * n + w if v < w else w * n + v) in excluded:
-                        set_color(w, WHITE)
-                        continue
                     if cand >= 0:
                         many = True
                     else:
@@ -241,9 +221,6 @@ def edge_reduction(g: Graph, state: ColoringState, u: int, v: int) -> None:
         return
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
-    if state.is_excluded(u, v):
-        state.fail(f"cannot force excluded edge ({u}, {v})")
-        return
     assign(state, u, BLACK)
     assign(state, v, BLACK)
     if state.contradiction is not None:

@@ -52,6 +52,7 @@ def build_graph(n: int, edge_pairs) -> Graph:
     Rejects a vertex count that is not a nonnegative int, pairs that are
     not two ints, self-loops, ids out of range and duplicates: in bulk, and
     pair by pair only on rejected input, to name the first offending pair.
+    A vertex count whose adjacency does not fit in memory is rejected too.
     """
     if type(n) is not int:
         raise GraphInputError(f"vertex count must be an integer, got {n!r}")
@@ -71,11 +72,15 @@ def build_graph(n: int, edge_pairs) -> Graph:
         edges = tuple(sorted(zip(us, vs)))
         if not any(map(eq, edges, edges[1:])) \
                 and (not edges or (edges[0][0] >= 0 and max(vs) < n)):
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for u, v in edges:          # sorted edges leave each list sorted
-                adj[u].append(v)
-                adj[v].append(u)
-            return Graph(n, tuple(map(tuple, adj)), edges)
+            try:
+                adj: list[list[int]] = [[] for _ in range(n)]
+                for u, v in edges:      # sorted edges leave each list sorted
+                    adj[u].append(v)
+                    adj[v].append(u)
+                return Graph(n, tuple(map(tuple, adj)), edges)
+            except MemoryError:
+                raise GraphInputError(f"vertex count {n} is too large: no "
+                                      "memory for its adjacency") from None
     raise _first_bad_pair(n, pairs)
 
 
@@ -96,38 +101,6 @@ def _first_bad_pair(n: int, pairs) -> GraphInputError:
         if e in seen:
             return GraphInputError(f"duplicate edge rejected: {e}")
         seen.add(e)
-
-
-def distance_levels(g: Graph, xy: tuple[int, int], alive=None,
-                    limit: int | None = None) -> list[tuple[int, ...]]:
-    """BFS distance levels of an edge: level 0 is {x, y}, level i the
-    vertices at distance i from the edge.  Only the reachable set appears.
-
-    `alive` optionally restricts the graph to a subset of vertices, and
-    `limit` stops the search after that level.
-    """
-    x, y = xy
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge of the graph")
-    if alive is not None and not (alive[x] and alive[y]):
-        raise ValueError(f"({x}, {y}) is not in the working graph")
-    dist = [-1] * g.n
-    dist[x] = dist[y] = 0
-    q = deque((x, y))
-    levels: list[list[int]] = [[x, y] if x < y else [y, x]]
-    while q:
-        v = q.popleft()
-        d = dist[v] + 1
-        if limit is not None and d > limit:
-            break
-        for w in g.adj[v]:
-            if dist[w] < 0 and (alive is None or alive[w]):
-                dist[w] = d
-                if d == len(levels):
-                    levels.append([])
-                levels[d].append(w)
-                q.append(w)
-    return [tuple(sorted(lv)) for lv in levels]
 
 
 def connected_components(g: Graph, alive=None) -> list[tuple[int, ...]]:

@@ -4,11 +4,10 @@ Per component: global pattern reductions, then one branch per covering
 edge.  For a live vertex v of least live degree and its live neighbor w
 of least live degree, the edge vw must be dominated, so every solution
 matches an edge at v or at w: at most deg(v) + deg(w) - 1 branches.
-Each xy branch assumes xy matched, propagates, builds the distance
-levels up to the fourth and normalizes them.  Each of those steps only
-forces what every d.i.m. through xy holds, on every graph.  The branch
-then splits the undecided vertices into connected parts and completes
-each with the exact fail-first subsolver, so a branch's None, and the
+Each xy branch assumes xy matched and settles: propagation only forces
+what every d.i.m. through xy holds, on every graph.  The branch then
+splits the undecided vertices into connected parts and completes each
+with the exact fail-first subsolver, so a branch's None, and the
 covering edges' `none`, are exact on every graph.  The subsolver's nodes
 over one call share a budget; running over it answers
 `hypothesis-violated`, and only then is the graph searched for an
@@ -23,8 +22,7 @@ from dataclasses import dataclass, field
 from .graph import (Graph, DimCertificate, connected_components, edge_key,
                     verify_dim, verify_dim_report)
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
-                       preprocess, propagate, settle)
-from .levels import decompose, normalize
+                       preprocess, settle)
 from . import patterns
 
 FOUND, NONE, HYPOTHESIS_VIOLATED = "found", "none", "hypothesis-violated"
@@ -84,9 +82,9 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
                           budget: int | None = None) -> ColoringState | None:
     """Exact completion search, fail first: settle, then branch on the
     mate of the live unmated black with the fewest candidates (live
-    unknown neighbors over non-excluded edges), one child per candidate
-    in id order.  Its mate must be one of them, so the children are
-    exhaustive, and mating one whitens the others, so they are disjoint.
+    unknown neighbors), one child per candidate in id order.  Its mate
+    must be one of them, so the children are exhaustive, and mating one
+    whitens the others, so they are disjoint.
     With no unmated black left, the first unknown vertex is branched,
     white first; with no unknown either, the state is complete.  Correct
     on every graph; exponential in the worst case, hence the budget.
@@ -122,8 +120,8 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
                 if first_unknown < 0:
                     first_unknown = v
             elif c == BLACK and mate[v] < 0:
-                options = [w for w in adj[v] if not removed[w] and
-                           color[w] == UNKNOWN and not st.is_excluded(v, w)]
+                options = [w for w in adj[v]
+                           if not removed[w] and color[w] == UNKNOWN]
                 if cands is None or len(options) < len(cands):
                     cands = options
                     if len(options) <= 2:   # settle leaves no fewer than two
@@ -180,18 +178,14 @@ def _solve_with_xy_internal(g: Graph, base: ColoringState, comp,
                             budget: int | None = None
                             ) -> set[tuple[int, int]] | None:
     """The pairs of `comp` in a d.i.m. that matches xy, or None when no
-    d.i.m. does.  Propagation, the level exclusions and the normalization
-    rules only force what every such d.i.m. holds, and the exact search
-    completes each undecided part, so None is exact on every graph."""
+    d.i.m. does.  Propagation only forces what every such d.i.m. holds,
+    and the exact search completes each undecided part, so None is exact
+    on every graph."""
     x, y = xy
     state = base.clone()
     assign(state, x, BLACK)
     assign(state, y, BLACK)
-    propagate(g, state)
-    if state.contradiction is not None:
-        return None
-    decomp = decompose(g, state, xy)
-    if decomp is None or not normalize(g, state, decomp):
+    if not settle(g, state):
         return None
     for part in _undecided_parts(g, state, comp):
         stats.parts += 1

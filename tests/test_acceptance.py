@@ -16,7 +16,6 @@ import pytest
 from dimatch import (brute_force_dim, build_graph, enumerate_dims,
                      random_s115_free, solve, verify_dim)
 from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
-from dimatch.levels import decompose, normalize
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
                               make_named, path)
 from dimatch.solver import NODES_PER_VERTEX, constrained_subsolver
@@ -206,10 +205,6 @@ def test_criterion_4_propagation_soundness():
             assign(st, y, BLACK)
             propagate(g, st)
             holding = [d for d in dims if xy in d.edges]
-            if st.contradiction is None:
-                d = decompose(g, st, xy)
-                if d is not None:
-                    normalize(g, st, d)
             if st.contradiction is not None:
                 violations += sum(1 for _ in holding)
                 continue

@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -360,3 +363,21 @@ def test_internal_error_exits_4(monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" in captured.err and "RecursionError" in captured.err
+
+
+def test_huge_vertex_count_is_an_input_error(tmp_path):
+    # under a 400 MB address-space limit the adjacency of 10^8 vertices
+    # cannot be allocated: exit 2 naming the count, not an internal error
+    resource = pytest.importorskip("resource")
+    limit = 400 * 2 ** 20
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000 0\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimatch", "solve", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert "vertex count 100000000" in proc.stdout

@@ -73,29 +73,6 @@ def test_adjacent_blacks_mate_and_whiten():
     assert st.color[2] == WHITE and st.contradiction is None
 
 
-def test_excluded_edge_rule():
-    # path a-b-c-d, edge bc excluded, b black: c goes white, then d black
-    # and the final black has no mate left, a documented contradiction
-    g = make_named(path(4))
-    st = ColoringState(4)
-    st.exclude(1, 2)
-    assign(st, 1, BLACK)
-    propagate(g, st)
-    assert st.color[2] == WHITE
-    assert st.color[3] == BLACK
-    assert st.contradiction is not None
-
-
-def test_all_excluded_c4_is_infeasible():
-    g = make_named(cycle(4))
-    st = ColoringState(4)
-    for (u, v) in g.edges:
-        st.exclude(u, v)
-    assign(st, 0, BLACK)
-    propagate(g, st)
-    assert st.contradiction is not None
-
-
 def test_fixpoint_is_order_independent():
     rng = random.Random(23)
     for _ in range(80):
@@ -242,9 +219,8 @@ def test_resumable_scans_match_the_restart_loop():
     reduced = 0
     for g in graphs:
         got, want = preprocess(g), _restart_preprocess(g)
-        assert (got.color, got.mate, got.removed, got.excluded,
-                got.contradiction) == (want.color, want.mate, want.removed,
-                                       want.excluded, want.contradiction)
+        assert (got.color, got.mate, got.removed, got.contradiction) == \
+            (want.color, want.mate, want.removed, want.contradiction)
         reduced += bool(want.mate_pairs())
     assert reduced > 400
 
@@ -343,7 +319,7 @@ def test_worklist_reaches_the_full_fixpoint():
             if step < 0.5 or not live_edges:
                 assign(st, rng.choice(live), rng.choice((BLACK, WHITE)))
             elif step < 0.8:
-                st.exclude(*rng.choice(live_edges))
+                settle(g, st)           # removes the whites colored so far
             else:
                 edge_reduction(g, st, *rng.choice(live_edges))
             if rng.random() < 0.5:
@@ -376,7 +352,7 @@ def _sweep_settle(g, st):
 
 def _fields(st):
     return (bytes(st.color), tuple(st.mate), bytes(st.removed),
-            frozenset(st.excluded), st.contradiction,
+            st.contradiction,
             tuple(st.fresh_whites), tuple(st.pending))
 
 
@@ -400,20 +376,15 @@ def test_settle_matches_the_per_white_sweep():
             live_edges = [(u, v) for (u, v) in g.edges
                           if not st.removed[u] and not st.removed[v]]
             planted = dims and rng.random() < 0.9
-            step = rng.random()
-            if step < 0.4 or not live_edges:
+            if rng.random() < 0.6 or not live_edges:
                 v = rng.choice(live)
                 c = BLACK if v in black else WHITE
                 assign(st, v, c if planted else rng.choice((BLACK, WHITE)))
             else:
-                # a planted exclusion avoids the d.i.m., a planted
-                # reduction takes one of its edges
-                keep = [e for e in live_edges if (e in dim) == (step >= 0.7)]
-                e = rng.choice(keep if planted and keep else live_edges)
-                if step < 0.7:
-                    st.exclude(*e)
-                else:
-                    edge_reduction(g, st, *e)
+                # a planted reduction takes one of the d.i.m.'s edges
+                keep = [e for e in live_edges if e in dim]
+                edge_reduction(g, st, *rng.choice(keep if planted and keep
+                                                  else live_edges))
             if rng.random() < 0.3:
                 settle(g, st)
             if st.contradiction is not None or all(st.removed):

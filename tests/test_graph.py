@@ -3,8 +3,7 @@ import random
 import pytest
 
 from dimatch import (DimCertificate, GraphInputError, build_graph,
-                     connected_components, distance_levels, verify_dim,
-                     verify_dim_report)
+                     connected_components, verify_dim, verify_dim_report)
 from dimatch.patterns import make_named, path, cycle, BUTTERFLY
 
 
@@ -71,44 +70,6 @@ def test_build_is_canonical_in_any_pair_order():
         assert g.n == n and g.edges == tuple(keys) and g.m == len(keys)
         assert g.adj == tuple(tuple(sorted(a)) for a in adj)
         assert g.adjset == tuple(frozenset(a) for a in adj)
-
-
-def test_distance_levels_p6():
-    g = make_named(path(6))
-    assert distance_levels(g, (1, 2)) == [(1, 2), (0, 3), (4,), (5,)]
-
-
-def test_distance_levels_p2():
-    g = build_graph(2, [(0, 1)])
-    assert distance_levels(g, (0, 1)) == [(0, 1)]
-
-
-def test_distance_levels_c6():
-    g = make_named(cycle(6))
-    lv = distance_levels(g, (0, 1))
-    assert lv == [(0, 1), (2, 5), (3, 4)]
-
-
-def test_distance_levels_requires_edge():
-    g = make_named(path(3))
-    with pytest.raises(ValueError):
-        distance_levels(g, (0, 2))
-
-
-def test_levels_invariants_random():
-    rng = random.Random(5)
-    for _ in range(120):
-        n = rng.randint(2, 9)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < 0.4]
-        g = build_graph(n, pairs)
-        for xy in g.edges[:4]:
-            lv = distance_levels(g, xy)
-            flat = [v for level in lv for v in level]
-            assert len(flat) == len(set(flat))
-            for i in range(1, len(lv)):
-                for v in lv[i]:
-                    assert any(w in g.adjset[v] for w in lv[i - 1])
 
 
 def test_verify_dim_p3():

@@ -1,128 +1,85 @@
+"""The xy branch on the distance-level shapes of the paper.
+
+The level normalization these tests were first written for is gone: a
+branch assigns x and y black, settles, and completes each undecided part
+with the exact subsolver.  Each test keeps its shape and checks that the
+branch forces, or rules out, what the level rules did.
+"""
+
 import random
 
-from dimatch import build_graph, distance_levels, enumerate_dims
-from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
-from dimatch.levels import decompose, normalize
-from dimatch.solver import _undecided_parts
-from dimatch.patterns import cycle, make_named, path
+from dimatch import build_graph, enumerate_dims
+from dimatch.coloring import BLACK, WHITE, assign, preprocess, settle
+from dimatch.solver import (SolveStats, _solve_with_xy_internal,
+                            _undecided_parts)
+from dimatch.patterns import make_named, path
 
 
-def _start(g, xy):
+def _settled(g, xy):
+    """The preprocessed state with x and y black, settled, or None on a
+    contradiction."""
     st = preprocess(g)
     assert st.contradiction is None
-    x, y = xy
-    assign(st, x, BLACK)
-    assign(st, y, BLACK)
-    propagate(g, st)
-    assert st.contradiction is None
-    return st
+    assign(st, xy[0], BLACK)
+    assign(st, xy[1], BLACK)
+    return st if settle(g, st) else None
 
 
-def test_decompose_p6_middle():
-    g = make_named(path(6))
-    st = _start(g, (1, 2))
-    d = decompose(g, st, (1, 2))
-    assert d.levels == [(1, 2), (0, 3), (4,), (5,)]
-    assert d.s2(st) == [4]
-    assert d.blocks(st).members == {4: [5]}
-    assert d.m2_pairs(st) == []
-
-
-def test_decompose_places_nothing_past_the_fourth_level():
-    # no caller reads deeper levels; distance_levels without a limit still
-    # returns every level
-    g = make_named(path(40))
-    st = _start(g, (19, 20))
-    d = decompose(g, st, (19, 20))
-    assert len(d.levels) == 5 and d.level(4) == (15, 24) and d.level(5) == ()
-    placed = {v for lv in d.levels for v in lv}
-    assert placed == set(range(15, 25))
-    assert all(d.level_of[v] == -1 for v in range(40) if v not in placed)
-    full = distance_levels(g, (19, 20))
-    assert len(full) == 20 and full[19] == (0, 39)
-    assert full[:5] == d.levels == distance_levels(g, (19, 20), limit=4)
-
-
-def test_decompose_p5_end():
-    g = make_named(path(5))
-    st = _start(g, (0, 1))
-    d = decompose(g, st, (0, 1))
-    assert d.levels == [(0, 1), (2,), (3,), (4,)]
-    assert d.blocks(st).members == {3: [4]}
-
-
-def test_decompose_c6():
-    g = make_named(cycle(6))
-    st = _start(g, (0, 1))
-    d = decompose(g, st, (0, 1))
-    assert d.levels == [(0, 1), (2, 5), (3, 4)]
-    assert d.m2_pairs(st) == [(3, 4)] and d.s2(st) == []
-
-
-def test_decompose_installs_exclusions():
-    # P7 from the middle: third level {5}, fourth {6}
-    g = make_named(path(7))
-    st = _start(g, (1, 2))
-    d = decompose(g, st, (1, 2))
-    assert st.is_excluded(5, 6)
+def _branch(g, xy):
+    """The pairs of a d.i.m. through xy found by the solver's branch on
+    xy, or None when it finds that no d.i.m. matches xy."""
+    return _solve_with_xy_internal(g, preprocess(g), range(g.n), xy,
+                                   SolveStats())
 
 
 def test_normalize_p6_forces_everything():
     g = make_named(path(6))
-    st = _start(g, (1, 2))
-    d = decompose(g, st, (1, 2))
-    assert normalize(g, st, d)
-    assert st.contradiction is None
+    st = _settled(g, (1, 2))
+    assert st is not None
     assert not _undecided_parts(g, st, range(g.n))
     assert st.mate_pairs() == [(1, 2), (4, 5)]
 
 
 def test_normalize_p5_forces_everything():
     g = make_named(path(5))
-    st = _start(g, (0, 1))
-    d = decompose(g, st, (0, 1))
-    assert normalize(g, st, d)
+    st = _settled(g, (0, 1))
+    assert st is not None
+    assert not _undecided_parts(g, st, range(g.n))
     assert st.mate_pairs() == [(0, 1), (3, 4)]
 
 
 def test_normalize_fails_on_empty_block():
     # P6 with xy in the middle position (2, 3): the second level is a
-    # pair of leaves with no third-level mates; the failure may surface
-    # as early as the first propagation
-    g = make_named(path(6))
-    st = preprocess(g)
-    assign(st, 2, BLACK)
-    assign(st, 3, BLACK)
-    propagate(g, st)
-    if st.contradiction is None:
-        d = decompose(g, st, (2, 3))
-        assert d is None or not normalize(g, st, d)
+    # pair of leaves with no third-level mates
+    assert _settled(make_named(path(6)), (2, 3)) is None
+
+
+def _two_blocks(cross):
+    # xy = (0, 1), 2 on x, owners 3 and 4 with blocks {5, 6, 7} and
+    # {8, 9, 10}, joined by the given cross edges
+    edges = [(0, 1), (0, 2), (2, 3), (2, 4)]
+    edges += [(3, 5), (3, 6), (3, 7), (4, 8), (4, 9), (4, 10)]
+    return build_graph(11, edges + cross)
 
 
 def test_normalize_three_cross_edges_fail():
-    # two blocks of three joined by a perfect matching of three edges
-    edges = [(0, 1), (0, 2), (2, 3), (2, 4)]
-    edges += [(3, 5), (3, 6), (3, 7), (4, 8), (4, 9), (4, 10)]
-    edges += [(5, 8), (6, 9), (7, 10)]
-    g = build_graph(11, edges)
-    st = _start(g, (0, 1))
-    d = decompose(g, st, (0, 1))
-    assert d is not None
-    assert not normalize(g, st, d)
+    # two blocks of three joined by a perfect matching of three edges:
+    # the two mates cover at most two of them
+    g = _two_blocks([(5, 8), (6, 9), (7, 10)])
+    assert _settled(g, (0, 1)) is not None
+    assert _branch(g, (0, 1)) is None
 
 
 def test_normalize_two_cross_edges_whiten_rest():
-    edges = [(0, 1), (0, 2), (2, 3), (2, 4)]
-    edges += [(3, 5), (3, 6), (3, 7), (4, 8), (4, 9), (4, 10)]
-    edges += [(5, 8), (6, 9)]
-    g = build_graph(11, edges)
-    st = _start(g, (0, 1))
-    d = decompose(g, st, (0, 1))
-    assert normalize(g, st, d)
-    # 7 and 10 sit off the two cross edges, so they turned white and the
-    # sweep removed them
-    assert st.removed[7] and st.removed[10]
-    assert st.color[7] == WHITE and st.color[10] == WHITE
+    # 7 and 10 sit off the two cross edges, so they are white in every
+    # d.i.m. through xy, and in the one the branch finds
+    g = _two_blocks([(5, 8), (6, 9)])
+    dims = [d.edges for d in enumerate_dims(g) if (0, 1) in d.edges]
+    pairs = _branch(g, (0, 1))
+    assert dims and pairs is not None and frozenset(pairs) in dims
+    for d in dims:
+        matched = {v for e in d for v in e}
+        assert 7 not in matched and 10 not in matched
 
 
 def test_normalize_bipartite_check():
@@ -131,15 +88,12 @@ def test_normalize_bipartite_check():
     edges += [(3, 6), (3, 7), (4, 8), (4, 9), (5, 10), (5, 11)]
     edges += [(6, 8), (8, 10), (10, 6)]
     g = build_graph(12, edges)
-    st = _start(g, (0, 1))
-    d = decompose(g, st, (0, 1))
-    if d is not None:
-        assert not normalize(g, st, d)
+    assert _branch(g, (0, 1)) is None
 
 
 def test_forced_colors_agree_with_all_solutions():
-    # every color fixed by decompose + normalize + propagation must hold
-    # in every solution that contains xy
+    # every color the branch's settle fixes must hold in every solution
+    # that contains xy, and a contradiction means there is none
     rng = random.Random(41)
     graphs = 0
     branches = 0
@@ -161,22 +115,11 @@ def test_forced_colors_agree_with_all_solutions():
             st = st0.clone()
             assign(st, x, BLACK)
             assign(st, y, BLACK)
-            propagate(g, st)
             holding = [d for d in dims if xy in d.edges]
-            if st.contradiction is not None:
-                assert not holding
-                continue
-            d = decompose(g, st, xy)
-            if d is None or not normalize(g, st, d):
+            if not settle(g, st):
                 assert not holding
                 continue
             branches += 1
-            # every live third-level vertex keeps exactly one live
-            # second-level neighbor once normalization is done
-            for t in d.live_level(st, 3):
-                owners = [w for w in g.adj[t]
-                          if d.level_of[w] == 2 and not st.removed[w]]
-                assert len(owners) == 1
             for dim in holding:
                 matched = {v for e in dim.edges for v in e}
                 for v in range(n):

@@ -37,16 +37,18 @@ its directory and answers the same seeded requests through
   edge probabilities, n = 10-40 and p = 0.1-0.3.
 
 `stats.case_seconds` (wall-clock timings) is dropped from each answer.
-`check-s115`, `generate` and `malformed` answers must match exactly, so
-`check-s115` must name the same witness and a rejected text must get the
-same error message.  `solve` answers must agree in exit code and
+`check-s115`, `generate` and rejected `malformed` answers (exit 2) must
+match exactly, so `check-s115` must name the same witness and a rejected
+text must get the same error message.  `solve` answers, and those to a
+`malformed` text that both trees accept, must agree in exit code and
 `result`; where their certificates differ, both must pass SRC_A's
-`verify_dim` (and contain the requested xy).  On a graph where SRC_A's
-`check-s115` finds a witness, three status differences are accepted, as
-SRC_B may decide what SRC_A could not:
+`verify_dim` (and contain the requested xy) on the graph, or on the one
+SRC_A's `cli.parse_graph` reads from the text.  On a graph where
+SRC_A's `check-s115` finds a witness, three status differences are
+accepted, as SRC_B may decide what SRC_A could not:
 
-* `solve` hypothesis-violated in A, found in B, with a certificate that
-  verifies;
+* `solve` (or an accepted `malformed` text) hypothesis-violated in A,
+  found in B, with a certificate that verifies;
 * `solve` hypothesis-violated in A, none in B, confirmed by SRC_A's
   `brute_force_dim` within its default budget;
 * `solve --xy` none in A, found in B, with a certificate that verifies
@@ -57,9 +59,11 @@ Prints the counts per pool and request kind (with the witnesses
 each difference class: status, unverified certificate, accepted status,
 certificate, detail and stats-only; then how many of each accepted form,
 and for the stats-only differences how many differ in each `stats` key.
-Last, per pool, the worst `stats.subsolver_nodes / n` of SRC_B's `solve`
-answers, on the graphs SRC_B's `check-s115` calls S115-free and on the
-others.
+Last, per pool, the worst `stats.subsolver_nodes / n` of the `solve`
+answers of SRC_A and SRC_B side by side, on the graphs SRC_A's
+`check-s115` calls S115-free and on the others, with each tree's total
+`subsolver_nodes` on the S115-free graphs, then those totals over all
+pools.
 Exits 1 on a status difference that is not accepted or an unverified
 certificate.  Given one tree, the script is the worker: it prints that
 tree's answers, one JSON line per request.  Standard library only.
@@ -401,7 +405,7 @@ def worker(src):
         text = _text(graph) if isinstance(graph, tuple) else graph
         try:
             code, out = cli.run(cli.RunConfig(fmt="json", **fields), text)
-            if kind in ("generate", "malformed"):   # not always JSON
+            if kind == "generate" or code == cli.EXIT_INPUT:    # not JSON
                 obj = out
             else:
                 obj = json.loads(out)
@@ -419,11 +423,12 @@ CLASSES = ("status", "unverified", "accepted", "certificate", "detail",
 
 def _classify(kind, a, b):
     """The class of a difference between two answers [code, obj] to one
-    request.  `solve` answers with the same exit code and `result` may
-    differ in `edges` (checked by the caller), `detail` and `stats`;
-    every other difference, and any in `check-s115`, `generate` or
-    `malformed`, is a status difference."""
-    if kind not in ("solve", "solve_with_xy") or a[0] != b[0] \
+    request.  `solve` answers, and those to an accepted `malformed`
+    text, with the same exit code and `result` may differ in `edges`
+    (checked by the caller), `detail` and `stats`; every other
+    difference, and any in `check-s115`, `generate` or a rejected text,
+    is a status difference."""
+    if kind not in ("solve", "solve_with_xy", "malformed") or a[0] != b[0] \
             or not all(isinstance(x[1], dict) for x in (a, b)):
         return "status"
     keys = {k for k in a[1].keys() | b[1].keys() if a[1].get(k) != b[1].get(k)}
@@ -457,19 +462,24 @@ def main(src_a, src_b):
                  f"{len(lines_b)}")
     sys.path.insert(0, os.path.abspath(src_a))
     from dimatch import (BudgetExceeded, DimCertificate, brute_force_dim,
-                         build_graph, verify_dim)
+                         build_graph, cli, verify_dim)
+
+    def graph_of(graph):
+        """The Graph of (n, edges), or of an accepted malformed text."""
+        return cli.parse_graph(graph) if isinstance(graph, str) \
+            else build_graph(*graph)
 
     def verifies(graph, xy, edges):
         try:
             cert = DimCertificate(frozenset(map(tuple, edges)))
         except ValueError:              # not a matching
             return False
-        return (verify_dim(build_graph(*graph), cert)
+        return (verify_dim(graph_of(graph), cert)
                 and (xy is None or tuple(xy) in cert.edges))
 
     def has_no_dim(graph):
         try:
-            return not brute_force_dim(build_graph(*graph)).exists
+            return not brute_force_dim(graph_of(graph)).exists
         except BudgetExceeded:
             return False
 
@@ -477,7 +487,7 @@ def main(src_a, src_b):
         """The name of the accepted form of a status difference, or None."""
         ra, rb = (j[1].get("result") if isinstance(j[1], dict) else None
                   for j in (ja, jb))
-        if kind == "solve" and ra == "hypothesis-violated":
+        if kind in ("solve", "malformed") and ra == "hypothesis-violated":
             if rb == "found" and verifies(graph, None, jb[1]["edges"]):
                 return "hypothesis-violated -> found"
             if rb == "none" and has_no_dim(graph):
@@ -539,21 +549,33 @@ def main(src_a, src_b):
     if stats_keys:
         print("stats-only, by stats key: " + ", ".join(
             f"{k} {c}" for k, c in sorted(stats_keys.items())))
-    # B's check-s115 exits 0 on an S115-free graph
-    free = {(pool, i) for (pool, i, kind, _, _), b in zip(reqs, lines_b)
-            if kind == "check-s115" and json.loads(b)[0] == 0}
-    worst = {}
-    for (pool, i, kind, _, graph), b in zip(reqs, lines_b):
-        jb = json.loads(b)
-        if kind == "solve" and isinstance(jb[1], dict):
+    # A's check-s115 exits 0 on an S115-free graph
+    free = {(pool, i) for (pool, i, kind, _, _), a in zip(reqs, lines_a)
+            if kind == "check-s115" and json.loads(a)[0] == 0}
+    # per tree: (pool, S115-free) -> worst nodes per vertex, and
+    # pool -> total nodes on the S115-free graphs
+    worst, total = ({}, {}), ({}, {})
+    for (pool, i, kind, _, graph), a, b in zip(reqs, lines_a, lines_b):
+        if kind != "solve":
+            continue
+        for t, line in enumerate((a, b)):
+            obj = json.loads(line)[1]
+            if not isinstance(obj, dict):
+                continue
             key = (pool, (pool, i) in free)
-            nodes = jb[1].get("stats", {}).get("subsolver_nodes", 0)
-            worst[key] = max(worst.get(key, 0.0), nodes / graph[0])
+            nodes = obj.get("stats", {}).get("subsolver_nodes", 0)
+            worst[t][key] = max(worst[t].get(key, 0.0), nodes / graph[0])
+            if key[1]:
+                total[t][pool] = total[t].get(pool, 0) + nodes
     for pool in POOLS:
-        cells = [f"{worst[pool, f]:.2f}" if (pool, f) in worst else "-"
-                 for f in (True, False)]
-        print(f"{pool:14} B's worst subsolver nodes per vertex: "
-              f"{cells[0]} S115-free, {cells[1]} the rest")
+        cells = [" / ".join(f"{w[pool, f]:.2f}" if (pool, f) in w else "-"
+                            for w in worst) for f in (True, False)]
+        print(f"{pool:14} worst subsolver nodes per vertex, A / B: "
+              f"{cells[0]} S115-free, {cells[1]} the rest; nodes on the "
+              f"S115-free graphs {total[0].get(pool, 0)} / "
+              f"{total[1].get(pool, 0)}")
+    print("subsolver nodes on the S115-free graphs, A / B: "
+          f"{sum(total[0].values())} / {sum(total[1].values())}")
     return 1 if any(totals[:2]) else 0
 
 

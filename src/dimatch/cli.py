@@ -310,6 +310,9 @@ def main(argv=None) -> int:
     )
     try:
         code, out = run(cfg)
+    except MemoryError:             # printing a traceback needs memory too
+        sys.stderr.write("dimatch: out of memory\n")
+        return EXIT_INTERNAL
     except Exception:               # never mistaken for "no d.i.m."
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -22,10 +22,15 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")   # removed -> live
 
 
 class ColoringState:
-    """Mutable per-branch coloring over a shared immutable graph."""
+    """Mutable coloring over a shared immutable graph.  `trail` logs each
+    change: a color set on v (from UNKNOWN) as v, a mating of v (both
+    ends from -1) as ~v, a removal as ~(n + v).  `undo(mark)` takes back
+    the changes since a `mark()` in the time they took, which restores a
+    settled state exactly.  `propagate` works on the changes after
+    `propagated`, and `settle` removes the whites colored after `settled`."""
 
-    __slots__ = ("n", "color", "mate", "removed", "contradiction",
-                 "fresh_whites", "pending")
+    __slots__ = ("n", "color", "mate", "removed", "contradiction", "trail",
+                 "propagated", "settled", "inq")
 
     def __init__(self, n: int):
         self.n = n
@@ -33,19 +38,35 @@ class ColoringState:
         self.mate = [-1] * n
         self.removed = bytearray(n)
         self.contradiction: str | None = None
-        self.fresh_whites: list[int] = []
-        self.pending: list[int] = []      # touched since the last propagate
+        self.trail: list[int] = []
+        self.propagated = self.settled = 0  # trail lengths at the last call
+        self.inq = bytearray(n)     # propagate's queue flags, 0 between calls
 
     def clone(self) -> "ColoringState":
-        s = ColoringState.__new__(ColoringState)
-        s.n = self.n
-        s.color = bytearray(self.color)
-        s.mate = list(self.mate)
-        s.removed = bytearray(self.removed)
+        s = ColoringState(self.n)
+        s.color[:], s.mate[:] = self.color, self.mate
+        s.removed[:], s.trail[:] = self.removed, self.trail
         s.contradiction = self.contradiction
-        s.fresh_whites = list(self.fresh_whites)
-        s.pending = list(self.pending)
+        s.propagated, s.settled = self.propagated, self.settled
         return s
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def undo(self, mark: int) -> None:
+        """Take back every change after `mark`, and the contradiction."""
+        n, color, mate, removed = self.n, self.color, self.mate, self.removed
+        for e in self.trail[mark:]:
+            if e >= 0:
+                color[e] = UNKNOWN
+            elif e >= -n:
+                mate[mate[~e]] = mate[~e] = -1      # both ends of the pair
+            else:
+                removed[~e - n] = 0
+        del self.trail[mark:]
+        self.contradiction = None
+        self.propagated = min(self.propagated, mark)
+        self.settled = min(self.settled, mark)
 
     # -- queries ---------------------------------------------------------
 
@@ -75,9 +96,7 @@ def assign(state: ColoringState, v: int, color: int) -> None:
                    f"{COLOR_NAMES[color]}")
         return
     state.color[v] = color
-    state.pending.append(v)
-    if color == WHITE:
-        state.fresh_whites.append(v)
+    state.trail.append(v)
 
 
 def _set_mate(state: ColoringState, u: int, v: int) -> bool:
@@ -92,6 +111,7 @@ def _set_mate(state: ColoringState, u: int, v: int) -> bool:
         return False
     state.mate[u] = v
     state.mate[v] = u
+    state.trail.append(~u)
     return True
 
 
@@ -108,25 +128,27 @@ def propagate(g: Graph, state: ColoringState) -> None:
     Contradictions: adjacent whites, a black with two black neighbors, a
     black with no remaining mate candidate.
 
-    Work comes from `state.pending`: `assign` appends the vertex it
-    colors, and the removal in `edge_reduction` the removed vertices.
-    This call drains the list: it queues each colored pending vertex and
-    the live black neighbors of every pending vertex (rules (b) and (c)
-    fire there).  Colors forced here feed the queue directly.
+    Work comes from the colors on the trail after `state.propagated`: it
+    queues each such live vertex and its live black neighbors (rules (b)
+    and (c) fire there); colors forced here join the queue directly.  The
+    removals of `edge_reduction` need none: their ends have no live black
+    neighbor left.  The queue flags `state.inq` end all zero.
 
     Removing a white needs no further call: no rule reads a white as a
     black neighbor or a mate candidate (see `settle`).
     """
-    pending, state.pending = state.pending, []
+    trail = state.trail
+    pending, state.propagated = trail[state.propagated:], len(trail)
     if state.contradiction is not None:
         return
-    adj = g.adj
-    color, removed, mate = state.color, state.removed, state.mate
-    fresh_whites = state.fresh_whites
+    adj, push = g.adj, trail.append
+    color, removed, mate, inq = (state.color, state.removed, state.mate,
+                                 state.inq)
     queue: deque[int] = deque()
-    inq = bytearray(g.n)
 
-    for v in dict.fromkeys(pending):
+    for v in pending:
+        if v < 0:
+            continue                # a mating or a removal
         if color[v] != UNKNOWN and not inq[v] and not removed[v]:
             inq[v] = 1              # no rule fires on an unknown
             queue.append(v)
@@ -138,8 +160,7 @@ def propagate(g: Graph, state: ColoringState) -> None:
     def set_color(v: int, c: int) -> None:
         # v is live and unknown, so it cannot conflict or be queued yet
         color[v] = c
-        if c == WHITE:
-            fresh_whites.append(v)
+        push(v)
         inq[v] = 1
         queue.append(v)
         for w in adj[v]:
@@ -148,69 +169,74 @@ def propagate(g: Graph, state: ColoringState) -> None:
                 queue.append(w)
 
     # each contradiction below returns at once: no turn starts after one
-    while queue:
-        v = queue.popleft()
-        inq[v] = 0
-        c = color[v]
-        if c == WHITE:
-            for w in adj[v]:
-                if removed[w]:
-                    continue
-                cw = color[w]
-                if cw == WHITE:
-                    state.fail(f"adjacent white vertices {v} and {w}")
-                    return
-                if cw == UNKNOWN:
-                    set_color(w, BLACK)
-        elif c == BLACK:
-            m = mate[v]
-            if m >= 0 and color[m] == BLACK and not removed[m]:
-                # mating already whitened every other neighbor; whites
-                # are final, so nothing new can fire here
-                continue
-            black_nbr = -1
-            for w in adj[v]:
-                if not removed[w] and color[w] == BLACK:
-                    if black_nbr >= 0:
-                        state.fail(f"black vertex {v} has two black "
-                                   f"neighbors {black_nbr} and {w}")
-                        return
-                    black_nbr = w
-            if black_nbr >= 0:
-                w = black_nbr
-                if not _set_mate(state, v, w):
-                    return
-                for (a, b) in ((v, w), (w, v)):
-                    for z in adj[a]:
-                        if z == b or removed[z]:
-                            continue
-                        cz = color[z]
-                        if cz == BLACK:
-                            state.fail(f"black vertex {a} has black "
-                                       f"neighbors {b} and {z}")
-                            return
-                        if cz == UNKNOWN:
-                            set_color(z, WHITE)
-            else:
-                if m >= 0:
-                    # mate was removed together with v in reductions only,
-                    # so a live mated black always keeps a live black mate
-                    state.fail(f"black vertex {v} lost its mate {m}")
-                    return
-                cand = -1
-                many = False
+    try:
+        while queue:
+            v = queue.popleft()
+            inq[v] = 0
+            c = color[v]
+            if c == WHITE:
                 for w in adj[v]:
-                    if removed[w] or color[w] != UNKNOWN:
+                    if removed[w]:
                         continue
-                    if cand >= 0:
-                        many = True
-                    else:
-                        cand = w
-                if cand < 0:
-                    state.fail(f"black vertex {v} has no mate candidate")
-                    return
-                if not many:
-                    set_color(cand, BLACK)
+                    cw = color[w]
+                    if cw == WHITE:
+                        state.fail(f"adjacent white vertices {v} and {w}")
+                        return
+                    if cw == UNKNOWN:
+                        set_color(w, BLACK)
+            elif c == BLACK:
+                m = mate[v]
+                if m >= 0 and color[m] == BLACK and not removed[m]:
+                    # mating already whitened every other neighbor; whites
+                    # are final, so nothing new can fire here
+                    continue
+                black_nbr = -1
+                for w in adj[v]:
+                    if not removed[w] and color[w] == BLACK:
+                        if black_nbr >= 0:
+                            state.fail(f"black vertex {v} has two black "
+                                       f"neighbors {black_nbr} and {w}")
+                            return
+                        black_nbr = w
+                if black_nbr >= 0:
+                    w = black_nbr
+                    if not _set_mate(state, v, w):
+                        return
+                    for (a, b) in ((v, w), (w, v)):
+                        for z in adj[a]:
+                            if z == b or removed[z]:
+                                continue
+                            cz = color[z]
+                            if cz == BLACK:
+                                state.fail(f"black vertex {a} has black "
+                                           f"neighbors {b} and {z}")
+                                return
+                            if cz == UNKNOWN:
+                                set_color(z, WHITE)
+                else:
+                    if m >= 0:
+                        # mate was removed together with v in reductions only,
+                        # so a live mated black always keeps a live black mate
+                        state.fail(f"black vertex {v} lost its mate {m}")
+                        return
+                    cand = -1
+                    many = False
+                    for w in adj[v]:
+                        if removed[w] or color[w] != UNKNOWN:
+                            continue
+                        if cand >= 0:
+                            many = True
+                        else:
+                            cand = w
+                    if cand < 0:
+                        state.fail(f"black vertex {v} has no mate candidate")
+                        return
+                    if not many:
+                        set_color(cand, BLACK)
+    finally:
+        for v in queue:
+            inq[v] = 0
+        state.propagated = len(trail)
 
 
 def edge_reduction(g: Graph, state: ColoringState, u: int, v: int) -> None:
@@ -219,8 +245,8 @@ def edge_reduction(g: Graph, state: ColoringState, u: int, v: int) -> None:
     propagate.  The committed pair shows in `state.mate_pairs()`."""
     if state.contradiction is not None:
         return
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
+    if not g.has_edge(u, v) or state.removed[u] or state.removed[v]:
+        raise ValueError(f"({u}, {v}) is not a live edge")
     assign(state, u, BLACK)
     assign(state, v, BLACK)
     if state.contradiction is not None:
@@ -237,15 +263,14 @@ def edge_reduction(g: Graph, state: ColoringState, u: int, v: int) -> None:
                 return
             if cw == UNKNOWN:
                 assign(state, w, WHITE)
-    state.removed[u] = 1
-    state.removed[v] = 1
-    state.pending += (u, v)
+    state.removed[u] = state.removed[v] = 1
+    state.trail += (~(state.n + u), ~(state.n + v))
     propagate(g, state)
 
 
 def settle(g: Graph, state: ColoringState) -> bool:
-    """Propagate to fixpoint and remove every fresh white from the working
-    graph; False on contradiction.
+    """Propagate to fixpoint and remove from the working graph every white
+    colored since the last settle; False on contradiction.
 
     This is the fixpoint of propagating and vertex-reducing each white,
     reached without a propagation per white: at the fixpoint every live
@@ -257,11 +282,12 @@ def settle(g: Graph, state: ColoringState) -> bool:
     propagate(g, state)
     if state.contradiction is not None:
         return False
-    color, removed = state.color, state.removed
-    for v in state.fresh_whites:
-        if color[v] == WHITE:
+    trail, n, color, removed = state.trail, state.n, state.color, state.removed
+    for v in trail[state.settled:]:
+        if v >= 0 and color[v] == WHITE and not removed[v]:
             removed[v] = 1
-    state.fresh_whites.clear()
+            trail.append(~(n + v))
+    state.propagated = state.settled = len(trail)
     return True
 
 

@@ -51,15 +51,6 @@ class SolveOutcome:
     witness: patterns.PatternWitness | None = None
     stats: SolveStats = field(default_factory=SolveStats)
 
-    @property
-    def found(self) -> bool:
-        return self.status == FOUND
-
-
-def _comp_pairs(state: ColoringState, comp) -> set[tuple[int, int]]:
-    mate = state.mate
-    return {(v, mate[v]) for v in comp if v < mate[v]}
-
 
 def _needs_nothing(g: Graph, state: ColoringState, comp) -> bool:
     """True when whitening the remaining unknowns completes the component:
@@ -88,29 +79,31 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
     With no unmated black left, the first unknown vertex is branched,
     white first; with no unknown either, the state is complete.  Correct
     on every graph; exponential in the worst case, hence the budget.
-    A child is cloned from its parent only when its turn comes, and the
-    last sibling takes the parent itself, so the call consumes `state`.
+    The tree is walked on `state` itself, each child undoing the trail to
+    its parent's mark: the call returns `state` completed, or None with
+    `state` undone to its input (over the budget, the caller undoes).
     `within` limits the completion to a set of vertices that no
     constraint ties to the rest, such as a component or an undecided
     part; `stats.subsolver_nodes` counts the nodes settled, and a count past
     `budget` raises HypothesisViolation."""
+    if state.contradiction is not None:
+        return None
     scope = tuple(within) if within is not None else tuple(range(g.n))
-    adj = g.adj
-    stack = [(state, -1, UNKNOWN, True)]    # (parent, vertex, color, last)
+    adj, color, removed, mate = g.adj, state.color, state.removed, state.mate
+    root = state.mark()
+    stack = [(root, -1, UNKNOWN)]       # (parent's mark, vertex, color)
     while stack:
-        st, v, c, last = stack.pop()
+        mark, v, c = stack.pop()
         if v >= 0:
-            if not last:
-                st = st.clone()
-            assign(st, v, c)
+            state.undo(mark)
+            assign(state, v, c)
         if stats is not None:
             stats.subsolver_nodes += 1
             if budget is not None and stats.subsolver_nodes > budget:
                 raise HypothesisViolation(
                     f"exact search over its budget of {budget} nodes")
-        if not settle(g, st):
+        if not settle(g, state):
             continue
-        color, removed, mate = st.color, st.removed, st.mate
         first_unknown, cands = -1, None
         for v in scope:
             if removed[v]:
@@ -126,14 +119,14 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
                     cands = options
                     if len(options) <= 2:   # settle leaves no fewer than two
                         break
+        mark = state.mark()     # each child undoes the trail to here
         if cands is not None:
-            branches = [(w, BLACK) for w in reversed(cands)]
-        elif first_unknown >= 0:        # white is tried first (popped last)
-            branches = [(first_unknown, BLACK), (first_unknown, WHITE)]
+            stack += [(mark, w, BLACK) for w in reversed(cands)]
+        elif first_unknown >= 0:        # white is tried first
+            stack += [(mark, first_unknown, c) for c in (BLACK, WHITE)]
         else:
-            return st
-        # the first pushed is popped last, after its siblings' subtrees
-        stack += [(st, v, c, i == 0) for i, (v, c) in enumerate(branches)]
+            return state
+    state.undo(root)
     return None
 
 
@@ -175,25 +168,22 @@ def _undecided_parts(g: Graph, state: ColoringState, comp
 
 def _solve_with_xy_internal(g: Graph, base: ColoringState, comp,
                             xy: tuple[int, int], stats: SolveStats,
-                            budget: int | None = None
-                            ) -> set[tuple[int, int]] | None:
-    """The pairs of `comp` in a d.i.m. that matches xy, or None when no
-    d.i.m. does.  Propagation only forces what every such d.i.m. holds,
-    and the exact search completes each undecided part, so None is exact
-    on every graph."""
+                            budget: int | None = None) -> bool:
+    """Whether a d.i.m. matches xy: propagation forces only what every
+    such d.i.m. holds and the exact search completes each undecided part,
+    so False is exact on every graph.  On True `base` holds one on `comp`;
+    on False or HypothesisViolation the caller undoes the branch."""
     x, y = xy
-    state = base.clone()
-    assign(state, x, BLACK)
-    assign(state, y, BLACK)
-    if not settle(g, state):
-        return None
-    for part in _undecided_parts(g, state, comp):
+    assign(base, x, BLACK)
+    assign(base, y, BLACK)
+    if not settle(g, base):
+        return False
+    for part in _undecided_parts(g, base, comp):
         stats.parts += 1
-        state = constrained_subsolver(g, state, within=part, stats=stats,
-                                      budget=budget)
-        if state is None:
-            return None
-    return _comp_pairs(state, comp)
+        if constrained_subsolver(g, base, within=part, stats=stats,
+                                 budget=budget) is None:
+            return False
+    return True
 
 
 def _covering_edges(g: Graph, state: ColoringState, comp
@@ -219,43 +209,31 @@ def _covering_edges(g: Graph, state: ColoringState, comp
     return sorted({edge_key(a, t) for a in (v, w) for t in live(a)})
 
 
-def _branch_on(g: Graph, base: ColoringState, comp, edges,
-               stats: SolveStats, budget: int
-               ) -> tuple[str, object]:
-    """One xy branch per live, non-white edge of `edges`, in order.
-    Returns (status, pairs-or-detail): found with the first branch's
-    pairs, none when every branch ended without a d.i.m., and
-    hypothesis-violated when none found one but some ran over `budget`."""
+def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
+                     budget: int, xy=None) -> tuple[str, str]:
+    """(status, detail) of one live component, by one branch on `base` per
+    live, non-white edge of [xy] when given, else of the covering edges:
+    found at the first that finds a d.i.m. and keeps its changes (no other
+    component shares a vertex with `comp`), none when each ended without
+    one, hypothesis-violated when some ran over `budget`; others undone."""
+    if xy is None and _needs_nothing(g, base, comp):
+        return FOUND, ""
+    edges = [xy] if xy is not None else _covering_edges(g, base, comp)
     removed, color = base.removed, base.color
-    over_budget = ""
+    over_budget, mark = "", base.mark()
     for (u, v) in edges:
         if removed[u] or removed[v] or color[u] == WHITE or color[v] == WHITE:
             continue
         stats.xy_tried += 1
         try:
-            pairs = _solve_with_xy_internal(g, base, comp, (u, v), stats,
-                                            budget)
+            if _solve_with_xy_internal(g, base, comp, (u, v), stats, budget):
+                return FOUND, ""
         except HypothesisViolation as hv:
             over_budget = str(hv)
-            continue
-        if pairs is not None:
-            return FOUND, pairs
+        base.undo(mark)
     if over_budget:
         return HYPOTHESIS_VIOLATED, over_budget
     return NONE, "every candidate edge was exhausted"
-
-
-def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
-                     budget: int, xy=None) -> tuple[str, object]:
-    """Returns (status, pairs-or-detail) for one live component, with the
-    edge `xy` matched when it is given, else by its covering edges."""
-    if xy is not None:
-        edges = [xy]
-    elif _needs_nothing(g, base, comp):
-        return FOUND, _comp_pairs(base, comp)
-    else:
-        edges = _covering_edges(g, base, comp)
-    return _branch_on(g, base, comp, edges, stats, budget)
 
 
 def solve(g: Graph, budget: int | None = None) -> SolveOutcome:
@@ -276,21 +254,18 @@ def solve(g: Graph, budget: int | None = None) -> SolveOutcome:
     state = preprocess(g)
     if state.contradiction is not None:
         return SolveOutcome(NONE, detail=state.contradiction, stats=stats)
-    pairs: set[tuple[int, int]] = set(state.mate_pairs())
     over_budget = ""
     for comp in connected_components(g, state.live_mask()):
-        status, payload = _solve_component(g, state, comp, stats, budget)
+        status, detail = _solve_component(g, state, comp, stats, budget)
         if status == NONE:
-            return SolveOutcome(NONE, detail=str(payload), stats=stats)
+            return SolveOutcome(NONE, detail=detail, stats=stats)
         if status == HYPOTHESIS_VIOLATED:
-            over_budget = str(payload)
-            continue
-        pairs |= payload
+            over_budget = detail
     if over_budget:
         return SolveOutcome(HYPOTHESIS_VIOLATED, detail=over_budget,
                             witness=patterns.find_induced(g, patterns.S115),
                             stats=stats)
-    cert = DimCertificate(frozenset(pairs))
+    cert = DimCertificate(frozenset(state.mate_pairs()))
     ok, why = verify_dim_report(g, cert)
     if not ok:
         raise AssertionError(f"internal error: certificate rejected: {why}")
@@ -316,21 +291,17 @@ def solve_with_xy(g: Graph, xy: tuple[int, int], budget: int | None = None
     base = preprocess(g)
     if base.contradiction is not None:
         return None
-    if base.mate[u] != v:
-        if base.removed[u] or base.removed[v]:
-            return None
-        if base.color[u] == WHITE or base.color[v] == WHITE:
-            return None
-    pairs = set(base.mate_pairs())
+    # preprocessing ends settled, so a white endpoint is a removed one
+    if base.mate[u] != v and (base.removed[u] or base.removed[v]):
+        return None
     for comp in connected_components(g, base.live_mask()):
-        status, got = _solve_component(g, base, comp, stats, budget,
-                                       (u, v) if u in comp else None)
+        status, detail = _solve_component(g, base, comp, stats, budget,
+                                          (u, v) if u in comp else None)
         if status == HYPOTHESIS_VIOLATED:
-            raise HypothesisViolation(got)
+            raise HypothesisViolation(detail)
         if status != FOUND:
             return None
-        pairs |= got
-    cert = DimCertificate(frozenset(pairs))
+    cert = DimCertificate(frozenset(base.mate_pairs()))
     if not verify_dim(g, cert) or (u, v) not in cert.edges:
         return None
     return cert

@@ -365,6 +365,21 @@ def test_internal_error_exits_4(monkeypatch, capsys, tmp_path):
     assert "Traceback" in captured.err and "RecursionError" in captured.err
 
 
+def test_out_of_memory_exits_4(monkeypatch, capsys, tmp_path):
+    # a MemoryError is an internal error even where printing its
+    # traceback would run out of memory too, never exit 1
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", no_memory)
+    monkeypatch.setattr(cli.traceback, "print_exc", no_memory)
+    path = tmp_path / "p6.txt"
+    path.write_text(P6_TEXT)
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "out of memory" in captured.err
+
+
 def test_huge_vertex_count_is_an_input_error(tmp_path):
     # under a 400 MB address-space limit the adjacency of 10^8 vertices
     # cannot be allocated: exit 2 naming the count, not an internal error

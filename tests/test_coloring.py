@@ -3,7 +3,8 @@ import random
 from dimatch import build_graph, enumerate_dims
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
                               edge_reduction, preprocess, propagate, settle)
-from dimatch import patterns
+from dimatch import coloring, patterns
+from dimatch.solver import constrained_subsolver
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
                               find_induced, make_named, path)
 
@@ -22,7 +23,7 @@ def vertex_reduction(g, state, v):
             if state.contradiction is not None:
                 return
     state.removed[v] = 1
-    state.pending.append(v)
+    state.trail.append(~(state.n + v))  # the trail's removal entry
     propagate(g, state)
 
 
@@ -331,29 +332,33 @@ def test_worklist_reaches_the_full_fixpoint():
             continue
         checked += 1
         before = (bytes(st.color), tuple(st.mate), bytes(st.removed))
-        st.pending = [v for v in range(n)
-                      if not st.removed[v] and st.color[v] != UNKNOWN]
+        st.propagated = 0       # every change so far is work again
         propagate(g, st)
         assert st.contradiction is None
         assert (bytes(st.color), tuple(st.mate), bytes(st.removed)) == before
     assert checked > 5000
 
 
+def _fresh_whites(st):
+    """The live whites colored since the last settle: the trail logs a
+    color set on v as v, and every other change as a negative entry."""
+    return [v for v in st.trail[st.settled:]
+            if v >= 0 and st.color[v] == WHITE and not st.removed[v]]
+
+
 def _sweep_settle(g, st):
-    """Reference settle: propagate, then vertex-reduce each fresh white
-    popped from the list, each reduction propagating again."""
+    """Reference settle: propagate, then vertex-reduce the last fresh
+    white until none is left, each reduction propagating again."""
     propagate(g, st)
-    while st.fresh_whites and st.contradiction is None:
-        v = st.fresh_whites.pop()
-        if not st.removed[v] and st.color[v] == WHITE:
-            vertex_reduction(g, st, v)
+    while _fresh_whites(st) and st.contradiction is None:
+        vertex_reduction(g, st, _fresh_whites(st)[-1])
     return st.contradiction is None
 
 
 def _fields(st):
     return (bytes(st.color), tuple(st.mate), bytes(st.removed),
             st.contradiction,
-            tuple(st.fresh_whites), tuple(st.pending))
+            tuple(_fresh_whites(st)), tuple(st.trail[st.propagated:]))
 
 
 def test_settle_matches_the_per_white_sweep():
@@ -396,3 +401,87 @@ def test_settle_matches_the_per_white_sweep():
         swept += sum(st.removed) > before
         failed += st.contradiction is not None
     assert swept > 500 and failed > 500
+
+
+def _snapshot(st):
+    return bytes(st.color), tuple(st.mate), bytes(st.removed)
+
+
+def _random_graph(rng):
+    n = rng.randint(3, 12)
+    p = rng.uniform(0.2, 0.6)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < p])
+
+
+def _settled_start(g, rng):
+    """A settled state with a few colors on its trail, or None."""
+    st = ColoringState(g.n)
+    for v in rng.sample(range(g.n), rng.randint(0, 2)):
+        assign(st, v, rng.choice((BLACK, WHITE)))
+    return st if settle(g, st) else None
+
+
+def test_undo_restores_the_marked_state(monkeypatch):
+    # from a settled state, any run of assigns, settles and edge
+    # reductions, contradictions included, is taken back by one undo;
+    # every propagate leaves its queue flags all zero, contradiction or not
+    real = coloring.propagate
+
+    def checked(g, state):
+        real(g, state)
+        assert not any(state.inq)
+
+    monkeypatch.setattr(coloring, "propagate", checked)
+    rng = random.Random(97)
+    undone = failed = 0
+    for _ in range(3000):
+        g = _random_graph(rng)
+        st = _settled_start(g, rng)
+        if st is None:
+            continue
+        mark, ref = st.mark(), st.clone()
+        for _ in range(rng.randint(1, 6)):
+            live = [v for v in range(g.n) if not st.removed[v]]
+            live_edges = [(u, v) for (u, v) in g.edges
+                          if not st.removed[u] and not st.removed[v]]
+            step = rng.random()
+            if step < 0.5 or not live_edges:
+                assign(st, rng.choice(live), rng.choice((BLACK, WHITE)))
+            elif step < 0.7:
+                settle(g, st)
+            elif step < 0.8:
+                coloring.propagate(g, st)
+            else:
+                edge_reduction(g, st, *rng.choice(live_edges))
+            if st.contradiction is not None or all(st.removed):
+                break
+        undone += len(st.trail) > mark
+        failed += st.contradiction is not None
+        st.undo(mark)
+        assert _snapshot(st) == _snapshot(ref) and st.trail == ref.trail
+        assert st.contradiction is None
+        assert st.propagated == st.settled == mark     # no work pending
+    assert undone > 1000 and failed > 500
+
+
+def test_subsolver_without_completion_leaves_its_input():
+    # the search walks its tree on the state it is given and, finding no
+    # completion, undoes every node; a completion is the same state
+    rng = random.Random(41)
+    none = found = 0
+    for _ in range(3000):
+        g = _random_graph(rng)
+        st = _settled_start(g, rng)
+        if st is None:
+            continue
+        ref = st.clone()
+        got = constrained_subsolver(g, st)
+        if got is None:
+            none += 1
+            assert _snapshot(st) == _snapshot(ref) and st.trail == ref.trail
+            assert st.contradiction is None and not any(st.inq)
+        else:
+            found += 1
+            assert got is st and st.contradiction is None
+    assert none > 300 and found > 300

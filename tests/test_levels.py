@@ -28,8 +28,10 @@ def _settled(g, xy):
 def _branch(g, xy):
     """The pairs of a d.i.m. through xy found by the solver's branch on
     xy, or None when it finds that no d.i.m. matches xy."""
-    return _solve_with_xy_internal(g, preprocess(g), range(g.n), xy,
-                                   SolveStats())
+    st = preprocess(g)
+    if _solve_with_xy_internal(g, st, range(g.n), xy, SolveStats()):
+        return set(st.mate_pairs())
+    return None
 
 
 def test_normalize_p6_forces_everything():

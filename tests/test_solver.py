@@ -157,14 +157,14 @@ def clones(monkeypatch):
     return count
 
 
-def test_subsolver_clones_a_child_only_when_its_turn_comes(clones):
+def test_subsolver_clones_no_child(clones):
     # the black center of a claw has three candidate mates and the first
-    # completes: one clone, where cloning every child up front takes three
+    # completes; every child is a change on the trail of the one state
     st = ColoringState(4)
     assign(st, 0, BLACK)
     got = constrained_subsolver(make_named(CLAW), st)
-    assert got is not None and got.mate_pairs() == [(0, 1)]
-    assert clones[0] == 1
+    assert got is st and got.mate_pairs() == [(0, 1)]
+    assert clones[0] == 0
 
 
 def _random_chordal_tw2(rng, n):
@@ -256,20 +256,20 @@ def _layer_base(nblocks=5, bsize=2):
 
 
 def test_trivial_blocks_resolve_from_few_block_views(clones):
-    # 300 contact-free blocks are committed with at most one clone per
-    # block and per xy branch
+    # 300 contact-free blocks are committed on the branch's one state,
+    # with no clone
     edges, us, ts, nxt = _layer_base(nblocks=300, bsize=2)
     g = build_graph(nxt, edges)
     out = solve(g)
     assert out.status == "found" and verify_dim(g, out.certificate)
-    assert clones[0] <= 300 + out.stats.xy_tried
+    assert clones[0] == 0
 
 
 @pytest.fixture
 def searches(monkeypatch):
     """[input state, scope, nodes settled, the matched edge xy of the
     branch that made the call] of every subsolver call; the input state
-    is cloned before the call consumes it."""
+    is cloned before the call, which searches on it in place."""
     calls = []
     search = solver.constrained_subsolver
 
@@ -404,7 +404,7 @@ def test_hub_of_far_triangles_does_not_recurse():
 
 def test_far_triangle_hub_costs_a_constant_per_triangle(clones):
     # each block with its far triangle is an undecided part of its own,
-    # and its search settles two nodes and clones once, so the hub's
+    # and its search settles two nodes and clones no state, so the hub's
     # work grows linearly in its triangles
     for k in (300, 600, 1200):
         clones[0] = 0
@@ -412,7 +412,7 @@ def test_far_triangle_hub_costs_a_constant_per_triangle(clones):
         out = solve(g)
         assert out.status == "found" and verify_dim(g, out.certificate)
         assert out.stats.parts == k and out.stats.subsolver_nodes == 2 * k
-        assert clones[0] <= k + out.stats.xy_tried
+        assert clones[0] == 0
 
 
 def test_far_level_triangle_branches(searches):
@@ -564,6 +564,40 @@ def test_hypothesis_violation_reports_witness():
     assert out.witness is not None and check_witness(g, out.witness)
 
 
+def test_branch_over_budget_leaves_the_next_branch_its_state(monkeypatch):
+    # under a budget of one node, a covering branch of a component runs
+    # over it and a later branch of the same component, which needs no
+    # search, finds a d.i.m.: that branch starts from the state the
+    # first one was given, so the answer is found and verifies
+    events = []
+    branch = solver._solve_with_xy_internal
+
+    def record(g, base, comp, xy, stats, budget=None):
+        try:
+            found = branch(g, base, comp, xy, stats, budget)
+        except solver.HypothesisViolation:
+            events.append((comp, None))
+            raise
+        events.append((comp, found))
+        return found
+
+    monkeypatch.setattr(solver, "_solve_with_xy_internal", record)
+    rng = random.Random(11)
+    sites = 0
+    for _ in range(1500):
+        n = rng.randint(6, 14)
+        p = rng.uniform(0.15, 0.5)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        events.clear()
+        out = solve(g, budget=1)
+        over = {comp for comp, found in events if found is None}
+        if any(found and comp in over for comp, found in events):
+            sites += 1
+            assert out.status == "found" and verify_dim(g, out.certificate)
+    assert sites >= 3
+
+
 def _case_pairs(g, xy):
     """Pairs of the whole graph when the xy branch runs on the component
     of xy, with the statistics of that branch."""
@@ -575,9 +609,8 @@ def _case_pairs(g, xy):
     comp = next(c for c in connected_components(g, base.live_mask())
                 if xy[0] in c)
     stats = SolveStats()
-    pairs = _solve_with_xy_internal(g, base, comp, xy, stats)
-    assert pairs is not None
-    cert = DimCertificate(frozenset(pairs | set(base.mate_pairs())))
+    assert _solve_with_xy_internal(g, base, comp, xy, stats)
+    cert = DimCertificate(frozenset(base.mate_pairs()))
     assert verify_dim(g, cert) and xy in cert.edges
     return cert, stats
 
@@ -645,8 +678,9 @@ def test_disjoint_unions_solve_part_by_part():
         g = build_graph(n, pairs)
         outs = [solve(part) for part in parts]
         out = solve(g)
-        assert out.found == all(o.found for o in outs)
-        if out.found:
+        assert (out.status == "found") == all(o.status == "found"
+                                           for o in outs)
+        if out.status == "found":
             found += 1
             assert set(out.certificate.edges) == set().union(
                 *(_shifted(o.certificate, off)
@@ -660,7 +694,7 @@ def test_disjoint_unions_solve_part_by_part():
             alone = solve_with_xy(part, xy)
             got = solve_with_xy(g, (xy[0] + off, xy[1] + off))
             others = [j for j in range(len(parts)) if j != i]
-            if alone is None or not all(outs[j].found for j in others):
+            if alone is None or not all(outs[j].status == "found" for j in others):
                 assert got is None
                 continue
             want = _shifted(alone, off).union(
@@ -984,11 +1018,11 @@ def test_only_covering_edges_branch_then_one_exact_search(monkeypatch,
     branch = solver._solve_with_xy_internal
 
     def record(g, base, comp, xy, stats, budget=None):
-        first = len(searches)
+        first, before = len(searches), base.clone()
         try:
             return branch(g, base, comp, xy, stats, budget)
         finally:
-            runs.append((tuple(comp), xy, base, searches[first:]))
+            runs.append((tuple(comp), xy, before, searches[first:]))
 
     monkeypatch.setattr(solver, "_solve_with_xy_internal", record)
     searched = 0

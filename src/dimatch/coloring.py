@@ -128,11 +128,20 @@ def propagate(g: Graph, state: ColoringState) -> None:
     Contradictions: adjacent whites, a black with two black neighbors, a
     black with no remaining mate candidate.
 
-    Work comes from the colors on the trail after `state.propagated`: it
-    queues each such live vertex and its live black neighbors (rules (b)
-    and (c) fire there); colors forced here join the queue directly.  The
-    removals of `edge_reduction` need none: their ends have no live black
-    neighbor left.  The queue flags `state.inq` end all zero.
+    Work comes from the colors on the trail after `state.propagated`
+    (each white, removed or not, and each live black) and from the
+    vertices colored here.  Coloring only logs and queues a vertex; its
+    adjacency is scanned once, when it is popped:
+
+      - a white blackens its unknown neighbors (rule (a)) and re-queues
+        its unmated black ones: each lost a mate candidate, so rule (c)
+        may now fire there;
+      - an unmated black's own scan finds every black that borders it,
+        so nothing need queue a fresh black's black neighbors: it mates
+        one (rule (b)) or counts its candidates, up to the second (c).
+
+    A removed black, an end of `edge_reduction`, has no live black
+    neighbor left, so no work.  The queue flags `state.inq` end all zero.
 
     Removing a white needs no further call: no rule reads a white as a
     black neighbor or a mate candidate (see `settle`).
@@ -145,46 +154,33 @@ def propagate(g: Graph, state: ColoringState) -> None:
     color, removed, mate, inq = (state.color, state.removed, state.mate,
                                  state.inq)
     queue: deque[int] = deque()
-
     for v in pending:
-        if v < 0:
-            continue                # a mating or a removal
-        if color[v] != UNKNOWN and not inq[v] and not removed[v]:
-            inq[v] = 1              # no rule fires on an unknown
+        # a color entry appears once; a removed black has no work left
+        if v >= 0 and (not removed[v] or color[v] == WHITE):
+            inq[v] = 1
             queue.append(v)
-        for w in adj[v]:
-            if color[w] == BLACK and not inq[w] and not removed[w]:
-                inq[w] = 1
-                queue.append(w)
-
-    def set_color(v: int, c: int) -> None:
-        # v is live and unknown, so it cannot conflict or be queued yet
-        color[v] = c
-        push(v)
-        inq[v] = 1
-        queue.append(v)
-        for w in adj[v]:
-            if color[w] == BLACK and not inq[w] and not removed[w]:
-                inq[w] = 1
-                queue.append(w)
-
-    # each contradiction below returns at once: no turn starts after one
+    # each contradiction below returns at once: no turn starts after one;
+    # each vertex colored below is live and unknown, so not yet queued
     try:
         while queue:
             v = queue.popleft()
             inq[v] = 0
-            c = color[v]
-            if c == WHITE:
+            if color[v] == WHITE:
                 for w in adj[v]:
                     if removed[w]:
                         continue
                     cw = color[w]
-                    if cw == WHITE:
+                    if cw == UNKNOWN:
+                        color[w] = BLACK
+                        push(w)
+                    elif cw == WHITE:
                         state.fail(f"adjacent white vertices {v} and {w}")
                         return
-                    if cw == UNKNOWN:
-                        set_color(w, BLACK)
-            elif c == BLACK:
+                    elif mate[w] >= 0 or inq[w]:
+                        continue
+                    inq[w] = 1      # fresh, or unmated and one candidate short
+                    queue.append(w)
+            else:
                 m = mate[v]
                 if m >= 0 and color[m] == BLACK and not removed[m]:
                     # mating already whitened every other neighbor; whites
@@ -212,27 +208,31 @@ def propagate(g: Graph, state: ColoringState) -> None:
                                            f"neighbors {b} and {z}")
                                 return
                             if cz == UNKNOWN:
-                                set_color(z, WHITE)
+                                color[z] = WHITE
+                                push(z)
+                                inq[z] = 1
+                                queue.append(z)
+                elif m >= 0:
+                    # mate was removed together with v in reductions only,
+                    # so a live mated black always keeps a live black mate
+                    state.fail(f"black vertex {v} lost its mate {m}")
+                    return
                 else:
-                    if m >= 0:
-                        # mate was removed together with v in reductions only,
-                        # so a live mated black always keeps a live black mate
-                        state.fail(f"black vertex {v} lost its mate {m}")
-                        return
                     cand = -1
-                    many = False
                     for w in adj[v]:
-                        if removed[w] or color[w] != UNKNOWN:
-                            continue
-                        if cand >= 0:
-                            many = True
-                        else:
+                        if not removed[w] and color[w] == UNKNOWN:
+                            if cand >= 0:
+                                break       # two candidates: nothing forced
                             cand = w
-                    if cand < 0:
-                        state.fail(f"black vertex {v} has no mate candidate")
-                        return
-                    if not many:
-                        set_color(cand, BLACK)
+                    else:
+                        if cand < 0:
+                            state.fail(f"black vertex {v} has no mate "
+                                       "candidate")
+                            return
+                        color[cand] = BLACK
+                        push(cand)
+                        inq[cand] = 1
+                        queue.append(cand)
     finally:
         for v in queue:
             inq[v] = 0

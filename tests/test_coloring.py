@@ -485,3 +485,124 @@ def test_subsolver_without_completion_leaves_its_input():
             found += 1
             assert got is st and st.contradiction is None
     assert none > 300 and found > 300
+
+
+def _reference_fixpoint(g, color, mate, removed):
+    """Naive fixpoint of rules (a)-(c): sweep every live vertex and apply
+    each rule until none fires.  Returns (color, mate), or None on a
+    contradiction."""
+    color, mate = bytearray(color), list(mate)
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if removed[v] or color[v] == UNKNOWN:
+                continue
+            live = [w for w in g.adj[v] if not removed[w]]
+            if color[v] == WHITE:               # rule (a)
+                for w in live:
+                    if color[w] == WHITE:
+                        return None
+                    if color[w] == UNKNOWN:
+                        color[w], changed = BLACK, True
+                continue
+            blacks = [w for w in live if color[w] == BLACK]
+            if len(blacks) > 1:
+                return None
+            if blacks:                          # rule (b)
+                w = blacks[0]
+                if mate[v] not in (-1, w) or mate[w] not in (-1, v):
+                    return None
+                if mate[v] != w:
+                    mate[v], mate[w], changed = w, v, True
+                for z in live:
+                    if z != w and color[z] == UNKNOWN:
+                        color[z], changed = WHITE, True
+                continue
+            cands = [w for w in live if color[w] == UNKNOWN]
+            if mate[v] >= 0 or not cands:       # a lost mate, or none left
+                return None
+            if len(cands) == 1:                 # rule (c)
+                color[cands[0]], changed = BLACK, True
+    return color, mate
+
+
+def _dense_graph(rng):
+    """G(n, p) with n <= 12 and p up to 0.8, or K_{k,k} minus a few edges."""
+    if rng.random() < 0.7:
+        n = rng.randint(3, 12)
+        p = rng.uniform(0.2, 0.8)
+        return build_graph(n, [(u, v) for u in range(n)
+                               for v in range(u + 1, n) if rng.random() < p])
+    k = rng.randint(2, 6)
+    pairs = [(a, k + b) for a in range(k) for b in range(k)]
+    for e in rng.sample(pairs, rng.randint(0, min(3, len(pairs) - 1))):
+        pairs.remove(e)
+    return build_graph(2 * k, pairs)
+
+
+def test_propagate_reaches_the_reference_fixpoint():
+    # random runs of assigns, settles, edge reductions and undos: each
+    # propagate ends where the naive sweep from the same state ends, or
+    # both contradict; a missed deduction anywhere shows at the next check
+    rng = random.Random(131)
+    agreed = failed = 0
+    for _ in range(3000):
+        g = _dense_graph(rng) if rng.random() < 0.6 else _random_graph(rng)
+        st = ColoringState(g.n)
+        marks = [0]                 # propagated states to undo to
+        for _ in range(rng.randint(2, 10)):
+            live = [v for v in range(g.n) if not st.removed[v]]
+            live_edges = [(u, v) for (u, v) in g.edges
+                          if not st.removed[u] and not st.removed[v]]
+            step = rng.random()
+            if step < 0.15 and len(marks) > 1:
+                cut = rng.randrange(len(marks))
+                st.undo(marks[cut])
+                del marks[cut + 1:]
+            elif step < 0.65 or not live_edges:
+                if live:
+                    assign(st, rng.choice(live), rng.choice((BLACK, WHITE)))
+            elif step < 0.85:
+                settle(g, st)
+            else:
+                edge_reduction(g, st, *rng.choice(live_edges))
+            if st.contradiction is None and rng.random() < 0.7:
+                before = _snapshot(st)
+                ref = _reference_fixpoint(g, *before)
+                propagate(g, st)
+                assert (st.contradiction is None) == (ref is not None)
+                if ref is None:
+                    failed += 1
+                else:
+                    agreed += 1
+                    assert _snapshot(st) == (bytes(ref[0]), tuple(ref[1]),
+                                             before[2])
+                    marks.append(st.mark())
+            if st.contradiction is not None:
+                st.undo(marks[-1])
+    assert agreed > 3000 and failed > 1000
+
+
+def test_failed_branch_on_kkk_reads_linear_adjacency():
+    # mating x and y whitens the other 2k - 2 vertices, and the first
+    # white popped meets a white neighbor: about 3k adjacency entries in
+    # all, where queueing each white's black neighbors read about 2k^2
+    reads = [0]
+
+    class Counted(tuple):
+        def __iter__(self):
+            for w in super().__iter__():
+                reads[0] += 1
+                yield w
+
+    for k in (10, 20, 40):
+        g = build_graph(2 * k, [(a, k + b) for a in range(k)
+                                for b in range(k)])
+        g.adj = tuple(map(Counted, g.adj))
+        st = ColoringState(g.n)
+        assign(st, 0, BLACK)
+        assign(st, k, BLACK)
+        reads[0] = 0
+        assert not settle(g, st)
+        assert reads[0] <= 4 * k

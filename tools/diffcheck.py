@@ -57,7 +57,12 @@ accepted, as SRC_B may decide what SRC_A could not:
 Prints the counts per pool and request kind (with the witnesses
 `check-s115` names and the texts `malformed` rejects), then the total of
 each difference class: status, unverified certificate, accepted status,
-certificate, detail and stats-only; then how many of each accepted form,
+certificate, detail and stats-only; then, for each class with a
+difference, its first three differing requests: the pool, the request
+kind (with xy for `solve --xy`), the graph's index in the pool, and each
+differing key with its value in A and in B (`exit` for the exit code,
+`stats.KEY` for each `stats` key, and of two certificates only the edges
+missing from the other); then how many of each accepted form,
 and for the stats-only differences how many differ in each `stats` key.
 Last, per pool, the worst `stats.subsolver_nodes / n` of the `solve`
 answers of SRC_A and SRC_B side by side, on the graphs SRC_A's
@@ -419,6 +424,7 @@ def worker(src):
 # difference classes, most severe first; the first two fail the check
 CLASSES = ("status", "unverified", "accepted", "certificate", "detail",
            "stats-only")
+SHOWN = 3   # differing requests printed per class
 
 
 def _classify(kind, a, b):
@@ -437,6 +443,37 @@ def _classify(kind, a, b):
     if "edges" in keys:
         return "certificate"
     return "detail" if "detail" in keys else "stats-only"
+
+
+def _differing(a, b):
+    """Each key in which two answers [code, obj] differ, with its value in
+    each: `exit` for the code, `stats.KEY` per stats key, `answer` for a
+    whole answer that is not a JSON object."""
+    if not all(isinstance(x[1], dict) for x in (a, b)):
+        return {"answer": (a, b)}
+    oa, ob = a[1], b[1]
+    sa, sb = oa.get("stats", {}), ob.get("stats", {})
+    pairs = [(k, oa.get(k), ob.get(k)) for k in oa.keys() | ob.keys()
+             if k != "stats"]
+    pairs += [("stats." + k, sa.get(k), sb.get(k))
+              for k in sa.keys() | sb.keys()]
+    keys = {"exit": (a[0], b[0])} if a[0] != b[0] else {}
+    for k, va, vb in sorted(pairs, key=lambda p: p[0]):
+        if va != vb:
+            keys[k] = (va, vb)
+    return keys
+
+
+def _shown(key, va, vb, width=160):
+    """One differing key with both values as JSON, each cut to `width`;
+    of two certificates, only the edges missing from the other."""
+    only = ""
+    if key == "edges" and isinstance(va, list) and isinstance(vb, list):
+        va, vb = [x for x in va if x not in vb], [x for x in vb if x not in va]
+        only = " only"
+    texts = [json.dumps(x) for x in (va, vb)]
+    texts = [t if len(t) <= width else t[:width - 3] + "..." for t in texts]
+    return f"{key} A{only}={texts[0]} B{only}={texts[1]}"
 
 
 def main(src_a, src_b):
@@ -502,7 +539,7 @@ def main(src_a, src_b):
                  if kind == "check-s115" and json.loads(a)[0] == 3}
     # per (pool, kind): runs, graphs, witnesses or rejected texts, then one
     # count per difference class
-    counts, shown, stats_keys, forms = {}, 0, {}, {}
+    counts, shown, stats_keys, forms = {}, {}, {}, {}
     for (pool, i, kind, fields, graph), a, b in zip(reqs, lines_a, lines_b):
         row = counts.setdefault((pool, kind),
                                 [0, set(), 0] + [0] * len(CLASSES))
@@ -524,16 +561,14 @@ def main(src_a, src_b):
             if form is not None:
                 cls = "accepted"
                 forms[form] = forms.get(form, 0) + 1
+        keys = _differing(ja, jb)
         if cls == "stats-only":
-            sa, sb = ja[1].get("stats", {}), jb[1].get("stats", {})
-            for k in sa.keys() | sb.keys():
-                if sa.get(k) != sb.get(k):
-                    stats_keys[k] = stats_keys.get(k, 0) + 1
+            for k in keys:
+                k = k.removeprefix("stats.")
+                stats_keys[k] = stats_keys.get(k, 0) + 1
         row[3 + CLASSES.index(cls)] += 1
-        if CLASSES.index(cls) < 2 and shown < 5:
-            shown += 1
-            print(f"DIFF ({cls}) {pool} #{i} {kind} {fields}\n"
-                  f"  A: {a.strip()}\n  B: {b.strip()}")
+        if len(shown.setdefault(cls, [])) < SHOWN:
+            shown[cls].append((pool, i, kind, fields.get("xy"), keys))
     for (pool, kind), (runs, graphs, witnesses, *diffs) in counts.items():
         extra = {"check-s115": f" ({witnesses} witnesses)",
                  "malformed": f" ({witnesses} rejected)"}.get(kind, "")
@@ -543,6 +578,11 @@ def main(src_a, src_b):
               for j in range(len(CLASSES))]
     print(f"total: {sum(r[0] for r in counts.values())} runs, "
           + ", ".join(f"{t} {c}" for c, t in zip(CLASSES, totals)))
+    for cls in CLASSES:
+        for pool, i, kind, xy, keys in shown.get(cls, ()):
+            where = f" xy={tuple(xy)}" if xy is not None else ""
+            print(f"  {cls}: {pool} #{i} {kind}{where}: " + "; ".join(
+                _shown(k, va, vb) for k, (va, vb) in keys.items()))
     if forms:
         print("accepted status differences: " + ", ".join(
             f"{c} {f}" for f, c in sorted(forms.items())))

@@ -121,7 +121,8 @@ def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
             cert = solve_with_xy(g, (u, v), cfg.budget)
             outcome = SolveOutcome(NONE if cert is None else FOUND, cert)
         except HypothesisViolation as hv:
-            outcome = SolveOutcome(HYPOTHESIS_VIOLATED, detail=str(hv))
+            outcome = SolveOutcome(HYPOTHESIS_VIOLATED, detail=str(hv),
+                                   witness=find_induced(g, S115))
     else:
         outcome = solve(g, cfg.budget)
         stats = _stats_dict(outcome)
@@ -141,6 +142,9 @@ def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
     msg = "UNKNOWN (hypothesis violated)"
     if cfg.strict and outcome.witness is not None:
         msg += f"\nwitness: {' '.join(map(str, outcome.witness.vertices))}"
+    elif cfg.strict:
+        msg += ("\nin class: the graph has no induced S_{1,1,5}, so this "
+                "answer is a solver defect")
     out = (_structured("solve", g, "hypothesis-violated", None, stats,
                        outcome.detail) if cfg.fmt == "json" else msg)
     return EXIT_UNKNOWN, out

@@ -27,10 +27,13 @@ class ColoringState:
     ends from -1) as ~v, a removal as ~(n + v).  `undo(mark)` takes back
     the changes since a `mark()` in the time they took, which restores a
     settled state exactly.  `propagate` works on the changes after
-    `propagated`, and `settle` removes the whites colored after `settled`."""
+    `propagated`, and `settle` removes the whites colored after `settled`.
+    `seen_by[w]` names the last unmated black that counted w among two or
+    more mate candidates (rule (d) of `propagate`).  A mark is read only
+    while the vertex it names is black, so `undo` leaves the marks alone."""
 
     __slots__ = ("n", "color", "mate", "removed", "contradiction", "trail",
-                 "propagated", "settled", "inq")
+                 "propagated", "settled", "inq", "seen_by")
 
     def __init__(self, n: int):
         self.n = n
@@ -41,11 +44,13 @@ class ColoringState:
         self.trail: list[int] = []
         self.propagated = self.settled = 0  # trail lengths at the last call
         self.inq = bytearray(n)     # propagate's queue flags, 0 between calls
+        self.seen_by = [-1] * n
 
     def clone(self) -> "ColoringState":
         s = ColoringState(self.n)
         s.color[:], s.mate[:] = self.color, self.mate
         s.removed[:], s.trail[:] = self.removed, self.trail
+        s.seen_by[:] = self.seen_by
         s.contradiction = self.contradiction
         s.propagated, s.settled = self.propagated, self.settled
         return s
@@ -123,7 +128,9 @@ def propagate(g: Graph, state: ColoringState) -> None:
       (b) two adjacent blacks are mates and all their other neighbors
           are white;
       (c) an unmated black with a single remaining mate candidate forces
-          that candidate black.
+          that candidate black;
+      (d) an unknown vertex with two unmated black neighbors is white,
+          since a black has exactly one black neighbor.
 
     Contradictions: adjacent whites, a black with two black neighbors, a
     black with no remaining mate candidate.
@@ -138,7 +145,16 @@ def propagate(g: Graph, state: ColoringState) -> None:
         may now fire there;
       - an unmated black's own scan finds every black that borders it,
         so nothing need queue a fresh black's black neighbors: it mates
-        one (rule (b)) or counts its candidates, up to the second (c).
+        one (rule (b)) or counts its candidates, up to the second (c);
+      - an unmated black v with two or more candidates makes one more
+        pass over them: it whitens a candidate w whose `seen_by[w]`
+        names another black (rule (d)), marks every other one with
+        `seen_by[w] = v`, then applies (c) to those left.
+
+    An unmated black is popped after each loss of a candidate, so at the
+    fixpoint each one has marked all its candidates, and a mark is
+    overwritten only once the vertex it names is no longer black: of two
+    blacks around an unknown w, the later pass finds the earlier's mark.
 
     A removed black, an end of `edge_reduction`, has no live black
     neighbor left, so no work.  The queue flags `state.inq` end all zero.
@@ -151,8 +167,9 @@ def propagate(g: Graph, state: ColoringState) -> None:
     if state.contradiction is not None:
         return
     adj, push = g.adj, trail.append
-    color, removed, mate, inq = (state.color, state.removed, state.mate,
-                                 state.inq)
+    color, removed, mate, inq, seen_by = (state.color, state.removed,
+                                          state.mate, state.inq,
+                                          state.seen_by)
     queue: deque[int] = deque()
     for v in pending:
         # a color entry appears once; a removed black has no work left
@@ -218,21 +235,36 @@ def propagate(g: Graph, state: ColoringState) -> None:
                     state.fail(f"black vertex {v} lost its mate {m}")
                     return
                 else:
-                    cand = -1
+                    cand, two = -1, False
                     for w in adj[v]:
                         if not removed[w] and color[w] == UNKNOWN:
                             if cand >= 0:
-                                break       # two candidates: nothing forced
+                                two = True
+                                break
                             cand = w
-                    else:
-                        if cand < 0:
-                            state.fail(f"black vertex {v} has no mate "
-                                       "candidate")
-                            return
-                        color[cand] = BLACK
-                        push(cand)
-                        inq[cand] = 1
-                        queue.append(cand)
+                    if two:
+                        cand, left = -1, 0
+                        for w in adj[v]:
+                            if removed[w] or color[w] != UNKNOWN:
+                                continue
+                            s = seen_by[w]
+                            if s != v and s >= 0 and color[s] == BLACK:
+                                color[w] = WHITE        # rule (d)
+                                push(w)
+                                inq[w] = 1
+                                queue.append(w)
+                            else:
+                                seen_by[w] = v
+                                cand, left = w, left + 1
+                        if left > 1:
+                            continue
+                    if cand < 0:
+                        state.fail(f"black vertex {v} has no mate candidate")
+                        return
+                    color[cand] = BLACK
+                    push(cand)
+                    inq[cand] = 1
+                    queue.append(cand)
     finally:
         for v in queue:
             inq[v] = 0

@@ -174,8 +174,19 @@ def _find_s115(g: Graph) -> PatternWitness | None:
     that starts no such walk is skipped (`walks`) before its legs are
     searched.  The leg search builds the union of the blocked set and
     the tip's neighbors only at a tip that has a candidate, which most
-    tips of dense or hub-like graphs lack.  Memory is O(n + m)."""
+    tips of dense or hub-like graphs lack.
+
+    Swapping two false twins (vertices with the same neighbors) is an
+    automorphism, so the search skips what a twin already refuted: a
+    center whose twin of smaller id was searched, a pair a, b that twin
+    swaps map to a failed pair, and a leg child whose twin failed from
+    the same tip (both lie in the child's blocked set, which the swap
+    therefore fixes).  Only choices that would fail are skipped, so the
+    witness is unchanged; on K_{k,k} the search is O(m).  A twin class
+    is keyed by its sorted neighbor tuple `adj[v]`.  Memory is
+    O(n + m)."""
     adj, adjset = g.adj, g.adjset
+    searched = set()                # neighborhoods of the centers searched
     kept: dict[int, dict[int, list[int]]] = {2: {}, 3: {}, 4: {}}
 
     def walks(w, j):
@@ -208,26 +219,34 @@ def _find_s115(g: Graph) -> PatternWitness | None:
         if left == 1:
             return [min(cand)]
         nxt = blocked | adjset[tip]
+        failed = set()              # neighborhoods of the failed children
         for w in adj[tip]:
-            if w in cand:
+            if w in cand and (not failed or adj[w] not in failed):
                 rest = leg(w, nxt, left - 1)
                 if rest is not None:
                     return [w, *rest]
+                failed.add(adj[w])
         return None
 
     for u in range(g.n):
         # an induced 5-leg is a walk u, x and 4 more edges; a center with
         # no 5-leg at all has none that avoids a and b
-        if len(adj[u]) < 3 \
-                or not any(y != u for x in adj[u] for y in walks(x, 4)) \
-                or leg(u, {u}, 5) is None:
+        if len(adj[u]) < 3 or adj[u] in searched \
+                or not any(y != u for x in adj[u] for y in walks(x, 4)):
             continue
+        searched.add(adj[u])
+        if leg(u, {u}, 5) is None:
+            continue
+        tried = set()               # neighborhoods of the failed pairs
         for a, b in combinations(adj[u], 2):
             if b in adjset[a]:
+                continue
+            if tried and frozenset((adj[a], adj[b])) in tried:
                 continue
             rest = leg(u, {u, a, b} | adjset[a] | adjset[b], 5)
             if rest is not None:
                 return PatternWitness(S115, (u, a, b, *rest))
+            tried.add(frozenset((adj[a], adj[b])))
     return None
 
 

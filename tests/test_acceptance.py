@@ -9,7 +9,9 @@ import itertools
 import multiprocessing
 import os
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,9 @@ from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
                               make_named, path)
 from dimatch.solver import NODES_PER_VERTEX, constrained_subsolver
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from diffcheck import fan_chain  # noqa: E402
 
 PAIRS7 = list(itertools.combinations(range(7), 2))
 
@@ -296,14 +301,23 @@ def test_criterion_6_scaling_smoke():
 
 def test_criterion_7_branch_bound_accounting(random_instances):
     # every answer's exact search stays within its budget, and on these
-    # S115-free instances within one node per vertex
+    # S115-free instances within one node per vertex: criterion 2's, and
+    # the fan chain for d = 1..20 (no d.i.m.), which is exponential unless
+    # propagation whitens a vertex with two black neighbors
     graphs, outs = random_instances
+    fans = [build_graph(*fan_chain(d)) for d in range(1, 21)]
+    fan_outs = [solve(g) for g in fans]
+    graphs, outs = graphs + fans, outs + fan_outs
     over = sum(out.stats.subsolver_nodes > NODES_PER_VERTEX * g.n
                for g, out in zip(graphs, outs))
     worst = max(out.stats.subsolver_nodes / g.n
                 for g, out in zip(graphs, outs))
-    ok = over == 0 and worst <= 1
+    fan_worst = max(out.stats.subsolver_nodes / g.n
+                    for g, out in zip(fans, fan_outs))
+    ok = over == 0 and worst <= 1 and \
+        all(out.status == "none" for out in fan_outs)
     _report(7, "branch-bound accounting", ok,
             f"{len(graphs)} instances, {over} over the budget, worst "
-            f"{worst:.2f} subsolver nodes per vertex (bound 1)")
+            f"{worst:.2f} subsolver nodes per vertex (bound 1), fan chain "
+            f"{fan_worst:.2f}")
     assert ok

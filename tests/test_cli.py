@@ -10,9 +10,12 @@ import pytest
 
 from dimatch import cli, solver
 from dimatch.cli import RunConfig, emit_graph, main, parse_graph, run
-from dimatch.graph import GraphInputError
+from dimatch.graph import GraphInputError, build_graph
 from dimatch.patterns import (make_named, cycle, K4, S115, PatternWitness,
                               check_witness)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from diffcheck import G24  # noqa: E402
 
 P6_TEXT = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 
@@ -307,6 +310,27 @@ def test_solve_strict_prints_witness():
     assert code == 3 and "witness:" in out
     witness = tuple(int(v) for v in out.split("witness:")[1].split())
     assert check_witness(parse_graph(HV_TEXT), PatternWitness(S115, witness))
+
+
+def test_solve_strict_explains_an_in_class_violation():
+    # over its budget on a graph with no induced S_{1,1,5}, the answer is
+    # a solver defect: --strict says so instead of printing nothing more
+    text = emit_graph(build_graph(24, G24))
+    code, out = run(RunConfig("solve", strict=True, budget=1), text=text)
+    assert code == 3 and "witness:" not in out
+    assert out.splitlines() == [
+        "UNKNOWN (hypothesis violated)",
+        "in class: the graph has no induced S_{1,1,5}, so this answer is "
+        "a solver defect"]
+    code, out = run(RunConfig("solve", budget=1), text=text)
+    assert code == 3 and out == "UNKNOWN (hypothesis violated)"
+    # --xy names the witness, or its absence, the same way
+    code, out = run(RunConfig("solve", strict=True, budget=1, xy=(3, 8)),
+                    text=text)
+    assert code == 3 and "in class:" in out
+    code, out = run(RunConfig("solve", strict=True, budget=1, xy=(0, 1)),
+                    text=HV_TEXT)
+    assert code == 3 and "witness:" in out and "in class:" not in out
 
 
 def test_solve_decides_out_of_class_graphs(capsys):

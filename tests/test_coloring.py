@@ -488,7 +488,7 @@ def test_subsolver_without_completion_leaves_its_input():
 
 
 def _reference_fixpoint(g, color, mate, removed):
-    """Naive fixpoint of rules (a)-(c): sweep every live vertex and apply
+    """Naive fixpoint of rules (a)-(d): sweep every live vertex and apply
     each rule until none fires.  Returns (color, mate), or None on a
     contradiction."""
     color, mate = bytearray(color), list(mate)
@@ -524,6 +524,11 @@ def _reference_fixpoint(g, color, mate, removed):
                 return None
             if len(cands) == 1:                 # rule (c)
                 color[cands[0]], changed = BLACK, True
+                continue
+            for w in cands:                     # rule (d)
+                if any(z != v and not removed[z] and color[z] == BLACK
+                       for z in g.adj[w]):
+                    color[w], changed = WHITE, True
     return color, mate
 
 

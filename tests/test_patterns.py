@@ -121,24 +121,29 @@ def test_s115_search_matches_brute_force_on_small_graphs():
 
 
 def test_s115_search_is_fast_on_complete_bipartite():
-    k = 30
+    # every center and every leg child of K_{k,k} is a false twin of the
+    # first one searched, so the search does O(m) work; without the twin
+    # skips K_{160,160} takes about 20 s
+    k = 160
     g = build_graph(2 * k, [(i, k + j) for i in range(k) for j in range(k)])
     start = time.perf_counter()
     assert find_induced(g, S115) is None
-    assert time.perf_counter() - start < 5.0
+    assert time.perf_counter() - start < 1.0
 
 
 def _first_s115_brute(g):
     """Lexicographic reference: centers ascending, nonadjacent pairs
     a < b of the center's neighbors, then every walk of five distinct
     vertices from the center in lexicographic order; the first tuple that
-    `check_witness` accepts."""
+    `check_witness` accepts.  A walk is cut where its new vertex borders
+    a chosen vertex other than the tip: `check_witness` rejects every
+    extension of it."""
     def walks(tip, used, left):
         if left == 0:
             yield []
             return
         for w in g.adj[tip]:
-            if w not in used:
+            if w not in used and not g.adjset[w] & (used - {tip}):
                 for rest in walks(w, used | {w}, left - 1):
                     yield [w, *rest]
 
@@ -304,3 +309,75 @@ def test_every_named_graph_detected_as_itself():
         w = find_induced(g, kind)
         assert w is not None, kind
         assert check_witness(g, w), kind
+
+
+def _twin_rich(rng):
+    """A graph with many false twins, relabeled at random: a blow-up of a
+    small graph, random or S_{1,1,5} plus a few edges (1-3 copies of each
+    vertex, copies of adjacent vertices joined), K_{k,k} minus up to
+    three edges with a path hung off one vertex, or a sparse graph with
+    several pendant leaves on one vertex."""
+    kind = rng.choice(("blow-up", "kkk", "leaves"))
+    if kind == "blow-up":
+        b, p = rng.randint(4, 7), rng.uniform(0.25, 0.6)
+        base = [(u, v) for u in range(b) for v in range(u + 1, b)
+                if rng.random() < p]
+        if rng.random() < 0.5:
+            b, base = 8, list(make_named(S115).edges)
+            for _ in range(rng.randint(0, 2)):
+                u, v = sorted(rng.sample(range(b), 2))
+                if (u, v) not in base:
+                    base.append((u, v))
+        copies, n = [], 0
+        for _ in range(b):
+            size = rng.randint(1, 3)
+            copies.append(range(n, n + size))
+            n += size
+        edges = [(x, y) for u, v in base for x in copies[u] for y in copies[v]]
+    elif kind == "kkk":
+        k = rng.randint(2, 4)
+        n, edges = 2 * k, [(i, k + j) for i in range(k) for j in range(k)]
+        for e in rng.sample(edges, rng.randint(0, 3)):
+            edges.remove(e)
+        tip = rng.randrange(n)
+        for _ in range(rng.randint(0, 5)):
+            edges.append((tip, n))
+            tip, n = n, n + 1
+    else:
+        n = rng.randint(8, 14)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 2.5 / n]
+        hub = rng.randrange(n)
+        for _ in range(rng.randint(2, 4)):
+            edges.append((hub, n))
+            n += 1
+    perm = rng.sample(range(n), n)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_twin_skips_keep_the_first_witness():
+    # a center, pair or leg child whose false twin already failed is
+    # skipped; that must never change the witness or miss one
+    rng = random.Random(1152)
+    found = twins = 0
+    for _ in range(600):
+        g = _twin_rich(rng)
+        twins += len(set(g.adj)) < g.n
+        w = find_induced(g, S115)
+        assert (w and w.vertices) == _first_s115_brute(g), g.edges
+        found += w is not None
+    assert twins > 500 and 100 < found < 500
+
+
+def test_s115_search_skips_pairs_of_twins():
+    # a kite: center 0 with k twins on 0 and 1, and a path 1-...-(k+5):
+    # every 5-leg from 0 runs through 1, so each pair of twins fails the
+    # same way; a pair of twin classes is searched once, where one leg
+    # search per pair takes about 2 s at k = 300
+    k = 300
+    pairs = [(0, 1)] + [e for t in range(2, k + 2) for e in ((0, t), (t, 1))]
+    pairs += [(1, k + 2)] + [(v, v + 1) for v in range(k + 2, k + 5)]
+    g = build_graph(k + 6, pairs)
+    start = time.perf_counter()
+    assert find_induced(g, S115) is None
+    assert time.perf_counter() - start < 0.5

@@ -8,7 +8,7 @@ the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
 `dimatch.cli.run(RunConfig(mode, fmt="json", ...))`:
 
-* `solve` and `check-s115` on every graph of ten pools: G(n,p) and
+* `solve` and `check-s115` on every graph of eleven pools: G(n,p) and
   planted graphs with n = 2-12, sparse graphs with n = 30-100, disjoint
   unions of P6, layered hubs (an edge xy, a vertex on x, 2-9
   second-level singletons on that vertex with a block of 1-3 vertices
@@ -22,10 +22,13 @@ its directory and answers the same seeded requests through
   cross edges along a random path or tree, some blocks with a free
   member, and block graphs: a hub whose 5-300 blocks of 2-4 members
   each hold a planted black, which sends 1-2 cross edges to white
-  members of other blocks, and pattern unions: disjoint diamonds,
+  members of other blocks, pattern unions: disjoint diamonds,
   butterflies, triangle fans and P6s with n = 50-400 plus random links,
   where preprocessing does most of the work (half of the block trees,
-  block graphs and pattern unions relabeled);
+  block graphs and pattern unions relabeled), and adversarial: the fan
+  chain for d = 1-15 and `G24`, S_{1,1,5}-free graphs that took the
+  exact search exponential or 3.67 nodes per vertex before propagation
+  whitened a vertex with two black neighbors, each relabeled at random;
 * `solve_with_xy` (`solve --xy`) on every edge of a prefix of each pool;
 * `malformed`: `solve` on a seeded corruption of the text of each graph of
   a prefix of each pool: a dropped or extra token, a non-integer token,
@@ -43,9 +46,10 @@ text must get the same error message.  `solve` answers, and those to a
 `malformed` text that both trees accept, must agree in exit code and
 `result`; where their certificates differ, both must pass SRC_A's
 `verify_dim` (and contain the requested xy) on the graph, or on the one
-SRC_A's `cli.parse_graph` reads from the text.  On a graph where
-SRC_A's `check-s115` finds a witness, three status differences are
-accepted, as SRC_B may decide what SRC_A could not:
+SRC_A's `cli.parse_graph` reads from the text.  Three status
+differences are accepted, as SRC_B may decide what SRC_A could not; on
+a graph where SRC_A's `check-s115` finds no witness, SRC_A's answer was
+a solver defect, and the form is counted apart as "in class":
 
 * `solve` (or an accepted `malformed` text) hypothesis-violated in A,
   found in B, with a certificate that verifies;
@@ -86,15 +90,16 @@ SEED = 0
 POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0),
          "sparse-planted": (200, 5), "block-trees": (60, 5),
-         "block-graphs": (60, 5), "pattern-unions": (200, 5)}
+         "block-graphs": (60, 5), "pattern-unions": (200, 5),
+         "adversarial": (20, 5)}
 GENERATE = 200                  # generate requests
 MALFORMED = 20                  # corrupted texts per pool
 CORRUPTIONS = ("drop", "extra", "word", "range", "negative", "loop",
                "duplicate", "header", "comment", "blank", "crlf")
 
 
-def _graph(rng, pool):
-    """(n, edges) of one pool graph."""
+def _graph(rng, pool, i):
+    """(n, edges) of the pool's graph number i."""
     if pool == "gnp":
         n, p = rng.randint(2, 12), rng.uniform(0.15, 0.6)
         return n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -118,6 +123,8 @@ def _graph(rng, pool):
         return _block_graphs(rng)
     if pool == "pattern-unions":
         return _pattern_unions(rng)
+    if pool == "adversarial":
+        return _adversarial(rng, i)
     k = rng.randint(2, 150)
     n = 6 * k
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
@@ -137,6 +144,43 @@ def planted(rng, n):
     edges = [(pairs[i], pairs[i + 1]) for i in range(0, 2 * k, 2)]
     edges += [(b, w) for b in pairs for w in whites if rng.random() < p]
     return n, edges
+
+
+def fan_chain(d):
+    """(n, edges) of the fan chain, n = 9 + 4d: x = 0, y = 1, w = 2 on x,
+    G = 3 on w with a gadget on 4-8, and d fans, each a vertex c on w
+    with a triangle c, a, a' and a path c, z, G.  It has no induced
+    S_{1,1,5} and no d.i.m.  In the branch xy = (0, 1) every c and G
+    turn black, so every z has two black neighbors; unless propagation
+    whitens z, the fans and the gadget stay one undecided part, and the
+    exact search takes about 7 * 2^d nodes."""
+    edges = [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (3, 6), (3, 8), (5, 8),
+             (4, 7), (6, 7)]
+    n = 9
+    for _ in range(d):
+        c, a, a2, z = range(n, n + 4)
+        edges += [(2, c), (c, a), (c, a2), (a, a2), (c, z), (z, 3)]
+        n += 4
+    return n, edges
+
+
+# an S_{1,1,5}-free graph on 24 vertices found by a random hill-climb on
+# subsolver nodes per vertex: vertex 19 has four pendant neighbors, and
+# each of their covering branches refuted the part around 12 and 22 anew
+G24 = ((0, 19), (1, 7), (1, 16), (2, 19), (3, 8), (3, 16), (4, 12), (5, 21),
+       (5, 22), (6, 22), (6, 23), (7, 10), (7, 16), (8, 10), (8, 16), (9, 21),
+       (9, 22), (11, 12), (12, 14), (12, 17), (12, 18), (12, 20), (13, 19),
+       (14, 22), (15, 19), (17, 19), (17, 22), (22, 23))
+
+
+def _adversarial(rng, i):
+    """The fan chain with d = i + 1 for i < 15, then `G24`: S_{1,1,5}-free
+    graphs that once cost the exact search far more nodes per vertex than
+    the random pools, relabeled at random.  The oracle confirms that the
+    fan chain has no d.i.m. up to d = 15 (11 s there), not at d = 20."""
+    n, edges = fan_chain(i + 1) if i < 15 else (24, G24)
+    label = rng.sample(range(n), n)
+    return n, [(label[u], label[v]) for u, v in edges]
 
 
 def _sparse_planted(rng):
@@ -383,7 +427,7 @@ def _requests():
         rng = random.Random(f"{SEED}:{pool}")
         bad = random.Random(f"{SEED}:{pool}:malformed")
         for i in range(count):
-            graph = _graph(rng, pool)
+            graph = _graph(rng, pool, i)
             yield pool, i, "solve", {"mode": "solve"}, graph
             yield pool, i, "check-s115", {"mode": "check-s115"}, graph
             if i < MALFORMED:
@@ -556,10 +600,12 @@ def main(src_a, src_b):
                 verifies(graph, fields.get("xy"), obj[1]["edges"])
                 for obj in (ja, jb)):
             cls = "unverified"
-        if cls == "status" and (pool, i) in witnessed:
+        if cls == "status":
             form = accepted_form(kind, graph, fields.get("xy"), ja, jb)
             if form is not None:
                 cls = "accepted"
+                if (pool, i) not in witnessed:  # A's answer was a defect
+                    form += ", in class"
                 forms[form] = forms.get(form, 0) + 1
         keys = _differing(ja, jb)
         if cls == "stats-only":

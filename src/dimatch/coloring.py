@@ -28,8 +28,8 @@ class ColoringState:
     the changes since a `mark()` in the time they took, which restores a
     settled state exactly.  `propagate` works on the changes after
     `propagated`, and `settle` removes the whites colored after `settled`.
-    `seen_by[w]` names the last unmated black that counted w among two or
-    more mate candidates (rule (d) of `propagate`).  A mark is read only
+    `seen_by[w]` names the last unmated black that counted w among its
+    mate candidates (rule (d) of `propagate`).  A mark is read only
     while the vertex it names is black, so `undo` leaves the marks alone."""
 
     __slots__ = ("n", "color", "mate", "removed", "contradiction", "trail",
@@ -145,11 +145,11 @@ def propagate(g: Graph, state: ColoringState) -> None:
         may now fire there;
       - an unmated black's own scan finds every black that borders it,
         so nothing need queue a fresh black's black neighbors: it mates
-        one (rule (b)) or counts its candidates, up to the second (c);
-      - an unmated black v with two or more candidates makes one more
-        pass over them: it whitens a candidate w whose `seen_by[w]`
-        names another black (rule (d)), marks every other one with
-        `seen_by[w] = v`, then applies (c) to those left.
+        one (rule (b));
+      - an unmated black v with no black neighbor makes one more pass
+        over its candidates: it whitens a candidate w whose
+        `seen_by[w]` names another black (rule (d)), marks every other
+        one with `seen_by[w] = v`, then applies (c) to those left.
 
     An unmated black is popped after each loss of a candidate, so at the
     fixpoint each one has marked all its candidates, and a mark is
@@ -235,29 +235,21 @@ def propagate(g: Graph, state: ColoringState) -> None:
                     state.fail(f"black vertex {v} lost its mate {m}")
                     return
                 else:
-                    cand, two = -1, False
+                    cand, left = -1, 0
                     for w in adj[v]:
-                        if not removed[w] and color[w] == UNKNOWN:
-                            if cand >= 0:
-                                two = True
-                                break
-                            cand = w
-                    if two:
-                        cand, left = -1, 0
-                        for w in adj[v]:
-                            if removed[w] or color[w] != UNKNOWN:
-                                continue
-                            s = seen_by[w]
-                            if s != v and s >= 0 and color[s] == BLACK:
-                                color[w] = WHITE        # rule (d)
-                                push(w)
-                                inq[w] = 1
-                                queue.append(w)
-                            else:
-                                seen_by[w] = v
-                                cand, left = w, left + 1
-                        if left > 1:
+                        if removed[w] or color[w] != UNKNOWN:
                             continue
+                        s = seen_by[w]
+                        if s != v and s >= 0 and color[s] == BLACK:
+                            color[w] = WHITE        # rule (d)
+                            push(w)
+                            inq[w] = 1
+                            queue.append(w)
+                        else:
+                            seen_by[w] = v
+                            cand, left = w, left + 1
+                    if left > 1:
+                        continue
                     if cand < 0:
                         state.fail(f"black vertex {v} has no mate candidate")
                         return

@@ -178,13 +178,12 @@ def _find_s115(g: Graph) -> PatternWitness | None:
 
     Swapping two false twins (vertices with the same neighbors) is an
     automorphism, so the search skips what a twin already refuted: a
-    center whose twin of smaller id was searched, a pair a, b that twin
-    swaps map to a failed pair, and a leg child whose twin failed from
-    the same tip (both lie in the child's blocked set, which the swap
-    therefore fixes).  Only choices that would fail are skipped, so the
-    witness is unchanged; on K_{k,k} the search is O(m).  A twin class
-    is keyed by its sorted neighbor tuple `adj[v]`.  Memory is
-    O(n + m)."""
+    center whose twin of smaller id was searched, and a leg child whose
+    twin failed from the same tip (both lie in the child's blocked set,
+    which the swap therefore fixes).  Only choices that would fail are
+    skipped, so the witness is unchanged; on K_{k,k} the search is O(m).
+    A twin class is keyed by its sorted neighbor tuple `adj[v]`.  Memory
+    is O(n + m)."""
     adj, adjset = g.adj, g.adjset
     searched = set()                # neighborhoods of the centers searched
     kept: dict[int, dict[int, list[int]]] = {2: {}, 3: {}, 4: {}}
@@ -237,16 +236,12 @@ def _find_s115(g: Graph) -> PatternWitness | None:
         searched.add(adj[u])
         if leg(u, {u}, 5) is None:
             continue
-        tried = set()               # neighborhoods of the failed pairs
         for a, b in combinations(adj[u], 2):
             if b in adjset[a]:
-                continue
-            if tried and frozenset((adj[a], adj[b])) in tried:
                 continue
             rest = leg(u, {u, a, b} | adjset[a] | adjset[b], 5)
             if rest is not None:
                 return PatternWitness(S115, (u, a, b, *rest))
-            tried.add(frozenset((adj[a], adj[b])))
     return None
 
 

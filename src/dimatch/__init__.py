@@ -18,6 +18,6 @@ from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
 from .oracle import (OracleReport, BudgetExceeded, brute_force_dim,
                      enumerate_dims, dims_by_subset_filter)
 from .solver import (SolveOutcome, SolveStats, HypothesisViolation,
-                     constrained_subsolver, solve, solve_with_xy)
+                     constrained_subsolver, solve)
 
 __version__ = "0.1.0"

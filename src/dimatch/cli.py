@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from .graph import Graph, GraphInputError, build_graph, verify_dim
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, brute_force_dim
 from .patterns import S115, find_induced, random_s115_free
-from .solver import (FOUND, NONE, HYPOTHESIS_VIOLATED, NODES_PER_VERTEX,
-                     HypothesisViolation, SolveOutcome, solve, solve_with_xy)
+from .solver import FOUND, HYPOTHESIS_VIOLATED, NODES_PER_VERTEX, NONE, solve
 
 EXIT_OK, EXIT_NONE, EXIT_INPUT, EXIT_UNKNOWN, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -112,22 +111,8 @@ def _budget(cfg: RunConfig) -> dict:
 
 
 def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
-    stats = None                    # --xy answers carry no stats
-    if cfg.xy is not None:
-        u, v = cfg.xy
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            raise GraphInputError(f"--xy ({u}, {v}) is not an edge")
-        try:
-            cert = solve_with_xy(g, (u, v), cfg.budget)
-            outcome = SolveOutcome(NONE if cert is None else FOUND, cert)
-        except HypothesisViolation as hv:
-            # the witness is printed only under --strict
-            outcome = SolveOutcome(
-                HYPOTHESIS_VIOLATED, detail=str(hv),
-                witness=find_induced(g, S115) if cfg.strict else None)
-    else:
-        outcome = solve(g, cfg.budget)
-        stats = _stats_dict(outcome)
+    outcome = solve(g, cfg.budget, cfg.xy)
+    stats = _stats_dict(outcome)
     if outcome.status == FOUND:
         cert = outcome.certificate
         lines = [f"DIM {len(cert)}"]
@@ -141,15 +126,17 @@ def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
                else ("NONE" + (f" ({outcome.detail})"
                                if outcome.detail else "")))
         return EXIT_NONE, out
+    if cfg.fmt == "json":
+        return EXIT_UNKNOWN, _structured("solve", g, "hypothesis-violated",
+                                         None, stats, outcome.detail)
     msg = "UNKNOWN (hypothesis violated)"
-    if cfg.strict and outcome.witness is not None:
-        msg += f"\nwitness: {' '.join(map(str, outcome.witness.vertices))}"
-    elif cfg.strict:
-        msg += ("\nin class: the graph has no induced S_{1,1,5}, so this "
+    if cfg.strict:                  # the witness search runs only here
+        witness = find_induced(g, S115)
+        msg += (f"\nwitness: {' '.join(map(str, witness.vertices))}"
+                if witness is not None else
+                "\nin class: the graph has no induced S_{1,1,5}, so this "
                 "answer is a solver defect")
-    out = (_structured("solve", g, "hypothesis-violated", None, stats,
-                       outcome.detail) if cfg.fmt == "json" else msg)
-    return EXIT_UNKNOWN, out
+    return EXIT_UNKNOWN, msg
 
 
 def _run_oracle(cfg: RunConfig, g: Graph) -> tuple[int, str]:

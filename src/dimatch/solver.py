@@ -8,11 +8,12 @@ Each xy branch assumes xy matched and settles: propagation only forces
 what every d.i.m. through xy holds, on every graph.  The branch then
 splits the undecided vertices into connected parts and completes each
 with the exact fail-first subsolver, so a branch's None, and the
-covering edges' `none`, are exact on every graph.  The subsolver's nodes
-over one call share a budget; running over it answers
-`hypothesis-violated`, and only then is the graph searched for an
-induced S_{1,1,5} to name as the witness.  Produced certificates are
-always verified against the original graph.
+covering edges' `none`, are exact on every graph.  `solve(g, xy=...)`
+runs the same driver with the one branch on xy in place of the covering
+edges of xy's component.  The subsolver's nodes over one call share a
+budget; running over it answers `hypothesis-violated` (the CLI names an
+induced S_{1,1,5} as the witness under --strict).  Produced certificates
+are always verified against the original graph.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import (Graph, DimCertificate, connected_components, edge_key,
-                    verify_dim, verify_dim_report)
+                    verify_dim_report)
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
                        preprocess, settle)
-from . import patterns
 
 FOUND, NONE, HYPOTHESIS_VIOLATED = "found", "none", "hypothesis-violated"
 
@@ -48,7 +48,6 @@ class SolveOutcome:
     status: str
     certificate: DimCertificate | None = None
     detail: str = ""
-    witness: patterns.PatternWitness | None = None
     stats: SolveStats = field(default_factory=SolveStats)
 
 
@@ -166,9 +165,9 @@ def _undecided_parts(g: Graph, state: ColoringState, comp
     return parts
 
 
-def _solve_with_xy_internal(g: Graph, base: ColoringState, comp,
-                            xy: tuple[int, int], stats: SolveStats,
-                            budget: int | None = None) -> bool:
+def _solve_xy_branch(g: Graph, base: ColoringState, comp,
+                     xy: tuple[int, int], stats: SolveStats,
+                     budget: int | None = None) -> bool:
     """Whether a d.i.m. matches xy: propagation forces only what every
     such d.i.m. holds and the exact search completes each undecided part,
     so False is exact on every graph.  On True `base` holds one on `comp`;
@@ -226,7 +225,7 @@ def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
             continue
         stats.xy_tried += 1
         try:
-            if _solve_with_xy_internal(g, base, comp, (u, v), stats, budget):
+            if _solve_xy_branch(g, base, comp, (u, v), stats, budget):
                 return FOUND, ""
         except HypothesisViolation as hv:
             over_budget = str(hv)
@@ -236,72 +235,53 @@ def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
     return NONE, "every candidate edge was exhausted"
 
 
-def solve(g: Graph, budget: int | None = None) -> SolveOutcome:
+def solve(g: Graph, budget: int | None = None,
+          xy: tuple[int, int] | None = None) -> SolveOutcome:
     """Decide whether the graph has a dominating induced matching and
-    construct one when it does.
+    construct one when it does; given the edge `xy`, decide whether it
+    has one that matches xy.
 
-    A "found" answer is always certified against the input graph, and a
-    "none" answer is exact on every graph.  The exact subsolver may settle
-    at most `budget` nodes over the whole call (NODES_PER_VERTEX per
-    vertex by default); past that the answer is "hypothesis-violated",
-    and only then is the graph searched for an induced S_{1,1,5} to name
-    as the witness.
+    A "found" answer is always certified against the input graph (and
+    matches xy when given), and a "none" answer is exact on every graph.
+    With `xy`, preprocessing runs first, the component of xy is solved
+    with xy matched, and the other components are solved normally.  The
+    exact subsolver may settle at most `budget` nodes over the whole call
+    (NODES_PER_VERTEX per vertex by default); past that the answer is
+    "hypothesis-violated".  Raises ValueError when xy is not an edge.
     """
     stats = SolveStats()
+    if xy is not None:
+        u, v = xy
+        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+            raise ValueError(f"xy ({u}, {v}) is not an edge")
+        xy = edge_key(u, v)
     if g.m == 0:
         return SolveOutcome(FOUND, DimCertificate(), stats=stats)
     budget = NODES_PER_VERTEX * g.n if budget is None else budget
     state = preprocess(g)
     if state.contradiction is not None:
         return SolveOutcome(NONE, detail=state.contradiction, stats=stats)
+    # preprocessing ends settled, so a white endpoint is a removed one
+    if xy is not None and state.mate[u] != v \
+            and (state.removed[u] or state.removed[v]):
+        return SolveOutcome(NONE, detail=f"preprocessing rules out {xy}",
+                            stats=stats)
     over_budget = ""
     for comp in connected_components(g, state.live_mask()):
-        status, detail = _solve_component(g, state, comp, stats, budget)
+        status, detail = _solve_component(
+            g, state, comp, stats, budget,
+            xy if xy is not None and u in comp else None)
         if status == NONE:
             return SolveOutcome(NONE, detail=detail, stats=stats)
         if status == HYPOTHESIS_VIOLATED:
             over_budget = detail
     if over_budget:
         return SolveOutcome(HYPOTHESIS_VIOLATED, detail=over_budget,
-                            witness=patterns.find_induced(g, patterns.S115),
                             stats=stats)
     cert = DimCertificate(frozenset(state.mate_pairs()))
     ok, why = verify_dim_report(g, cert)
+    if ok and xy is not None and xy not in cert.edges:
+        ok, why = False, f"{xy} is not matched"
     if not ok:
         raise AssertionError(f"internal error: certificate rejected: {why}")
     return SolveOutcome(FOUND, cert, stats=stats)
-
-
-def solve_with_xy(g: Graph, xy: tuple[int, int], budget: int | None = None
-                  ) -> DimCertificate | None:
-    """A full d.i.m. of the graph containing the edge xy, or None.
-
-    Debugging entry point: preprocessing runs first, the component of xy
-    is solved under the assumption that xy is matched, and the remaining
-    components are solved normally, all as in `solve` and under the same
-    budget.  None is exact on every graph.  Raises HypothesisViolation
-    where `solve` would answer "hypothesis-violated": the exact subsolver
-    ran over the budget.
-    """
-    u, v = edge_key(*xy)
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    stats = SolveStats()
-    budget = NODES_PER_VERTEX * g.n if budget is None else budget
-    base = preprocess(g)
-    if base.contradiction is not None:
-        return None
-    # preprocessing ends settled, so a white endpoint is a removed one
-    if base.mate[u] != v and (base.removed[u] or base.removed[v]):
-        return None
-    for comp in connected_components(g, base.live_mask()):
-        status, detail = _solve_component(g, base, comp, stats, budget,
-                                          (u, v) if u in comp else None)
-        if status == HYPOTHESIS_VIOLATED:
-            raise HypothesisViolation(detail)
-        if status != FOUND:
-            return None
-    cert = DimCertificate(frozenset(base.mate_pairs()))
-    if not verify_dim(g, cert) or (u, v) not in cert.edges:
-        return None
-    return cert

@@ -206,7 +206,16 @@ def test_solve_xy_flag():
     assert code == 0 and out.splitlines()[0] == "DIM 2"
     cfg = RunConfig("solve", xy=(2, 3))
     code, out = run(cfg, text=P6_TEXT)
-    assert code == 1 and out == "NONE"
+    assert code == 1 and out == "NONE (every candidate edge was exhausted)"
+    # --xy answers carry the same stats as solve's
+    code, out = run(RunConfig("solve", xy=(1, 2), fmt="json"), text=P6_TEXT)
+    obj = json.loads(out)
+    assert code == 0 and obj["result"] == "found"
+    assert obj["stats"]["xy_tried"] == 1 and "subsolver_nodes" in obj["stats"]
+    # a pair that is no edge, or an id out of range, is an input error
+    for xy in ((0, 2), (-1, 0), (0, 6)):
+        code, out = run(RunConfig("solve", xy=xy), text=P6_TEXT)
+        assert code == 2 and out.endswith("is not an edge"), out
 
 
 def test_oracle_mode():
@@ -377,7 +386,7 @@ def test_solve_xy_outside_the_class_finds_the_dim():
 def test_internal_error_exits_4(monkeypatch, capsys, tmp_path):
     # an exception escaping the run is an internal error with its
     # traceback on stderr, never exit 1 ("no d.i.m.")
-    def boom(g, budget=None):
+    def boom(g, budget=None, xy=None):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(cli, "solve", boom)
@@ -387,6 +396,21 @@ def test_internal_error_exits_4(monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" in captured.err and "RecursionError" in captured.err
+
+
+def test_xy_certificate_rejected_by_the_verifier_exits_4(monkeypatch,
+                                                         capsys, tmp_path):
+    # a certificate the verifier rejects is an internal error under --xy
+    # too, never "no d.i.m."
+    monkeypatch.setattr(solver, "verify_dim_report",
+                        lambda g, cert: (False, "rejected by the test"))
+    with pytest.raises(AssertionError, match="rejected by the test"):
+        run(RunConfig("solve", xy=(1, 2)), text=P6_TEXT)
+    path = tmp_path / "p6.txt"
+    path.write_text(P6_TEXT)
+    assert main(["solve", "--xy", "1", "2", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "AssertionError" in captured.err
 
 
 def test_out_of_memory_exits_4(monkeypatch, capsys, tmp_path):

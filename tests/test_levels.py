@@ -10,8 +10,7 @@ import random
 
 from dimatch import build_graph, enumerate_dims
 from dimatch.coloring import BLACK, WHITE, assign, preprocess, settle
-from dimatch.solver import (SolveStats, _solve_with_xy_internal,
-                            _undecided_parts)
+from dimatch.solver import SolveStats, _solve_xy_branch, _undecided_parts
 from dimatch.patterns import make_named, path
 
 
@@ -29,7 +28,7 @@ def _branch(g, xy):
     """The pairs of a d.i.m. through xy found by the solver's branch on
     xy, or None when it finds that no d.i.m. matches xy."""
     st = preprocess(g)
-    if _solve_with_xy_internal(g, st, range(g.n), xy, SolveStats()):
+    if _solve_xy_branch(g, st, range(g.n), xy, SolveStats()):
         return set(st.mate_pairs())
     return None
 

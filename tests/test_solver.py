@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from dimatch import (brute_force_dim, build_graph, connected_components,
-                     enumerate_dims, solve, solve_with_xy, verify_dim)
-from dimatch import patterns, solver
+                     enumerate_dims, solve, verify_dim)
+from dimatch import cli, patterns, solver
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
                               edge_reduction, preprocess, settle)
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
@@ -75,19 +75,30 @@ def test_edgeless_graph_empty_certificate():
     assert out.status == "found" and len(out.certificate) == 0
 
 
-def test_solve_with_xy_p6():
+def _xy_cert(g, xy):
+    """The certificate of `solve(g, xy=xy)`, or None on `none`; it must
+    verify and match xy."""
+    out = solve(g, xy=xy)
+    assert out.status in ("found", "none"), out.detail
+    if out.status == "none":
+        return None
+    assert verify_dim(g, out.certificate) and xy in out.certificate.edges
+    return out.certificate
+
+
+def test_solve_xy_p6():
     g = make_named(path(6))
-    cert = solve_with_xy(g, (1, 2))
+    cert = _xy_cert(g, (1, 2))
     assert cert.sorted_edges() == [(1, 2), (4, 5)]
-    assert solve_with_xy(g, (2, 3)) is None
+    assert _xy_cert(g, (2, 3)) is None
 
 
-def test_solve_with_xy_p7():
-    cert = solve_with_xy(make_named(path(7)), (1, 2))
+def test_solve_xy_p7():
+    cert = _xy_cert(make_named(path(7)), (1, 2))
     assert cert.sorted_edges() == [(1, 2), (4, 5)]
 
 
-def test_solve_with_xy_matches_oracle_on_every_edge():
+def test_solve_xy_matches_oracle_on_every_edge():
     # graphs this small have no induced S115, so the xy branch is exact:
     # a certificate comes back iff some d.i.m. contains the edge
     rng = random.Random(83)
@@ -99,25 +110,36 @@ def test_solve_with_xy_matches_oracle_on_every_edge():
                             if rng.random() < p])
         on_some_dim = {e for d in enumerate_dims(g) for e in d.edges}
         for e in g.edges:
-            cert = solve_with_xy(g, e)
+            cert = _xy_cert(g, e)
             assert (cert is not None) == (e in on_some_dim), (g.edges, e)
-            if cert is not None:
-                assert verify_dim(g, cert) and e in cert.edges
             edges_checked += 1
     assert edges_checked > 4000
 
 
-def test_solve_with_xy_claw():
+def test_solve_xy_claw():
     # the matched center edge dominates everything
-    cert = solve_with_xy(make_named(CLAW), (0, 1))
+    cert = _xy_cert(make_named(CLAW), (0, 1))
     assert cert.sorted_edges() == [(0, 1)]
 
 
-def test_solve_with_xy_forced_edge():
+def test_solve_xy_forced_edge():
     g = make_named(DIAMOND)
-    cert = solve_with_xy(g, (1, 3))
+    cert = _xy_cert(g, (1, 3))
     assert cert.sorted_edges() == [(1, 3)]
-    assert solve_with_xy(g, (0, 1)) is None
+    out = solve(g, xy=(0, 1))
+    assert out.status == "none" and out.detail == \
+        "preprocessing rules out (0, 1)"
+
+
+def test_solve_xy_rejects_a_pair_that_is_no_edge():
+    # a negative id would index the adjacency from its end: (-1, 0) must
+    # be rejected, not answered for the edge (2, 0)
+    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    for xy in ((-1, 0), (0, 5), (0, 0)):
+        with pytest.raises(ValueError, match="is not an edge"):
+            solve(g, xy=xy)
+    with pytest.raises(ValueError):
+        solve(build_graph(4, [(0, 1)]), xy=(2, 3))
 
 
 def test_subsolver_p2():
@@ -548,11 +570,23 @@ HV_EDGES = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 8),
             (14, 21), (18, 19), (19, 20), (20, 21)]
 
 
+def _strict_witness(g):
+    """The S115 witness `solve --strict --budget 1` prints for the graph,
+    which must answer hypothesis-violated, or None."""
+    code, out = cli.run(cli.RunConfig("solve", strict=True, budget=1),
+                        text=cli.emit_graph(g))
+    assert code == cli.EXIT_UNKNOWN, out
+    if "witness:" not in out:
+        return None
+    verts = tuple(int(v) for v in out.split("witness:")[1].split())
+    return patterns.PatternWitness(S115, verts)
+
+
 def test_hypothesis_violation_reports_witness():
     # a wide second level with a far-level path of four: outside the
     # supported class, where the exact search of a branch decides it (3
-    # nodes); with a budget of one node it reports the class witness
-    # instead
+    # nodes); with a budget of one node it answers hypothesis-violated,
+    # and `solve --strict` names the class witness
     g = build_graph(22, HV_EDGES)
     out = solve(g)
     assert out.status == "none" and out.stats.parts >= 1
@@ -561,7 +595,8 @@ def test_hypothesis_violation_reports_witness():
     out = solve(g, budget=1)
     assert out.status == "hypothesis-violated"
     assert "over its budget of 1 nodes" in out.detail
-    assert out.witness is not None and check_witness(g, out.witness)
+    witness = _strict_witness(g)
+    assert witness is not None and check_witness(g, witness)
 
 
 def test_branch_over_budget_leaves_the_next_branch_its_state(monkeypatch):
@@ -570,7 +605,7 @@ def test_branch_over_budget_leaves_the_next_branch_its_state(monkeypatch):
     # search, finds a d.i.m.: that branch starts from the state the
     # first one was given, so the answer is found and verifies
     events = []
-    branch = solver._solve_with_xy_internal
+    branch = solver._solve_xy_branch
 
     def record(g, base, comp, xy, stats, budget=None):
         try:
@@ -581,7 +616,7 @@ def test_branch_over_budget_leaves_the_next_branch_its_state(monkeypatch):
         events.append((comp, found))
         return found
 
-    monkeypatch.setattr(solver, "_solve_with_xy_internal", record)
+    monkeypatch.setattr(solver, "_solve_xy_branch", record)
     rng = random.Random(11)
     sites = 0
     for _ in range(1500):
@@ -603,13 +638,13 @@ def _case_pairs(g, xy):
     of xy, with the statistics of that branch."""
     from dimatch import DimCertificate, connected_components
     from dimatch.coloring import preprocess
-    from dimatch.solver import SolveStats, _solve_with_xy_internal
+    from dimatch.solver import SolveStats, _solve_xy_branch
     base = preprocess(g)
     assert base.contradiction is None
     comp = next(c for c in connected_components(g, base.live_mask())
                 if xy[0] in c)
     stats = SolveStats()
-    assert _solve_with_xy_internal(g, base, comp, xy, stats)
+    assert _solve_xy_branch(g, base, comp, xy, stats)
     cert = DimCertificate(frozenset(base.mate_pairs()))
     assert verify_dim(g, cert) and xy in cert.edges
     return cert, stats
@@ -691,8 +726,8 @@ def test_disjoint_unions_solve_part_by_part():
                 continue
             xy = rng.choice(part.edges)
             xy_calls += 1
-            alone = solve_with_xy(part, xy)
-            got = solve_with_xy(g, (xy[0] + off, xy[1] + off))
+            alone = _xy_cert(part, xy)
+            got = _xy_cert(g, (xy[0] + off, xy[1] + off))
             others = [j for j in range(len(parts)) if j != i]
             if alone is None or not all(outs[j].status == "found" for j in others):
                 assert got is None
@@ -811,8 +846,8 @@ def test_planted_graphs_never_answer_none():
         out = solve(g)
         assert out.status == "found" and verify_dim(g, out.certificate)
         for e in matching:
-            cert = solve_with_xy(g, e)
-            assert cert is not None and e in cert.edges, (g.edges, e)
+            cert = _xy_cert(g, e)
+            assert cert is not None, (g.edges, e)
             xy_calls += 1
     assert 10 <= free <= 110 and xy_calls > 1000
 
@@ -1044,7 +1079,7 @@ def test_only_covering_edges_branch_then_one_exact_search(monkeypatch,
     # inside the component whose vertices are live and unknown or unmated
     # blacks, counted in `parts`
     runs = []
-    branch = solver._solve_with_xy_internal
+    branch = solver._solve_xy_branch
 
     def record(g, base, comp, xy, stats, budget=None):
         first, before = len(searches), base.clone()
@@ -1053,7 +1088,7 @@ def test_only_covering_edges_branch_then_one_exact_search(monkeypatch,
         finally:
             runs.append((tuple(comp), xy, before, searches[first:]))
 
-    monkeypatch.setattr(solver, "_solve_with_xy_internal", record)
+    monkeypatch.setattr(solver, "_solve_xy_branch", record)
     searched = 0
     for g in _fuzz_graphs(random.Random(5)):
         runs.clear()
@@ -1117,19 +1152,21 @@ def test_covering_edges_match_the_minimum_over_the_component():
 def test_hypothesis_violated_witness_past_200_vertices():
     # the graph of test_hypothesis_violation_reports_witness padded with
     # disjoint edges keeps its answers: none, and over a budget of one
-    # node, hypothesis-violated with its witness
+    # node, hypothesis-violated with its witness under `solve --strict`
     padded = build_graph(202, HV_EDGES + [(v, v + 1)
                                           for v in range(22, 202, 2)])
     assert solve(padded).status == "none"
     out = solve(padded, budget=1)
     assert padded.n > 200 and out.status == "hypothesis-violated"
-    assert out.witness is not None and check_witness(padded, out.witness)
+    witness = _strict_witness(padded)
+    assert witness is not None and check_witness(padded, witness)
 
 
 def test_s115_search_runs_only_over_budget(monkeypatch):
-    # a `none` is exact without a class check, so `solve` searches for an
-    # induced S115 only to name the witness of a hypothesis-violated
-    # answer, once
+    # a `none` is exact without a class check, and `solve` never searches
+    # for an induced S115, not even over its budget; the CLI searches
+    # once, only to print the witness of a hypothesis-violated answer
+    # under --strict in text
     graphs = list(_fuzz_graphs(random.Random(5)))
     graphs += [build_graph(100, [(i, (i + 1) % 100) for i in range(100)]),
                build_graph(100, [(i, i + 1) for i in range(99)])]
@@ -1143,12 +1180,25 @@ def test_s115_search_runs_only_over_budget(monkeypatch):
         return real(g, kind)
 
     monkeypatch.setattr(patterns, "find_induced", counted)
+    monkeypatch.setattr(cli, "find_induced", counted)
     for g in graphs:
         assert solve(g).status != "hypothesis-violated"
-    assert not searched
     g = build_graph(22, HV_EDGES)
     assert solve(g, budget=1).status == "hypothesis-violated"
-    assert searched == [g]
+    assert solve(g, budget=1, xy=(0, 1)).status == "hypothesis-violated"
+    assert not searched
+    text = cli.emit_graph(g)
+    for fields in ({}, {"strict": True, "fmt": "json"},
+                   {"strict": True, "xy": (0, 1), "fmt": "json"},
+                   {"xy": (0, 1)}):
+        code, _ = cli.run(cli.RunConfig("solve", budget=1, **fields), text)
+        assert code == cli.EXIT_UNKNOWN
+    code, _ = cli.run(cli.RunConfig("solve", strict=True), text)
+    assert code == cli.EXIT_NONE
+    assert not searched
+    code, out = cli.run(cli.RunConfig("solve", strict=True, budget=1), text)
+    assert code == cli.EXIT_UNKNOWN and "witness:" in out
+    assert [h.edges for h in searched] == [g.edges]
 
 
 def test_branch_count_is_bounded_by_degree():

@@ -29,7 +29,7 @@ its directory and answers the same seeded requests through
   chain for d = 1-15 and `G24`, S_{1,1,5}-free graphs that took the
   exact search exponential or 3.67 nodes per vertex before propagation
   whitened a vertex with two black neighbors, each relabeled at random;
-* `solve_with_xy` (`solve --xy`) on every edge of a prefix of each pool;
+* `solve --xy` (`solve(g, xy=...)`) on every edge of a prefix of each pool;
 * `malformed`: `solve` on a seeded corruption of the text of each graph of
   a prefix of each pool: a dropped or extra token, a non-integer token,
   an id out of range or negative, a self-loop, a reversed duplicate, a
@@ -86,7 +86,7 @@ import sys
 import tempfile
 
 SEED = 0
-# pool name -> (graphs, how many of them also get solve_with_xy per edge)
+# pool name -> (graphs, how many of them also get solve --xy per edge)
 POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0),
          "sparse-planted": (200, 5), "block-trees": (60, 5),
@@ -435,7 +435,7 @@ def _requests():
                        _corrupt(bad, graph))
             if i < prefix:
                 for e in sorted((min(e), max(e)) for e in graph[1]):
-                    yield (pool, i, "solve_with_xy",
+                    yield (pool, i, "solve --xy",
                            {"mode": "solve", "xy": e}, graph)
     rng = random.Random(f"{SEED}:generate")
     for i in range(GENERATE):
@@ -478,7 +478,7 @@ def _classify(kind, a, b):
     (checked by the caller), `detail` and `stats`; every other
     difference, and any in `check-s115`, `generate` or a rejected text,
     is a status difference."""
-    if kind not in ("solve", "solve_with_xy", "malformed") or a[0] != b[0] \
+    if kind not in ("solve", "solve --xy", "malformed") or a[0] != b[0] \
             or not all(isinstance(x[1], dict) for x in (a, b)):
         return "status"
     keys = {k for k in a[1].keys() | b[1].keys() if a[1].get(k) != b[1].get(k)}
@@ -573,7 +573,7 @@ def main(src_a, src_b):
                 return "hypothesis-violated -> found"
             if rb == "none" and has_no_dim(graph):
                 return "hypothesis-violated -> none (oracle)"
-        if kind == "solve_with_xy" and ra == "none" and rb == "found" \
+        if kind == "solve --xy" and ra == "none" and rb == "found" \
                 and verifies(graph, xy, jb[1]["edges"]):
             return "--xy none -> found"
         return None

@@ -14,7 +14,7 @@ from .patterns import (PatternKind, PatternWitness, K4, DIAMOND, BUTTERFLY,
                        CLAW, S115, spider, path, cycle, make_named,
                        find_induced, check_witness, random_s115_free)
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
-                       propagate, edge_reduction, preprocess)
+                       propagate, preprocess)
 from .oracle import (OracleReport, BudgetExceeded, brute_force_dim,
                      enumerate_dims, dims_by_subset_filter)
 from .solver import (SolveOutcome, SolveStats, HypothesisViolation,

@@ -8,6 +8,7 @@ stay simple enough to be obviously correct.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .graph import Graph, DimCertificate, edge_key, verify_dim
@@ -33,7 +34,9 @@ def _search(g: Graph, budget: int, collect: list | None):
     distance at least 2), so no edge is ever dominated twice; a leaf with
     no undominated edge is therefore a d.i.m.  Returns a witness edge set
     or None; fills `collect` with all solutions when given.  A budget
-    below 1 raises ValueError.
+    below 1 raises ValueError.  The search recurses once per chosen
+    edge, so one deeper than the interpreter's recursion limit raises
+    BudgetExceeded too.
     """
     if budget < 1:
         raise ValueError(f"oracle budget must be at least 1, got {budget}")
@@ -91,7 +94,11 @@ def _search(g: Graph, budget: int, collect: list | None):
                 return hit
         return None
 
-    return rec([])
+    try:
+        return rec([])
+    except RecursionError:
+        raise BudgetExceeded("oracle search deeper than the recursion "
+                             f"limit of {sys.getrecursionlimit()}") from None
 
 
 def brute_force_dim(g: Graph, budget: int = DEFAULT_BUDGET,

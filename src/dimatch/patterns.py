@@ -56,6 +56,8 @@ def cycle(k: int) -> PatternKind:
 
 S115 = spider(1, 1, 5)
 
+_WHITE = 2      # coloring.WHITE, which the scans below skip
+
 
 @dataclass(frozen=True)
 class PatternWitness:
@@ -114,25 +116,26 @@ def _find_k4(g: Graph) -> PatternWitness | None:
     return None
 
 
-def diamonds(g: Graph, removed):
+def diamonds(g: Graph, color):
     """Yield the induced diamonds of the live graph in scan order: edges
     (u, v) ascending, then pairs of their common neighbors.
 
-    `removed` is a byte mask (nonzero for vertices outside the working
-    graph) read afresh at every step.  Removing vertices never creates an
-    induced diamond, so after each witness the scan resumes at the same
-    edge: the next witness is the first one a new scan would find.  A
-    caller that removes nothing in between gets the same witness again.
-    Each edge's common neighborhood in g is taken once and filtered by
-    `removed` on each rescan; removals only shrink it, so an edge with
+    `color` holds one byte per vertex, read afresh at every step; the
+    value 2 (white) marks a vertex outside the working graph, and every
+    other value a live one.  Whitening vertices never creates an induced
+    diamond, so after each witness the scan resumes at the same edge:
+    the next witness is the first one a new scan would find.  A caller
+    that whitens nothing in between gets the same witness again.  Each
+    edge's common neighborhood in g is taken once and filtered by
+    `color` on each rescan; whitening only shrinks it, so an edge with
     fewer than two common neighbors is skipped."""
     adjset = g.adjset
     for (u, v) in g.edges:
         full = adjset[u] & adjset[v]
         if len(full) < 2:
             continue
-        while not (removed[u] or removed[v]):
-            common = sorted(w for w in full if not removed[w])
+        while color[u] != _WHITE and color[v] != _WHITE:
+            common = sorted(w for w in full if color[w] != _WHITE)
             for a, b in combinations(common, 2):
                 if b not in adjset[a]:
                     yield PatternWitness(DIAMOND, (a, u, b, v))
@@ -141,7 +144,7 @@ def diamonds(g: Graph, removed):
                 break
 
 
-def butterflies(g: Graph, removed):
+def butterflies(g: Graph, color):
     """Yield the induced butterflies of the live graph in scan order:
     centers ascending, then pairs of edges inside the center's
     neighborhood.  Resumes at the center of the last witness, under the
@@ -151,10 +154,10 @@ def butterflies(g: Graph, removed):
     for u in range(g.n):
         if len(adj[u]) < 4:
             continue
-        while not removed[u]:
-            inner = sorted((a, b) for a in adj[u] if not removed[a]
+        while color[u] != _WHITE:
+            inner = sorted((a, b) for a in adj[u] if color[a] != _WHITE
                            for b in adjset[a] & adjset[u]
-                           if a < b and not removed[b])
+                           if a < b and color[b] != _WHITE)
             for (a, b), (c, d) in combinations(inner, 2):
                 if len({a, b, c, d}) == 4 and not adjset[a] & {c, d} \
                         and not adjset[b] & {c, d}:

@@ -4,10 +4,10 @@ Per component: global pattern reductions, then one branch per covering
 edge.  For a live vertex v of least live degree and its live neighbor w
 of least live degree, the edge vw must be dominated, so every solution
 matches an edge at v or at w: at most deg(v) + deg(w) - 1 branches.
-Each xy branch assumes xy matched and settles: propagation only forces
-what every d.i.m. through xy holds, on every graph.  The branch then
-splits the undecided vertices into connected parts and completes each
-with the exact fail-first subsolver, so a branch's None, and the
+Each xy branch assumes xy matched and propagates: propagation only
+forces what every d.i.m. through xy holds, on every graph.  The branch
+then splits the undecided vertices into connected parts and completes
+each with the exact fail-first subsolver, so a branch's None, and the
 covering edges' `none`, are exact on every graph.  `solve(g, xy=...)`
 runs the same driver with the one branch on xy in place of the covering
 edges of xy's component.  The subsolver's nodes over one call share a
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .graph import (Graph, DimCertificate, connected_components, edge_key,
                     verify_dim_report)
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
-                       preprocess, settle)
+                       preprocess, propagate)
 
 FOUND, NONE, HYPOTHESIS_VIOLATED = "found", "none", "hypothesis-violated"
 
@@ -40,7 +40,7 @@ class HypothesisViolation(Exception):
 class SolveStats:
     xy_tried: int = 0
     parts: int = 0              # undecided parts handed to the subsolver
-    subsolver_nodes: int = 0    # nodes settled by constrained_subsolver
+    subsolver_nodes: int = 0    # nodes visited by constrained_subsolver
 
 
 @dataclass
@@ -53,16 +53,14 @@ class SolveOutcome:
 
 def _needs_nothing(g: Graph, state: ColoringState, comp) -> bool:
     """True when whitening the remaining unknowns completes the component:
-    no live unknown-unknown edge and no live unmated black."""
-    color, removed, mate = state.color, state.removed, state.mate
+    no unknown-unknown edge and no unmated black."""
+    color, mate = state.color, state.mate
     for v in comp:
-        if removed[v]:
-            continue
         if color[v] == BLACK and mate[v] < 0:
             return False
         if color[v] == UNKNOWN:
             for w in g.adj[v]:
-                if w > v and not removed[w] and color[w] == UNKNOWN:
+                if w > v and color[w] == UNKNOWN:
                     return False
     return True
 
@@ -70,9 +68,9 @@ def _needs_nothing(g: Graph, state: ColoringState, comp) -> bool:
 def constrained_subsolver(g: Graph, state: ColoringState, within=None,
                           stats: SolveStats | None = None,
                           budget: int | None = None) -> ColoringState | None:
-    """Exact completion search, fail first: settle, then branch on the
-    mate of the live unmated black with the fewest candidates (live
-    unknown neighbors), one child per candidate in id order.  Its mate
+    """Exact completion search, fail first: propagate, then branch on
+    the mate of the unmated black with the fewest candidates (unknown
+    neighbors), one child per candidate in id order.  Its mate
     must be one of them, so the children are exhaustive, and mating one
     whitens the others, so they are disjoint.
     With no unmated black left, the first unknown vertex is branched,
@@ -83,12 +81,12 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
     `state` undone to its input (over the budget, the caller undoes).
     `within` limits the completion to a set of vertices that no
     constraint ties to the rest, such as a component or an undecided
-    part; `stats.subsolver_nodes` counts the nodes settled, and a count past
+    part; `stats.subsolver_nodes` counts the nodes visited, and a count past
     `budget` raises HypothesisViolation."""
     if state.contradiction is not None:
         return None
     scope = tuple(within) if within is not None else tuple(range(g.n))
-    adj, color, removed, mate = g.adj, state.color, state.removed, state.mate
+    adj, color, mate = g.adj, state.color, state.mate
     root = state.mark()
     stack = [(root, -1, UNKNOWN)]       # (parent's mark, vertex, color)
     while stack:
@@ -101,22 +99,19 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
             if budget is not None and stats.subsolver_nodes > budget:
                 raise HypothesisViolation(
                     f"exact search over its budget of {budget} nodes")
-        if not settle(g, state):
+        if not propagate(g, state):
             continue
         first_unknown, cands = -1, None
         for v in scope:
-            if removed[v]:
-                continue
             c = color[v]
             if c == UNKNOWN:
                 if first_unknown < 0:
                     first_unknown = v
             elif c == BLACK and mate[v] < 0:
-                options = [w for w in adj[v]
-                           if not removed[w] and color[w] == UNKNOWN]
+                options = [w for w in adj[v] if color[w] == UNKNOWN]
                 if cands is None or len(options) < len(cands):
                     cands = options
-                    if len(options) <= 2:   # settle leaves no fewer than two
+                    if len(options) <= 2:   # propagate leaves no fewer
                         break
         mark = state.mark()     # each child undoes the trail to here
         if cands is not None:
@@ -133,16 +128,16 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
 
 def _undecided_parts(g: Graph, state: ColoringState, comp
                      ) -> list[list[int]]:
-    """The undecided vertices of `comp` (live, and unknown or an unmated
-    black), split into the connected parts they induce, each in id order.
-    In a settled state every live neighbor of an undecided vertex is
+    """The undecided vertices of `comp` (unknown, or an unmated black),
+    split into the connected parts they induce, each in id order.  In a
+    propagated state every live neighbor of an undecided vertex is
     undecided too (a white has left the working graph, and a mated black
     has whitened its other neighbors), so no constraint joins two parts,
     and each completes independently of the others."""
-    adj, color, removed, mate = g.adj, state.color, state.removed, state.mate
+    adj, color, mate = g.adj, state.color, state.mate
 
     def undecided(v):
-        return not removed[v] and mate[v] < 0 and color[v] != WHITE
+        return mate[v] < 0 and color[v] != WHITE
 
     label: dict[int, int] = {}
     count = 0
@@ -175,7 +170,7 @@ def _solve_xy_branch(g: Graph, base: ColoringState, comp,
     x, y = xy
     assign(base, x, BLACK)
     assign(base, y, BLACK)
-    if not settle(g, base):
+    if not propagate(g, base):
         return False
     for part in _undecided_parts(g, base, comp):
         stats.parts += 1
@@ -192,10 +187,10 @@ def _covering_edges(g: Graph, state: ColoringState, comp
     be dominated, so every d.i.m. matches one of these edges.  v is the
     first of least live degree in id order; the scan stops at live degree
     1, which no vertex of a component with an edge undercuts."""
-    adj, removed = g.adj, state.removed
+    adj, color = g.adj, state.color
 
     def live(u):
-        return [t for t in adj[u] if not removed[t]]
+        return [t for t in adj[u] if color[t] != WHITE]
 
     v, least = -1, g.n
     for u in comp:
@@ -210,19 +205,19 @@ def _covering_edges(g: Graph, state: ColoringState, comp
 
 def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
                      budget: int, xy=None) -> tuple[str, str]:
-    """(status, detail) of one live component, by one branch on `base` per
-    live, non-white edge of [xy] when given, else of the covering edges:
-    found at the first that finds a d.i.m. and keeps its changes (no other
-    component shares a vertex with `comp`), none when each ended without
-    one, hypothesis-violated when some ran over `budget`; others undone."""
-    if xy is None and _needs_nothing(g, base, comp):
+    """(status, detail) of one live component: found when it needs
+    nothing (a live xy is then already matched), else by one branch on
+    `base` per edge of [xy] when given (live: `solve` rules out a white
+    end), else of the covering edges: found at the first that finds a
+    d.i.m. and keeps its changes (no other component shares a vertex with
+    `comp`), none when each ended without one, hypothesis-violated when
+    some ran over `budget`; others undone, so each edge is live when its
+    branch starts."""
+    if _needs_nothing(g, base, comp):
         return FOUND, ""
     edges = [xy] if xy is not None else _covering_edges(g, base, comp)
-    removed, color = base.removed, base.color
     over_budget, mark = "", base.mark()
     for (u, v) in edges:
-        if removed[u] or removed[v] or color[u] == WHITE or color[v] == WHITE:
-            continue
         stats.xy_tried += 1
         try:
             if _solve_xy_branch(g, base, comp, (u, v), stats, budget):
@@ -245,7 +240,7 @@ def solve(g: Graph, budget: int | None = None,
     matches xy when given), and a "none" answer is exact on every graph.
     With `xy`, preprocessing runs first, the component of xy is solved
     with xy matched, and the other components are solved normally.  The
-    exact subsolver may settle at most `budget` nodes over the whole call
+    exact subsolver may visit at most `budget` nodes over the whole call
     (NODES_PER_VERTEX per vertex by default); past that the answer is
     "hypothesis-violated".  Raises ValueError when xy is not an edge.
     """
@@ -261,9 +256,7 @@ def solve(g: Graph, budget: int | None = None,
     state = preprocess(g)
     if state.contradiction is not None:
         return SolveOutcome(NONE, detail=state.contradiction, stats=stats)
-    # preprocessing ends settled, so a white endpoint is a removed one
-    if xy is not None and state.mate[u] != v \
-            and (state.removed[u] or state.removed[v]):
+    if xy is not None and WHITE in (state.color[u], state.color[v]):
         return SolveOutcome(NONE, detail=f"preprocessing rules out {xy}",
                             stats=stats)
     over_budget = ""

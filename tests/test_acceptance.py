@@ -198,9 +198,9 @@ def test_criterion_4_propagation_soundness():
             continue
         for xy in g.edges:
             x, y = xy
-            if st0.removed[x] or st0.removed[y]:
+            if WHITE in (st0.color[x], st0.color[y]):
                 continue
-            live_p3 = any(not st0.removed[w] and w not in xy
+            live_p3 = any(st0.color[w] != WHITE and w not in xy
                           and (g.has_edge(w, x) != g.has_edge(w, y))
                           for w in range(n))
             if not live_p3:

@@ -1,8 +1,8 @@
 import random
 
-from dimatch import build_graph, enumerate_dims
+from dimatch import build_graph, connected_components, enumerate_dims
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
-                              edge_reduction, preprocess, propagate, settle)
+                              preprocess, propagate)
 from dimatch import coloring, patterns
 from dimatch.solver import constrained_subsolver
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
@@ -10,26 +10,37 @@ from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
 
 
 def vertex_reduction(g, state, v):
-    """Remove a white-forced vertex after blackening its neighbors, then
-    propagate: the reference of `settle`, which the solver uses instead."""
+    """Whiten a white-forced vertex after blackening its live neighbors,
+    then propagate: the paper's vertex reduction, which rule (a) of
+    `propagate` does on its own."""
     if state.contradiction is not None:
         return
     assign(state, v, WHITE)
     if state.contradiction is not None:
         return
     for w in g.adj[v]:
-        if not state.removed[w]:
+        if state.color[w] != WHITE:
             assign(state, w, BLACK)
             if state.contradiction is not None:
                 return
-    state.removed[v] = 1
-    state.trail.append(~(state.n + v))  # the trail's removal entry
     propagate(g, state)
 
 
+def force_edge(g, state, u, v):
+    """Force the edge uv into the matching as `preprocess` does: color
+    both ends black and propagate (through the module, so that a test
+    may patch it); False on a contradiction."""
+    assign(state, u, BLACK)
+    assign(state, v, BLACK)
+    return coloring.propagate(g, state)
+
+
 def _live_unknowns(st):
-    return [v for v in range(st.n)
-            if not st.removed[v] and st.color[v] == UNKNOWN]
+    return [v for v in range(st.n) if st.color[v] == UNKNOWN]
+
+
+def _all_white(st):
+    return st.color.count(WHITE) == st.n
 
 
 def test_assign_conflict_sets_contradiction():
@@ -99,30 +110,30 @@ def test_fixpoint_is_order_independent():
 
 
 def test_edge_reduction_diamond_mid():
+    # forcing the mid-edge mates its ends and whitens the rest; the pair
+    # stays in the working graph as a component of its own
     g = make_named(DIAMOND)
     st = ColoringState(4)
-    edge_reduction(g, st, 1, 3)
-    assert st.contradiction is None
+    assert force_edge(g, st, 1, 3)
     assert [v for v in range(4) if st.color[v] == WHITE] == [0, 2]
-    assert st.removed[1] and st.removed[3]
+    assert connected_components(g, st.live_mask()) == [(1, 3)]
     assert st.mate_pairs() == [(1, 3)]
 
 
 def test_edge_reduction_butterfly_both_peripherals():
     g = make_named(BUTTERFLY)
     st = ColoringState(5)
-    edge_reduction(g, st, 0, 1)
-    edge_reduction(g, st, 2, 3)
-    settle(g, st)
-    assert st.contradiction is None
-    assert not _live_unknowns(st)
+    force_edge(g, st, 0, 1)
+    force_edge(g, st, 2, 3)
+    assert propagate(g, st)
+    assert not _live_unknowns(st) and st.color[4] == WHITE
     assert set(st.mate_pairs()) == {(0, 1), (2, 3)}
 
 
 def test_edge_reduction_p2():
     g = build_graph(2, [(0, 1)])
     st = ColoringState(2)
-    edge_reduction(g, st, 0, 1)
+    assert force_edge(g, st, 0, 1)
     assert not _live_unknowns(st) and st.mate_pairs() == [(0, 1)]
 
 
@@ -137,7 +148,7 @@ def test_vertex_reduction_isolated():
     g = build_graph(1, [])
     st = ColoringState(1)
     vertex_reduction(g, st, 0)
-    assert st.contradiction is None and st.removed[0]
+    assert st.contradiction is None and st.color[0] == WHITE
 
 
 def test_vertex_reduction_claw_center():
@@ -155,39 +166,38 @@ def test_preprocess_k4_rejected():
 def test_preprocess_diamond_reduces_to_empty():
     g = make_named(DIAMOND)
     st = preprocess(g)
-    assert st.contradiction is None
-    assert not any(not st.removed[v] for v in range(4))
+    # nothing is left undecided: the whites leave the working graph, and
+    # the forced pair stays as a component of its own
+    assert st.contradiction is None and not _live_unknowns(st)
+    assert connected_components(g, st.live_mask()) == [(1, 3)]
     assert st.mate_pairs() == [(1, 3)]
 
 
 def test_preprocess_c6_untouched():
     g = make_named(cycle(6))
     st = preprocess(g)
-    assert _live_unknowns(st) == list(range(6)) and not any(st.removed)
+    assert _live_unknowns(st) == list(range(6)) and all(st.live_mask())
 
 
 def _restart_preprocess(g):
     """Reference: start a fresh scan from the first edge or center after
-    every reduction."""
+    every forced edge (both peripheral edges of a butterfly at once)."""
     st = ColoringState(g.n)
     w = find_induced(g, K4)
     if w is not None:
         st.fail(f"K4 found on vertices {w.vertices}")
         return st
-    while st.contradiction is None:
-        if not settle(g, st):
-            break
-        w = next(patterns.diamonds(g, st.removed), None)
+    while propagate(g, st):
+        w = next(patterns.diamonds(g, st.color), None)
         if w is not None:
             _, u, _, mid = w.vertices
-            edge_reduction(g, st, u, mid)
+            assign(st, u, BLACK)
+            assign(st, mid, BLACK)
             continue
-        w = next(patterns.butterflies(g, st.removed), None)
+        w = next(patterns.butterflies(g, st.color), None)
         if w is not None:
-            v1, v2, v3, v4, _ = w.vertices
-            edge_reduction(g, st, v1, v2)
-            if st.contradiction is None:
-                edge_reduction(g, st, v3, v4)
+            for v in w.vertices[:4]:
+                assign(st, v, BLACK)
             continue
         break
     return st
@@ -220,8 +230,8 @@ def test_resumable_scans_match_the_restart_loop():
     reduced = 0
     for g in graphs:
         got, want = preprocess(g), _restart_preprocess(g)
-        assert (got.color, got.mate, got.removed, got.contradiction) == \
-            (want.color, want.mate, want.removed, want.contradiction)
+        assert (got.color, got.mate, got.contradiction) == \
+            (want.color, want.mate, want.contradiction)
         reduced += bool(want.mate_pairs())
     assert reduced > 400
 
@@ -243,7 +253,8 @@ def test_preprocess_starts_each_pattern_scan_once(monkeypatch):
     for name in ("find_induced", "diamonds", "butterflies"):
         counted(name)
     st = preprocess(g)
-    assert st.contradiction is None and all(st.removed)
+    assert st.contradiction is None
+    assert st.color == bytes((WHITE, BLACK, WHITE, BLACK)) * k
     assert st.mate_pairs() == [(4 * i + 1, 4 * i + 3) for i in range(k)]
     assert started == {"find_induced": 1, "diamonds": 1, "butterflies": 1}
 
@@ -313,98 +324,40 @@ def test_worklist_reaches_the_full_fixpoint():
                             if rng.random() < p])
         st = ColoringState(n)
         for _ in range(rng.randint(1, 5)):
-            live = [v for v in range(n) if not st.removed[v]]
-            live_edges = [(u, v) for (u, v) in g.edges
-                          if not st.removed[u] and not st.removed[v]]
+            live, live_edges = _live(g, st)
             step = rng.random()
             if step < 0.5 or not live_edges:
                 assign(st, rng.choice(live), rng.choice((BLACK, WHITE)))
             elif step < 0.8:
-                settle(g, st)           # removes the whites colored so far
+                propagate(g, st)
             else:
-                edge_reduction(g, st, *rng.choice(live_edges))
+                force_edge(g, st, *rng.choice(live_edges))
             if rng.random() < 0.5:
                 propagate(g, st)
-            if st.contradiction is not None or all(st.removed):
+            if st.contradiction is not None or _all_white(st):
                 break
         propagate(g, st)
         if st.contradiction is not None:
             continue
         checked += 1
-        before = (bytes(st.color), tuple(st.mate), bytes(st.removed))
+        before = _snapshot(st)
         st.propagated = 0       # every change so far is work again
         propagate(g, st)
         assert st.contradiction is None
-        assert (bytes(st.color), tuple(st.mate), bytes(st.removed)) == before
+        assert _snapshot(st) == before
     assert checked > 5000
 
 
-def _fresh_whites(st):
-    """The live whites colored since the last settle: the trail logs a
-    color set on v as v, and every other change as a negative entry."""
-    return [v for v in st.trail[st.settled:]
-            if v >= 0 and st.color[v] == WHITE and not st.removed[v]]
-
-
-def _sweep_settle(g, st):
-    """Reference settle: propagate, then vertex-reduce the last fresh
-    white until none is left, each reduction propagating again."""
-    propagate(g, st)
-    while _fresh_whites(st) and st.contradiction is None:
-        vertex_reduction(g, st, _fresh_whites(st)[-1])
-    return st.contradiction is None
-
-
-def _fields(st):
-    return (bytes(st.color), tuple(st.mate), bytes(st.removed),
-            st.contradiction,
-            tuple(_fresh_whites(st)), tuple(st.trail[st.propagated:]))
-
-
-def test_settle_matches_the_per_white_sweep():
-    # removing the swept whites directly gives the state that
-    # vertex-reducing them one by one gives; most steps follow a d.i.m. of
-    # the graph, where there is one, so that most states stay consistent
-    rng = random.Random(83)
-    swept = failed = 0
-    for _ in range(4000):
-        n = rng.randint(3, 14)
-        p = rng.uniform(0.1, 0.5)
-        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                            if rng.random() < p])
-        dims = enumerate_dims(g)
-        dim = set(rng.choice(dims).edges) if dims else set()
-        black = {v for e in dim for v in e}
-        st = ColoringState(n)
-        for _ in range(rng.randint(1, 5)):
-            live = [v for v in range(n) if not st.removed[v]]
-            live_edges = [(u, v) for (u, v) in g.edges
-                          if not st.removed[u] and not st.removed[v]]
-            planted = dims and rng.random() < 0.9
-            if rng.random() < 0.6 or not live_edges:
-                v = rng.choice(live)
-                c = BLACK if v in black else WHITE
-                assign(st, v, c if planted else rng.choice((BLACK, WHITE)))
-            else:
-                # a planted reduction takes one of the d.i.m.'s edges
-                keep = [e for e in live_edges if e in dim]
-                edge_reduction(g, st, *rng.choice(keep if planted and keep
-                                                  else live_edges))
-            if rng.random() < 0.3:
-                settle(g, st)
-            if st.contradiction is not None or all(st.removed):
-                break
-        ref = st.clone()
-        before = sum(st.removed)
-        assert settle(g, st) == _sweep_settle(g, ref)
-        assert _fields(st) == _fields(ref)
-        swept += sum(st.removed) > before
-        failed += st.contradiction is not None
-    assert swept > 500 and failed > 500
-
-
 def _snapshot(st):
-    return bytes(st.color), tuple(st.mate), bytes(st.removed)
+    return bytes(st.color), tuple(st.mate)
+
+
+def _live(g, st):
+    """The vertices and the edges of the working graph: not white."""
+    live = [v for v in range(g.n) if st.color[v] != WHITE]
+    live_edges = [(u, v) for (u, v) in g.edges
+                  if st.color[u] != WHITE and st.color[v] != WHITE]
+    return live, live_edges
 
 
 def _random_graph(rng):
@@ -414,17 +367,17 @@ def _random_graph(rng):
                            if rng.random() < p])
 
 
-def _settled_start(g, rng):
-    """A settled state with a few colors on its trail, or None."""
+def _propagated_start(g, rng):
+    """A propagated state with a few colors on its trail, or None."""
     st = ColoringState(g.n)
     for v in rng.sample(range(g.n), rng.randint(0, 2)):
         assign(st, v, rng.choice((BLACK, WHITE)))
-    return st if settle(g, st) else None
+    return st if propagate(g, st) else None
 
 
 def test_undo_restores_the_marked_state(monkeypatch):
-    # from a settled state, any run of assigns, settles and edge
-    # reductions, contradictions included, is taken back by one undo;
+    # from a propagated state, any run of assigns, propagates and forced
+    # edges, contradictions included, is taken back by one undo;
     # every propagate leaves its queue flags all zero, contradiction or not
     real = coloring.propagate
 
@@ -437,31 +390,27 @@ def test_undo_restores_the_marked_state(monkeypatch):
     undone = failed = 0
     for _ in range(3000):
         g = _random_graph(rng)
-        st = _settled_start(g, rng)
+        st = _propagated_start(g, rng)
         if st is None:
             continue
         mark, ref = st.mark(), st.clone()
         for _ in range(rng.randint(1, 6)):
-            live = [v for v in range(g.n) if not st.removed[v]]
-            live_edges = [(u, v) for (u, v) in g.edges
-                          if not st.removed[u] and not st.removed[v]]
+            live, live_edges = _live(g, st)
             step = rng.random()
             if step < 0.5 or not live_edges:
                 assign(st, rng.choice(live), rng.choice((BLACK, WHITE)))
-            elif step < 0.7:
-                settle(g, st)
             elif step < 0.8:
                 coloring.propagate(g, st)
             else:
-                edge_reduction(g, st, *rng.choice(live_edges))
-            if st.contradiction is not None or all(st.removed):
+                force_edge(g, st, *rng.choice(live_edges))
+            if st.contradiction is not None or _all_white(st):
                 break
         undone += len(st.trail) > mark
         failed += st.contradiction is not None
         st.undo(mark)
         assert _snapshot(st) == _snapshot(ref) and st.trail == ref.trail
         assert st.contradiction is None
-        assert st.propagated == st.settled == mark     # no work pending
+        assert st.propagated == mark       # no work pending
     assert undone > 1000 and failed > 500
 
 
@@ -472,7 +421,7 @@ def test_subsolver_without_completion_leaves_its_input():
     none = found = 0
     for _ in range(3000):
         g = _random_graph(rng)
-        st = _settled_start(g, rng)
+        st = _propagated_start(g, rng)
         if st is None:
             continue
         ref = st.clone()
@@ -487,25 +436,25 @@ def test_subsolver_without_completion_leaves_its_input():
     assert none > 300 and found > 300
 
 
-def _reference_fixpoint(g, color, mate, removed):
-    """Naive fixpoint of rules (a)-(d): sweep every live vertex and apply
-    each rule until none fires.  Returns (color, mate), or None on a
-    contradiction."""
+def _reference_fixpoint(g, color, mate):
+    """Naive fixpoint of rules (a)-(d): sweep every colored vertex and
+    apply each rule until none fires.  Returns (color, mate), or None on
+    a contradiction."""
     color, mate = bytearray(color), list(mate)
     changed = True
     while changed:
         changed = False
         for v in range(g.n):
-            if removed[v] or color[v] == UNKNOWN:
+            if color[v] == UNKNOWN:
                 continue
-            live = [w for w in g.adj[v] if not removed[w]]
             if color[v] == WHITE:               # rule (a)
-                for w in live:
+                for w in g.adj[v]:
                     if color[w] == WHITE:
                         return None
                     if color[w] == UNKNOWN:
                         color[w], changed = BLACK, True
                 continue
+            live = [w for w in g.adj[v] if color[w] != WHITE]
             blacks = [w for w in live if color[w] == BLACK]
             if len(blacks) > 1:
                 return None
@@ -526,8 +475,7 @@ def _reference_fixpoint(g, color, mate, removed):
                 color[cands[0]], changed = BLACK, True
                 continue
             for w in cands:                     # rule (d)
-                if any(z != v and not removed[z] and color[z] == BLACK
-                       for z in g.adj[w]):
+                if any(z != v and color[z] == BLACK for z in g.adj[w]):
                     color[w], changed = WHITE, True
     return color, mate
 
@@ -547,7 +495,7 @@ def _dense_graph(rng):
 
 
 def test_propagate_reaches_the_reference_fixpoint():
-    # random runs of assigns, settles, edge reductions and undos: each
+    # random runs of assigns, propagates, forced edges and undos: each
     # propagate ends where the naive sweep from the same state ends, or
     # both contradict; a missed deduction anywhere shows at the next check
     rng = random.Random(131)
@@ -557,9 +505,7 @@ def test_propagate_reaches_the_reference_fixpoint():
         st = ColoringState(g.n)
         marks = [0]                 # propagated states to undo to
         for _ in range(rng.randint(2, 10)):
-            live = [v for v in range(g.n) if not st.removed[v]]
-            live_edges = [(u, v) for (u, v) in g.edges
-                          if not st.removed[u] and not st.removed[v]]
+            live, live_edges = _live(g, st)
             step = rng.random()
             if step < 0.15 and len(marks) > 1:
                 cut = rng.randrange(len(marks))
@@ -569,9 +515,9 @@ def test_propagate_reaches_the_reference_fixpoint():
                 if live:
                     assign(st, rng.choice(live), rng.choice((BLACK, WHITE)))
             elif step < 0.85:
-                settle(g, st)
+                propagate(g, st)
             else:
-                edge_reduction(g, st, *rng.choice(live_edges))
+                force_edge(g, st, *rng.choice(live_edges))
             if st.contradiction is None and rng.random() < 0.7:
                 before = _snapshot(st)
                 ref = _reference_fixpoint(g, *before)
@@ -581,8 +527,7 @@ def test_propagate_reaches_the_reference_fixpoint():
                     failed += 1
                 else:
                     agreed += 1
-                    assert _snapshot(st) == (bytes(ref[0]), tuple(ref[1]),
-                                             before[2])
+                    assert _snapshot(st) == (bytes(ref[0]), tuple(ref[1]))
                     marks.append(st.mark())
             if st.contradiction is not None:
                 st.undo(marks[-1])
@@ -609,5 +554,5 @@ def test_failed_branch_on_kkk_reads_linear_adjacency():
         assign(st, 0, BLACK)
         assign(st, k, BLACK)
         reads[0] = 0
-        assert not settle(g, st)
+        assert not propagate(g, st)
         assert reads[0] <= 4 * k

@@ -1,7 +1,7 @@
 """The xy branch on the distance-level shapes of the paper.
 
 The level normalization these tests were first written for is gone: a
-branch assigns x and y black, settles, and completes each undecided part
+branch assigns x and y black, propagates, and completes each undecided part
 with the exact subsolver.  Each test keeps its shape and checks that the
 branch forces, or rules out, what the level rules did.
 """
@@ -9,19 +9,19 @@ branch forces, or rules out, what the level rules did.
 import random
 
 from dimatch import build_graph, enumerate_dims
-from dimatch.coloring import BLACK, WHITE, assign, preprocess, settle
+from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
 from dimatch.solver import SolveStats, _solve_xy_branch, _undecided_parts
 from dimatch.patterns import make_named, path
 
 
-def _settled(g, xy):
-    """The preprocessed state with x and y black, settled, or None on a
-    contradiction."""
+def _propagated(g, xy):
+    """The preprocessed state with x and y black, propagated, or None on
+    a contradiction."""
     st = preprocess(g)
     assert st.contradiction is None
     assign(st, xy[0], BLACK)
     assign(st, xy[1], BLACK)
-    return st if settle(g, st) else None
+    return st if propagate(g, st) else None
 
 
 def _branch(g, xy):
@@ -35,7 +35,7 @@ def _branch(g, xy):
 
 def test_normalize_p6_forces_everything():
     g = make_named(path(6))
-    st = _settled(g, (1, 2))
+    st = _propagated(g, (1, 2))
     assert st is not None
     assert not _undecided_parts(g, st, range(g.n))
     assert st.mate_pairs() == [(1, 2), (4, 5)]
@@ -43,7 +43,7 @@ def test_normalize_p6_forces_everything():
 
 def test_normalize_p5_forces_everything():
     g = make_named(path(5))
-    st = _settled(g, (0, 1))
+    st = _propagated(g, (0, 1))
     assert st is not None
     assert not _undecided_parts(g, st, range(g.n))
     assert st.mate_pairs() == [(0, 1), (3, 4)]
@@ -52,7 +52,7 @@ def test_normalize_p5_forces_everything():
 def test_normalize_fails_on_empty_block():
     # P6 with xy in the middle position (2, 3): the second level is a
     # pair of leaves with no third-level mates
-    assert _settled(make_named(path(6)), (2, 3)) is None
+    assert _propagated(make_named(path(6)), (2, 3)) is None
 
 
 def _two_blocks(cross):
@@ -67,7 +67,7 @@ def test_normalize_three_cross_edges_fail():
     # two blocks of three joined by a perfect matching of three edges:
     # the two mates cover at most two of them
     g = _two_blocks([(5, 8), (6, 9), (7, 10)])
-    assert _settled(g, (0, 1)) is not None
+    assert _propagated(g, (0, 1)) is not None
     assert _branch(g, (0, 1)) is None
 
 
@@ -93,7 +93,7 @@ def test_normalize_bipartite_check():
 
 
 def test_forced_colors_agree_with_all_solutions():
-    # every color the branch's settle fixes must hold in every solution
+    # every color the branch's propagate fixes must hold in every solution
     # that contains xy, and a contradiction means there is none
     rng = random.Random(41)
     graphs = 0
@@ -111,13 +111,13 @@ def test_forced_colors_agree_with_all_solutions():
         graphs += 1
         for xy in g.edges:
             x, y = xy
-            if st0.removed[x] or st0.removed[y]:
+            if WHITE in (st0.color[x], st0.color[y]):
                 continue
             st = st0.clone()
             assign(st, x, BLACK)
             assign(st, y, BLACK)
             holding = [d for d in dims if xy in d.edges]
-            if not settle(g, st):
+            if not propagate(g, st):
                 assert not holding
                 continue
             branches += 1

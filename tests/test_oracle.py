@@ -1,9 +1,12 @@
+import inspect
 import random
+import sys
 
 import pytest
 
 from dimatch import (brute_force_dim, build_graph, dims_by_subset_filter,
                      enumerate_dims, verify_dim, BudgetExceeded)
+from dimatch.cli import RunConfig, emit_graph, run
 from dimatch.patterns import make_named, path, cycle, CLAW, DIAMOND, BUTTERFLY
 
 
@@ -72,3 +75,22 @@ def test_budget_below_one_is_rejected():
         with pytest.raises(ValueError, match="at least 1"):
             enumerate_dims(g, budget=bad)
     assert brute_force_dim(g, budget=3).exists
+
+
+def test_search_deeper_than_the_recursion_limit_is_a_budget_overrun():
+    # the search recurses once per chosen edge, about 200 times on P_400:
+    # past the recursion limit it raises BudgetExceeded, so `oracle` and
+    # `compare` exit 2 with BUDGET EXCEEDED, not 4 with a RecursionError
+    g = make_named(path(400))
+    text = emit_graph(g)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        with pytest.raises(BudgetExceeded, match="recursion limit"):
+            brute_force_dim(g)
+        for mode in ("oracle", "compare"):
+            code, out = run(RunConfig(mode), text)
+            assert code == 2 and out.startswith("BUDGET EXCEEDED (oracle "
+                                                "search deeper"), out
+    finally:
+        sys.setrecursionlimit(limit)

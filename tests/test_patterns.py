@@ -238,7 +238,7 @@ def _first_by_subsets(g, kind, live):
 def test_guarded_scans_return_the_first_witness_of_every_subset():
     # the scans skip edges with fewer than two common neighbors and
     # centers of degree below 4; on small graphs, pattern unions and
-    # random removal masks they must still return the first witness
+    # random colorings they must still return the first witness
     rng = random.Random(414)
     graphs = []
     for _ in range(400):
@@ -260,10 +260,13 @@ def test_guarded_scans_return_the_first_witness_of_every_subset():
             assert (w and w.vertices) == _first_by_subsets(
                 g, kind, range(g.n)), (kind, g.edges)
             hits[kind] += w is not None
-        removed = bytearray(rng.random() < 0.2 for _ in range(g.n))
-        live = [v for v in range(g.n) if not removed[v]]
+        # color bytes: 2 (white) is outside the working graph, and an
+        # unknown (0) or a black (1) vertex is live
+        color = bytearray(2 if rng.random() < 0.2 else rng.randrange(2)
+                          for _ in range(g.n))
+        live = [v for v in range(g.n) if color[v] != 2]
         for kind, scan in ((DIAMOND, diamonds), (BUTTERFLY, butterflies)):
-            w = next(scan(g, removed), None)
+            w = next(scan(g, color), None)
             assert (w and w.vertices) == _first_by_subsets(g, kind, live)
     assert len(unions) > 40 and thin_edges > 1000 and low_centers > 1000
     assert 40 < min(hits.values()) <= max(hits.values()) < len(graphs) - 40

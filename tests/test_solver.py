@@ -9,7 +9,7 @@ from dimatch import (brute_force_dim, build_graph, connected_components,
                      enumerate_dims, solve, verify_dim)
 from dimatch import cli, patterns, solver
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
-                              edge_reduction, preprocess, settle)
+                              preprocess, propagate)
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
                               check_witness, cycle, find_induced, make_named,
                               path, random_s115_free)
@@ -21,11 +21,9 @@ from diffcheck import (G24, SEED, _sparse_planted, block_graph,  # noqa: E402
 
 
 def _complete(st, within):
-    """No contradiction, and every vertex of `within` removed, white or
-    mated."""
+    """No contradiction, and every vertex of `within` white or mated."""
     return st.contradiction is None and all(
-        st.removed[v] or st.color[v] == WHITE or st.mate[v] >= 0
-        for v in within)
+        st.color[v] == WHITE or st.mate[v] >= 0 for v in within)
 
 
 def _agree(g):
@@ -129,6 +127,25 @@ def test_solve_xy_forced_edge():
     out = solve(g, xy=(0, 1))
     assert out.status == "none" and out.detail == \
         "preprocessing rules out (0, 1)"
+
+
+def test_forced_pairs_stay_live_and_xy_on_one_takes_no_branch():
+    # a diamond with mid-edge (1, 3) and the tail 0-4-5: forcing (1, 3)
+    # whitens 0, which forces (4, 5); each pair stays in the working graph
+    # as a component of its own, already matched, so --xy on it needs no
+    # branch
+    g = build_graph(6, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4),
+                        (4, 5)])
+    st = preprocess(g)
+    assert st.contradiction is None and st.mate_pairs() == [(1, 3), (4, 5)]
+    comps = connected_components(g, st.live_mask())
+    assert (1, 3) in comps and (4, 5) in comps
+    out = solve(g, xy=(4, 5))
+    assert out.status == "found" and out.stats.xy_tried == 0
+    assert out.certificate.sorted_edges() == [(1, 3), (4, 5)]
+    out = solve(g, xy=(0, 4))
+    assert out.status == "none" and out.detail == \
+        "preprocessing rules out (0, 4)"
 
 
 def test_solve_xy_rejects_a_pair_that_is_no_edge():
@@ -289,7 +306,7 @@ def test_trivial_blocks_resolve_from_few_block_views(clones):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """[input state, scope, nodes settled, the matched edge xy of the
+    """[input state, scope, nodes visited, the matched edge xy of the
     branch that made the call] of every subsolver call; the input state
     is cloned before the call, which searches on it in place."""
     calls = []
@@ -309,12 +326,11 @@ def searches(monkeypatch):
 
 
 def _unknowns(state, scope):
-    return sum(not state.removed[v] and state.color[v] == UNKNOWN
-               for v in scope)
+    return sum(state.color[v] == UNKNOWN for v in scope)
 
 
 def _linear(calls):
-    """Every call settles at most one node per unknown vertex of its
+    """Every call visits at most one node per unknown vertex of its
     scope, plus one."""
     return all(nodes <= _unknowns(st, scope) + 1
                for st, scope, nodes, _ in calls)
@@ -323,7 +339,7 @@ def _linear(calls):
 def test_block_paths_and_trees_complete_in_linear_nodes(searches):
     # blocks joined by a matching of cross edges along a path or tree,
     # and blocks whose planted blacks form contact cycles and cross paths
-    # of three: the exact search of each part settles at most one node
+    # of three: the exact search of each part visits at most one node
     # per unknown vertex, plus one
     calls = searches
     rng = random.Random(12)
@@ -426,7 +442,7 @@ def test_hub_of_far_triangles_does_not_recurse():
 
 def test_far_triangle_hub_costs_a_constant_per_triangle(clones):
     # each block with its far triangle is an undecided part of its own,
-    # and its search settles two nodes and clones no state, so the hub's
+    # and its search visits two nodes and clones no state, so the hub's
     # work grows linearly in its triangles
     for k in (300, 600, 1200):
         clones[0] = 0
@@ -439,7 +455,7 @@ def test_far_triangle_hub_costs_a_constant_per_triangle(clones):
 
 def test_far_level_triangle_branches(searches):
     # a far triangle hung off a block member is completed by the search
-    # of its part, which settles no more nodes than the triangle has
+    # of its part, which visits no more nodes than the triangle has
     # edges, and every part's search stays linear
     edges, us, ts, nxt = _layer_base()
     z, b, c = nxt, nxt + 1, nxt + 2
@@ -475,7 +491,7 @@ def test_far_level_structures_agree():
 
 
 def test_branch_bounds_respected_on_random_instances(searches):
-    # inside the class the exact search settles at most one node per
+    # inside the class the exact search visits at most one node per
     # vertex over a call (0.375 measured), and each part's search at
     # most one node per unknown vertex, plus one
     rng = random.Random(83)
@@ -506,7 +522,7 @@ def test_found_certificates_always_contain_forced_pairs():
 def test_tuple_bound_for_block_sizes_3224(searches):
     # four second-level singletons with block sizes 3, 2, 2, 4 and a
     # far-level triangle: one black per block is one of 48 tuples, and
-    # the search of each part settles at most one node per tuple, plus
+    # the search of each part visits at most one node per tuple, plus
     # one
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6)]
     blocks = {3: [7, 8, 9], 4: [10, 11], 5: [12, 13], 6: [14, 15, 16, 17]}
@@ -523,7 +539,7 @@ def test_tuple_bound_for_block_sizes_3224(searches):
 def test_deep_case_on_spider_free_instances():
     # random wide-second-level instances with far levels that stay
     # S115-free; answers must match the oracle, and the split search,
-    # which runs on most of them, settles at most one node per vertex
+    # which runs on most of them, visits at most one node per vertex
     rng = random.Random(777)
     deep_hits = 0
     compared = 0
@@ -800,7 +816,7 @@ def _fuzz_graphs(rng):
 def test_fuzz_against_oracle_inside_and_outside_the_class():
     # a `none` must be right on every graph and a `found` must verify;
     # the default budget decides every graph; inside the class the
-    # search settles at most one node per vertex (0.89 measured)
+    # search visits at most one node per vertex (0.89 measured)
     seen, searched = {}, {True: 0, False: 0}
     for g in _fuzz_graphs(random.Random(5)):
         out = solve(g)
@@ -854,27 +870,27 @@ def test_planted_graphs_never_answer_none():
 
 def _pick(g, state, u, t):
     """A clone of the state with the owner u matched to the black t and
-    settled, or None on a contradiction; a choice already realized by an
-    earlier cascade is accepted as is."""
-    if state.mate[t] != u and (state.removed[t] or state.color[t] != UNKNOWN):
+    propagated, or None on a contradiction; a choice already realized by
+    an earlier cascade is accepted as is."""
+    if state.mate[t] != u and state.color[t] != UNKNOWN:
         return None
     child = state.clone()
-    if child.mate[t] != u:
-        edge_reduction(g, child, u, t)
-    if child.contradiction is not None or not settle(g, child):
+    assign(child, u, BLACK)
+    assign(child, t, BLACK)
+    if not propagate(g, child):
         return None
     return child
 
 
 def _levels(g, xy):
     """The BFS distance of every vertex up to 3 from the edge xy, over
-    the vertices that preprocessing leaves live."""
-    removed = preprocess(g).removed
+    the vertices that preprocessing leaves live (not white)."""
+    color = preprocess(g).color
     level = dict.fromkeys(xy, 0)
     frontier = list(xy)
     for d in (1, 2, 3):
         frontier = [w for v in frontier for w in g.adj[v]
-                    if not removed[w] and level.setdefault(w, d) == d]
+                    if color[w] != WHITE and level.setdefault(w, d) == d]
         frontier = list(dict.fromkeys(frontier))
     return level
 
@@ -886,7 +902,7 @@ def _blocks(g, level, state):
     second-level neighbor it is.  Any other third-level neighbor would
     be black next to two blacks, so its mate lies in its block."""
     def live_at(v, d):
-        return level.get(v) == d and not state.removed[v]
+        return level.get(v) == d and state.color[v] != WHITE
 
     blocks = {u: [] for u in level if live_at(u, 2)
               and not any(live_at(w, 2) for w in g.adj[u])}
@@ -900,9 +916,9 @@ def _blocks(g, level, state):
 
 def _n2_small_by_product(g, blocks, state, scope):
     """The choice of one black per block of a part as a plain tuple
-    product: the picks of every tuple applied and settled one at a time
+    product: the picks of every tuple applied and propagated one at a time
     from scratch, then finished by the subsolver.  Returns the completion
-    (or None), the tuples tried and the subsolver nodes settled."""
+    (or None), the tuples tried and the subsolver nodes visited."""
     names = sorted(u for u in blocks if u in scope and state.mate[u] < 0)
     cand_lists = []
     for u in names:
@@ -929,8 +945,8 @@ def _n2_small_by_product(g, blocks, state, scope):
 def test_n2_small_matches_the_tuple_product(searches):
     # where the second level holds at most four vertices, one subsolver
     # call on a part finds a completion exactly when some tuple of block
-    # picks completes, and settles no more nodes than the tuple product
-    # tries tuples and settles nodes
+    # picks completes, and visits no more nodes than the tuple product
+    # tries tuples and visits nodes
     graphs = list(_fuzz_graphs(random.Random(5)))
     rng = random.Random(3)
     graphs += [build_graph(*_sparse_planted(rng)) for _ in range(40)]
@@ -960,19 +976,18 @@ def test_n2_small_matches_the_tuple_product(searches):
 
 
 def _first_unknown_search(g, state, within):
-    """The subsolver as a blind search: settle, stop when complete, else
+    """The subsolver as a blind search: propagate, stop when complete, else
     branch the first unknown vertex by id, white first.  Returns the
     completion (or None) and the number of nodes popped."""
     stack, nodes = [state], 0
     while stack:
         st = stack.pop()
         nodes += 1
-        if not settle(g, st):
+        if not propagate(g, st):
             continue
         if _complete(st, within):
             return st, nodes
-        v = next((u for u in within
-                  if not st.removed[u] and st.color[u] == UNKNOWN), -1)
+        v = next((u for u in within if st.color[u] == UNKNOWN), -1)
         if v < 0:
             continue
         for c in (BLACK, WHITE):
@@ -985,7 +1000,7 @@ def _first_unknown_search(g, state, within):
 def test_subsolver_matches_the_first_unknown_search(monkeypatch):
     # branching on the mates of the most constrained black finds a
     # completion exactly when the blind search does, and pops fewer nodes
-    # doing so: at most three quarters in all (both settle with rule (d),
+    # doing so: at most three quarters in all (both propagate with rule (d),
     # which spares the blind search most of its dead ends), and a tenth
     # at the blind search's worst site
     sites = []
@@ -1028,7 +1043,7 @@ def test_subsolver_nodes_counts_the_settled_nodes(monkeypatch):
     for g in (build_graph(100, [(i, (i + 1) % 100) for i in range(100)]),
               build_graph(100, [(i, i + 1) for i in range(99)])):
         assert solve(g).stats.subsolver_nodes == 0
-    # each subsolver call settles at least its input state
+    # each subsolver call visits at least its input state
     calls = []
     search = solver.constrained_subsolver
 
@@ -1060,7 +1075,7 @@ def test_fan_chain_is_refuted_in_constant_nodes():
             st = ColoringState(g.n)
             assign(st, 0, BLACK)
             assign(st, 1, BLACK)
-            settle(g, st)
+            propagate(g, st)
             zs = range(12, g.n, 4)
             assert all(st.color[z] == WHITE for z in zs)
     # an S115-free graph whose four pendant twins on one vertex each
@@ -1102,8 +1117,8 @@ def test_only_covering_edges_branch_then_one_exact_search(monkeypatch,
             scopes = [v for _, scope, _, _ in calls for v in scope]
             assert len(set(scopes)) == len(scopes) and set(scopes) <= set(comp)
             for st, scope, _, _ in calls:
-                assert not any(st.removed[v] or st.color[v] == WHITE
-                               or st.mate[v] >= 0 for v in scope)
+                assert not any(st.color[v] == WHITE or st.mate[v] >= 0
+                               for v in scope)
         searched += out.stats.parts > 0
     assert searched > 20
 
@@ -1111,8 +1126,8 @@ def test_only_covering_edges_branch_then_one_exact_search(monkeypatch,
 def _covering_edges_by_min(g, state, comp):
     """The definition `_covering_edges` had before its scan stopped early:
     v least over the whole component by (live degree, id)."""
-    removed = state.removed
-    live = {u: [t for t in g.adj[u] if not removed[t]] for u in comp}
+    color = state.color
+    live = {u: [t for t in g.adj[u] if color[t] != WHITE] for u in comp}
     v = min(comp, key=lambda u: (len(live[u]), u))
     w = min(live[v], key=lambda t: (len(live[t]), t))
     return sorted({(min(a, t), max(a, t)) for a in (v, w) for t in live[a]})
@@ -1120,7 +1135,7 @@ def _covering_edges_by_min(g, state, comp):
 
 def test_covering_edges_match_the_minimum_over_the_component():
     # on preprocessed G(n,p) graphs and cycles with chords, some vertices
-    # removed, components of least live degree 1 and of least degree 2+
+    # whitened, components of least live degree 1 and of least degree 2+
     rng = random.Random(624)
     least = {1: 0, 2: 0}
     for i in range(600):
@@ -1137,13 +1152,13 @@ def test_covering_edges_match_the_minimum_over_the_component():
         if state.contradiction is not None:
             continue
         for v in rng.sample(range(n), rng.choice((0, n // 8, n // 4))):
-            state.removed[v] = 1
+            state.color[v] = WHITE
         for comp in connected_components(g, state.live_mask()):
             if len(comp) < 2:
                 continue
             assert solver._covering_edges(g, state, comp) == \
                 _covering_edges_by_min(g, state, comp)
-            degs = [sum(not state.removed[t] for t in g.adj[u])
+            degs = [sum(state.color[t] != WHITE for t in g.adj[u])
                     for u in comp]
             least[min(min(degs), 2)] += 1
     assert least[1] > 300 and least[2] > 50

@@ -61,7 +61,9 @@ a solver defect, and the form is counted apart as "in class":
 Prints the counts per pool and request kind (with the witnesses
 `check-s115` names and the texts `malformed` rejects), then the total of
 each difference class: status, unverified certificate, accepted status,
-certificate, detail and stats-only; then, for each class with a
+certificate, detail and stats-only, and for each class with a
+difference its count per request kind (such as `detail: solve 26,
+solve --xy 401, malformed 2`); then, for each class with a
 difference, its first three differing requests: the pool, the request
 kind (with xy for `solve --xy`), the graph's index in the pool, and each
 differing key with its value in A and in B (`exit` for the exit code,
@@ -624,6 +626,14 @@ def main(src_a, src_b):
               for j in range(len(CLASSES))]
     print(f"total: {sum(r[0] for r in counts.values())} runs, "
           + ", ".join(f"{t} {c}" for c, t in zip(CLASSES, totals)))
+    for j, cls in enumerate(CLASSES):
+        if not totals[j]:
+            continue
+        by_kind = {}
+        for (_, kind), row in counts.items():
+            by_kind[kind] = by_kind.get(kind, 0) + row[3 + j]
+        print(f"{cls}: " + ", ".join(f"{kind} {c}" for kind, c
+                                     in by_kind.items() if c))
     for cls in CLASSES:
         for pool, i, kind, xy, keys in shown.get(cls, ()):
             where = f" xy={tuple(xy)}" if xy is not None else ""

@@ -24,9 +24,10 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """Immutable undirected graph: adjacency sets, sorted edge list."""
+    """Immutable undirected graph: adjacency sets, sorted edge list, and
+    a triangle index built on first use."""
 
-    __slots__ = ("n", "adj", "adjset", "edges", "m")
+    __slots__ = ("n", "adj", "adjset", "edges", "m", "_triangles")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...],
                  edges: tuple[tuple[int, int], ...]):
@@ -35,6 +36,47 @@ class Graph:
         self.adjset = tuple(map(frozenset, adj))
         self.edges = edges
         self.m = len(edges)
+        self._triangles = None
+
+    def wide_edges(self):
+        """Iterate `(u, v, common)`, in edge order, over the edges whose
+        common neighborhood `common` has two or more vertices: only such
+        an edge lies on a K4 or is a diamond's mid-edge.  They come from
+        the triangle index, built in one pass over the edges with one
+        common-neighborhood intersection per edge (Chiba and Nishizeki's
+        triangle listing).  Until the index is complete the iterator runs
+        that pass as it goes, and a caller that stops early leaves the
+        rest of it undone."""
+        if self._triangles is None:
+            return self._triangle_pass()
+        return iter(self._triangles[0])
+
+    def triangle_centers(self) -> tuple[int, ...]:
+        """The vertices on four or more edges that lie on a triangle,
+        ascending: only such a vertex is a butterfly's center."""
+        if self._triangles is None:
+            for _ in self._triangle_pass():
+                pass
+        return self._triangles[1]
+
+    def _triangle_pass(self):
+        # yields the wide edges as it finds them and keeps the index once
+        # the pass is complete: the wide edges and the centers, and no
+        # tuple per triangle edge for the garbage collector to track
+        adjset = self.adjset
+        on = [0] * self.n               # edges on a triangle, per vertex
+        wide = []
+        for u, v in self.edges:
+            common = adjset[u] & adjset[v]
+            if common:
+                on[u] += 1
+                on[v] += 1
+                if len(common) > 1:
+                    entry = (u, v, common)
+                    wide.append(entry)
+                    yield entry
+        self._triangles = (wide,
+                           tuple([x for x, c in enumerate(on) if c > 3]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjset[u]

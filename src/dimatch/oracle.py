@@ -32,70 +32,65 @@ def _search(g: Graph, budget: int, collect: list | None):
 
     Every partial solution kept is an induced matching (pairwise edge
     distance at least 2), so no edge is ever dominated twice; a leaf with
-    no undominated edge is therefore a d.i.m.  Returns a witness edge set
-    or None; fills `collect` with all solutions when given.  A budget
-    below 1 raises ValueError.  The search recurses once per chosen
-    edge, so one deeper than the interpreter's recursion limit raises
-    BudgetExceeded too.
+    no undominated edge is therefore a d.i.m.  An edge is dominated when
+    it meets a covered vertex, an end of a chosen edge, and each node
+    resumes the scan for the first undominated edge after its parent's
+    target, so a root-to-leaf path reads each edge about once.  Returns
+    a witness edge set or None; fills `collect` with all solutions when
+    given.  A budget below 1 raises ValueError.  The search recurses
+    once per chosen edge, so one deeper than the interpreter's recursion
+    limit raises BudgetExceeded too.
     """
     if budget < 1:
         raise ValueError(f"oracle budget must be at least 1, got {budget}")
-    edges = g.edges
+    edges, adjset = g.edges, g.adjset
     nodes = 0
+    chosen: list[tuple[int, int]] = []
+    covered: set[int] = set()       # the ends of the chosen edges
 
-    def blocked(f: tuple[int, int], chosen: list[tuple[int, int]]) -> bool:
-        a, b = f
-        for (u, v) in chosen:
-            if a == u or a == v or b == u or b == v:
-                return True
-            if g.has_edge(a, u) or g.has_edge(a, v) or \
-                    g.has_edge(b, u) or g.has_edge(b, v):
-                return True
-        return False
-
-    def dominated(e: tuple[int, int], chosen: list[tuple[int, int]]) -> bool:
-        u, v = e
-        for (a, b) in chosen:
-            if u == a or u == b or v == a or v == b:
-                return True
-        return False
-
-    def rec(chosen: list[tuple[int, int]]):
+    def rec(start: int):
+        # the edges before `start` were dominated at the parent, and stay
+        # dominated: `chosen` only grows along a path
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"oracle budget of {budget} nodes exceeded")
-        target = None
-        for e in edges:
-            if not dominated(e, chosen):
-                target = e
+        for i in range(start, len(edges)):
+            u, v = edges[i]
+            if u not in covered and v not in covered:
                 break
-        if target is None:
+        else:
             found = frozenset(chosen)
             if collect is None:
                 return found
             collect.append(found)
             return None
-        u, v = target
         cands = []
         for w in g.adj[u]:
             cands.append(edge_key(u, w))
         for w in g.adj[v]:
             f = edge_key(v, w)
-            if f != target:
+            if f != (u, v):
                 cands.append(f)
         for f in sorted(set(cands)):
-            if blocked(f, chosen):
+            a, b = f
+            # f meets or touches a chosen edge iff a covered vertex lies
+            # in N(a) or N(b), which hold b and a
+            if not (covered.isdisjoint(adjset[a])
+                    and covered.isdisjoint(adjset[b])):
                 continue
             chosen.append(f)
-            hit = rec(chosen)
+            covered.update(f)
+            hit = rec(i + 1)            # f dominates edges[i]
             chosen.pop()
+            # chosen edges are vertex-disjoint, so only f covered its ends
+            covered.difference_update(f)
             if hit is not None:
                 return hit
         return None
 
     try:
-        return rec([])
+        return rec(0)
     except RecursionError:
         raise BudgetExceeded("oracle search deeper than the recursion "
                              f"limit of {sys.getrecursionlimit()}") from None

@@ -106,12 +106,10 @@ def make_named(kind: PatternKind) -> Graph:
 
 
 def _find_k4(g: Graph) -> PatternWitness | None:
-    for (u, v) in g.edges:
-        common = g.adjset[u] & g.adjset[v]
-        if len(common) < 2:             # uv lies on no K4
-            continue
+    adjset = g.adjset
+    for u, v, common in g.wide_edges():
         for a, b in combinations(sorted(common), 2):
-            if g.has_edge(a, b):
+            if b in adjset[a]:
                 return PatternWitness(K4, (u, v, a, b))
     return None
 
@@ -125,15 +123,13 @@ def diamonds(g: Graph, color):
     other value a live one.  Whitening vertices never creates an induced
     diamond, so after each witness the scan resumes at the same edge:
     the next witness is the first one a new scan would find.  A caller
-    that whitens nothing in between gets the same witness again.  Each
-    edge's common neighborhood in g is taken once and filtered by
-    `color` on each rescan; whitening only shrinks it, so an edge with
-    fewer than two common neighbors is skipped."""
+    that whitens nothing in between gets the same witness again.  The
+    scan reads the edges with two or more common neighbors in g, with
+    those neighbors, from `g.wide_edges()`, and filters out the whites
+    on each rescan: whitening only shrinks a common neighborhood, so no
+    other edge is a mid-edge."""
     adjset = g.adjset
-    for (u, v) in g.edges:
-        full = adjset[u] & adjset[v]
-        if len(full) < 2:
-            continue
+    for u, v, full in g.wide_edges():
         while color[u] != _WHITE and color[v] != _WHITE:
             common = sorted(w for w in full if color[w] != _WHITE)
             for a, b in combinations(common, 2):
@@ -148,12 +144,11 @@ def butterflies(g: Graph, color):
     """Yield the induced butterflies of the live graph in scan order:
     centers ascending, then pairs of edges inside the center's
     neighborhood.  Resumes at the center of the last witness, under the
-    same contract as `diamonds`.  A center has four neighbors in a
-    butterfly, so centers of degree below 4 in g are skipped."""
+    same contract as `diamonds`.  A center's four edges in a butterfly
+    lie on its two triangles, so only `g.triangle_centers()`, the
+    vertices on four or more triangle edges in g, are scanned."""
     adj, adjset = g.adj, g.adjset
-    for u in range(g.n):
-        if len(adj[u]) < 4:
-            continue
+    for u in g.triangle_centers():
         while color[u] != _WHITE:
             inner = sorted((a, b) for a in adj[u] if color[a] != _WHITE
                            for b in adjset[a] & adjset[u]

@@ -94,3 +94,28 @@ def test_search_deeper_than_the_recursion_limit_is_a_budget_overrun():
                                                 "search deeper"), out
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_search_reads_each_edge_about_once_per_path():
+    # each node resumes the scan for the first undominated edge after its
+    # parent's target: O(m) edge reads on a path, where rescanning from
+    # the first edge took about m^2 / 3
+    reads = [0]
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return super().__getitem__(i)
+
+        def __iter__(self):
+            for e in super().__iter__():
+                reads[0] += 1
+                yield e
+
+    # P_301 has a d.i.m., but not the one through its first edge: the
+    # search walks the path twice
+    g = make_named(path(301))
+    g.edges = Counted(g.edges)
+    report = brute_force_dim(g)
+    assert reads[0] <= 3 * g.m, reads[0]
+    assert report.exists and verify_dim(g, report.witness)

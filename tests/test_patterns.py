@@ -235,10 +235,43 @@ def _first_by_subsets(g, kind, live):
     return best and best[1]
 
 
+def _triangle_shapes(rng):
+    """Graphs on at most 16 vertices, relabeled at random, where the
+    triangle index decides: a butterfly whose center has degree 4 and
+    random edges among its other vertices, K_{k,k} (4 <= k <= 8) plus 1-3
+    chords, a star on 4-12 leaves carrying one or two triangles, and 1-4
+    disjoint diamonds, where every edge lies on a triangle and no vertex
+    has degree above 3."""
+    kind = rng.choice(("butterfly", "kkk", "star", "diamonds"))
+    if kind == "butterfly":
+        n = rng.randint(5, 9)               # center 4
+        edges = list(make_named(BUTTERFLY).edges)
+        edges += [(u, v) for u, v in combinations(range(n), 2)
+                  if 4 not in (u, v) and (u, v) not in edges
+                  and rng.random() < 0.2]
+    elif kind == "kkk":
+        k = rng.randint(4, 8)
+        n, edges = 2 * k, [(a, k + b) for a in range(k) for b in range(k)]
+        edges += rng.sample(list(combinations(range(k), 2)) + list(
+            combinations(range(k, n), 2)), rng.randint(1, 3))
+    elif kind == "star":
+        n = rng.randint(5, 13)
+        edges = [(0, v) for v in range(1, n)]
+        edges += rng.sample([(1, 2), (3, 4), (2, 3)], rng.randint(1, 2))
+    else:
+        k = rng.randint(1, 4)
+        n, edges = 4 * k, [(4 * i + u, 4 * i + v) for i in range(k)
+                           for u, v in make_named(DIAMOND).edges]
+    label = rng.sample(range(n), n)
+    return build_graph(n, {tuple(sorted((label[u], label[v])))
+                           for u, v in edges})
+
+
 def test_guarded_scans_return_the_first_witness_of_every_subset():
-    # the scans skip edges with fewer than two common neighbors and
-    # centers of degree below 4; on small graphs, pattern unions and
-    # random colorings they must still return the first witness
+    # the scans read only the edges with two or more common neighbors and
+    # the vertices on four or more triangle edges; on small graphs,
+    # pattern unions, shapes where these filters decide and random
+    # colorings they must still return the first witness
     rng = random.Random(414)
     graphs = []
     for _ in range(400):
@@ -249,12 +282,17 @@ def test_guarded_scans_return_the_first_witness_of_every_subset():
     unions = [g for g in (_pattern_union(rng) for _ in range(150))
               if g.n <= 16]
     graphs += unions
-    thin_edges = low_centers = 0
+    graphs += [_triangle_shapes(rng) for _ in range(120)]
+    thin_edges = low_centers = few_triangles = 0
     hits = {K4: 0, DIAMOND: 0, BUTTERFLY: 0}
     for g in graphs:
         thin_edges += sum(len(g.adjset[u] & g.adjset[v]) < 2
                           for u, v in g.edges)
         low_centers += sum(g.degree(v) < 4 for v in range(g.n))
+        # vertices of degree 4 or more on fewer than four triangle edges
+        few_triangles += sum(sum(bool(g.adjset[u] & g.adjset[v])
+                                 for v in g.adj[u]) < 4 <= g.degree(u)
+                             for u in range(g.n))
         for kind in hits:
             w = find_induced(g, kind)
             assert (w and w.vertices) == _first_by_subsets(
@@ -269,6 +307,7 @@ def test_guarded_scans_return_the_first_witness_of_every_subset():
             w = next(scan(g, color), None)
             assert (w and w.vertices) == _first_by_subsets(g, kind, live)
     assert len(unions) > 40 and thin_edges > 1000 and low_centers > 1000
+    assert few_triangles > 200
     assert 40 < min(hits.values()) <= max(hits.values()) < len(graphs) - 40
 
 

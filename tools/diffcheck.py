@@ -8,7 +8,7 @@ the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
 `dimatch.cli.run(RunConfig(mode, fmt="json", ...))`:
 
-* `solve` and `check-s115` on every graph of eleven pools: G(n,p) and
+* `solve` and `check-s115` on every graph of twelve pools: G(n,p) and
   planted graphs with n = 2-12, sparse graphs with n = 30-100, disjoint
   unions of P6, layered hubs (an edge xy, a vertex on x, 2-9
   second-level singletons on that vertex with a block of 1-3 vertices
@@ -25,10 +25,13 @@ its directory and answers the same seeded requests through
   members of other blocks, pattern unions: disjoint diamonds,
   butterflies, triangle fans and P6s with n = 50-400 plus random links,
   where preprocessing does most of the work (half of the block trees,
-  block graphs and pattern unions relabeled), and adversarial: the fan
+  block graphs and pattern unions relabeled), adversarial: the fan
   chain for d = 1-15 and `G24`, S_{1,1,5}-free graphs that took the
   exact search exponential or 3.67 nodes per vertex before propagation
-  whitened a vertex with two black neighbors, each relabeled at random;
+  whitened a vertex with two black neighbors, each relabeled at random,
+  and triangle hubs: high-degree vertices on few triangles, K_{k,k}
+  with k = 15-40 plus 0-3 chords, and a hub whose leaves carry 0-4
+  pendant triangles and 1-3 chords, n = 30-80 (half relabeled);
 * `solve --xy` (`solve(g, xy=...)`) on every edge of a prefix of each pool;
 * `malformed`: `solve` on a seeded corruption of the text of each graph of
   a prefix of each pool: a dropped or extra token, a non-integer token,
@@ -93,7 +96,7 @@ POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0),
          "sparse-planted": (200, 5), "block-trees": (60, 5),
          "block-graphs": (60, 5), "pattern-unions": (200, 5),
-         "adversarial": (20, 5)}
+         "adversarial": (20, 5), "triangle-hubs": (80, 5)}
 GENERATE = 200                  # generate requests
 MALFORMED = 20                  # corrupted texts per pool
 CORRUPTIONS = ("drop", "extra", "word", "range", "negative", "loop",
@@ -127,6 +130,8 @@ def _graph(rng, pool, i):
         return _pattern_unions(rng)
     if pool == "adversarial":
         return _adversarial(rng, i)
+    if pool == "triangle-hubs":
+        return _triangle_hubs(rng)
     k = rng.randint(2, 150)
     n = 6 * k
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
@@ -341,6 +346,32 @@ def _pattern_unions(rng):
         if (u, v) not in have:
             have.add((u, v))
             edges.append((u, v))
+    if rng.random() < 0.5:
+        label = rng.sample(range(n), n)
+        edges = [(label[u], label[v]) for u, v in edges]
+    return n, edges
+
+
+def _triangle_hubs(rng):
+    """High-degree vertices on few triangles, with n = 30-80: K_{k,k}
+    plus 0-3 chords inside its sides, or a hub, a vertex joined to
+    every leaf, whose leaves carry 0-4 pendant triangles and are joined
+    by 1-3 chords; relabeled at random half of the time."""
+    if rng.random() < 0.5:
+        k = rng.randint(15, 40)
+        n, edges = 2 * k, [(i, k + j) for i in range(k) for j in range(k)]
+        side = rng.randrange(2) * k
+        edges += sorted({tuple(sorted(rng.sample(range(side, side + k), 2)))
+                         for _ in range(rng.randint(0, 3))})
+    else:
+        n = rng.randint(30, 80)
+        leaves = n - 1 - 2 * rng.randint(0, 4)
+        edges = [(0, v) for v in range(1, leaves + 1)]
+        for z in range(leaves + 1, n, 2):       # a pendant triangle
+            tip = rng.randint(1, leaves)
+            edges += [(tip, z), (tip, z + 1), (z, z + 1)]
+        edges += sorted({tuple(sorted(rng.sample(range(1, leaves + 1), 2)))
+                         for _ in range(rng.randint(1, 3))})
     if rng.random() < 0.5:
         label = rng.sample(range(n), n)
         edges = [(label[u], label[v]) for u, v in edges]

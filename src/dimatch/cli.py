@@ -10,6 +10,7 @@ are skipped.  Exit codes: 0 found / check passed / agree, 1 no d.i.m.,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import traceback
@@ -89,7 +90,7 @@ def _structured(mode: str, g: Graph | None, result: str,
         "n": g.n if g else None,
         "m": g.m if g else None,
         "result": result,
-        "edges": [list(e) for e in sorted(edges)] if edges is not None else None,
+        "edges": sorted(edges) if edges is not None else None,
         "stats": stats or {},
     }
     if detail:
@@ -207,7 +208,14 @@ def _run_generate(cfg: RunConfig) -> tuple[int, str]:
 
 
 def run(cfg: RunConfig, text: str | None = None) -> tuple[int, str]:
-    """Execute one mode; returns (exit code, output text)."""
+    """Execute one mode; returns (exit code, output text).
+
+    No request leaves a reference cycle, so automatic garbage collection
+    is paused for the call: a collection could free nothing.  It is
+    turned back on afterwards, even when an exception escapes, only if it
+    was on when the call started."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if cfg.mode == "generate":
             return _run_generate(cfg)
@@ -233,11 +241,14 @@ def run(cfg: RunConfig, text: str | None = None) -> tuple[int, str]:
             return _run_compare(cfg, g)
         if cfg.mode == "check-s115":
             return _run_check(cfg, g)
+        return EXIT_INPUT, f"error: unknown mode {cfg.mode!r}"
     except ValueError as err:       # GraphInputError, or a value out of range
         return EXIT_INPUT, f"error: {err}"
     except BudgetExceeded as err:
         return EXIT_INPUT, f"BUDGET EXCEEDED ({err})"
-    return EXIT_INPUT, f"error: unknown mode {cfg.mode!r}"
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _positive_int(text: str) -> int:

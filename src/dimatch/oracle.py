@@ -39,61 +39,63 @@ def _search(g: Graph, budget: int, collect: list | None):
     a witness edge set or None; fills `collect` with all solutions when
     given.  A budget below 1 raises ValueError.  The search recurses
     once per chosen edge, so one deeper than the interpreter's recursion
-    limit raises BudgetExceeded too.
+    limit raises BudgetExceeded too.  Its state is passed down to the
+    module-level `_branch`, so no call leaves a reference cycle, and all
+    of its memory is freed on return.
     """
     if budget < 1:
         raise ValueError(f"oracle budget must be at least 1, got {budget}")
-    edges, adjset = g.edges, g.adjset
-    nodes = 0
-    chosen: list[tuple[int, int]] = []
-    covered: set[int] = set()       # the ends of the chosen edges
-
-    def rec(start: int):
-        # the edges before `start` were dominated at the parent, and stay
-        # dominated: `chosen` only grows along a path
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"oracle budget of {budget} nodes exceeded")
-        for i in range(start, len(edges)):
-            u, v = edges[i]
-            if u not in covered and v not in covered:
-                break
-        else:
-            found = frozenset(chosen)
-            if collect is None:
-                return found
-            collect.append(found)
-            return None
-        cands = []
-        for w in g.adj[u]:
-            cands.append(edge_key(u, w))
-        for w in g.adj[v]:
-            f = edge_key(v, w)
-            if f != (u, v):
-                cands.append(f)
-        for f in sorted(set(cands)):
-            a, b = f
-            # f meets or touches a chosen edge iff a covered vertex lies
-            # in N(a) or N(b), which hold b and a
-            if not (covered.isdisjoint(adjset[a])
-                    and covered.isdisjoint(adjset[b])):
-                continue
-            chosen.append(f)
-            covered.update(f)
-            hit = rec(i + 1)            # f dominates edges[i]
-            chosen.pop()
-            # chosen edges are vertex-disjoint, so only f covered its ends
-            covered.difference_update(f)
-            if hit is not None:
-                return hit
-        return None
-
     try:
-        return rec(0)
+        return _branch(g, budget, collect, [], set(), [0], 0)
     except RecursionError:
         raise BudgetExceeded("oracle search deeper than the recursion "
                              f"limit of {sys.getrecursionlimit()}") from None
+
+
+def _branch(g: Graph, budget: int, collect: list | None,
+            chosen: list, covered: set, nodes: list, start: int):
+    """One node of `_search`: `chosen` holds the edges chosen on the path
+    to it and `covered` their ends, `nodes[0]` counts the nodes visited,
+    and the edges before `start` were dominated at the parent, and stay
+    dominated, as `chosen` only grows along a path."""
+    nodes[0] += 1
+    if nodes[0] > budget:
+        raise BudgetExceeded(f"oracle budget of {budget} nodes exceeded")
+    edges = g.edges
+    for i in range(start, len(edges)):
+        u, v = edges[i]
+        if u not in covered and v not in covered:
+            break
+    else:
+        found = frozenset(chosen)
+        if collect is None:
+            return found
+        collect.append(found)
+        return None
+    adj, adjset = g.adj, g.adjset
+    cands = []
+    for w in adj[u]:
+        cands.append(edge_key(u, w))
+    for w in adj[v]:
+        f = edge_key(v, w)
+        if f != (u, v):
+            cands.append(f)
+    for f in sorted(set(cands)):
+        a, b = f
+        # f meets or touches a chosen edge iff a covered vertex lies in
+        # N(a) or N(b), which hold b and a
+        if not (covered.isdisjoint(adjset[a])
+                and covered.isdisjoint(adjset[b])):
+            continue
+        chosen.append(f)
+        covered.update(f)
+        hit = _branch(g, budget, collect, chosen, covered, nodes, i + 1)
+        chosen.pop()
+        # chosen edges are vertex-disjoint, so only f covered its ends
+        covered.difference_update(f)
+        if hit is not None:
+            return hit
+    return None
 
 
 def brute_force_dim(g: Graph, budget: int = DEFAULT_BUDGET,

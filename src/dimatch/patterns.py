@@ -162,6 +162,47 @@ def butterflies(g: Graph, color):
                 break
 
 
+def _walks(adj, kept, w, j):
+    """The first two neighbors x of w, in sorted order, such that a
+    non-backtracking walk of j edges (2 <= j <= 4) starts w, x.  A walk
+    v, w and j more edges exists iff one of them is not v.  Memoized per
+    (w, j) in `kept[j]`, so O(m) in total; computed on demand."""
+    memo = kept[j]
+    got = memo.get(w)
+    if got is None:
+        got = []
+        for x in adj[w]:
+            # w, x and j - 1 more edges
+            if (len(adj[x]) > 1 if j == 2
+                    else any(y != w for y in _walks(adj, kept, x, j - 1))):
+                got.append(x)
+                if len(got) == 2:
+                    break
+        memo[w] = got
+    return got
+
+
+def _leg(adj, adjset, tip, blocked, left):
+    """The first induced continuation of `left` vertices from tip, in
+    sorted order, or None; `blocked` holds the path, the neighbors of
+    every path vertex but the tip, and whatever else the leg must
+    avoid."""
+    cand = adjset[tip] - blocked
+    if not cand:
+        return None
+    if left == 1:
+        return [min(cand)]
+    nxt = blocked | adjset[tip]
+    failed = set()                  # neighborhoods of the failed children
+    for w in adj[tip]:
+        if w in cand and (not failed or adj[w] not in failed):
+            rest = _leg(adj, adjset, w, nxt, left - 1)
+            if rest is not None:
+                return [w, *rest]
+            failed.add(adj[w])
+    return None
+
+
 def _find_s115(g: Graph) -> PatternWitness | None:
     """Induced S_{1,1,5}: centers ascending, then nonadjacent pairs a < b
     of the center's neighbors, then the first 5-leg in sorted order that
@@ -169,10 +210,10 @@ def _find_s115(g: Graph) -> PatternWitness | None:
     lexicographically first (center, a, b, leg) witness.
 
     An induced 5-leg is a non-backtracking walk of 5 edges, so a center
-    that starts no such walk is skipped (`walks`) before its legs are
-    searched.  The leg search builds the union of the blocked set and
-    the tip's neighbors only at a tip that has a candidate, which most
-    tips of dense or hub-like graphs lack.
+    that starts no such walk is skipped (`_walks`) before its legs are
+    searched.  The leg search (`_leg`) builds the union of the blocked
+    set and the tip's neighbors only at a tip that has a candidate,
+    which most tips of dense or hub-like graphs lack.
 
     Swapping two false twins (vertices with the same neighbors) is an
     automorphism, so the search skips what a twin already refuted: a
@@ -181,63 +222,24 @@ def _find_s115(g: Graph) -> PatternWitness | None:
     which the swap therefore fixes).  Only choices that would fail are
     skipped, so the witness is unchanged; on K_{k,k} the search is O(m).
     A twin class is keyed by its sorted neighbor tuple `adj[v]`.  Memory
-    is O(n + m)."""
+    is O(n + m), and all of it is freed on return: the helpers are
+    module-level functions, so no call leaves a reference cycle."""
     adj, adjset = g.adj, g.adjset
     searched = set()                # neighborhoods of the centers searched
     kept: dict[int, dict[int, list[int]]] = {2: {}, 3: {}, 4: {}}
-
-    def walks(w, j):
-        """The first two neighbors x of w, in sorted order, such that a
-        non-backtracking walk of j edges (2 <= j <= 4) starts w, x.  A
-        walk v, w and j more edges exists iff one of them is not v.
-        Memoized per (w, j), so O(m) in total; computed on demand."""
-        memo = kept[j]
-        got = memo.get(w)
-        if got is None:
-            got = []
-            for x in adj[w]:
-                # w, x and j - 1 more edges
-                if (len(adj[x]) > 1 if j == 2
-                        else any(y != w for y in walks(x, j - 1))):
-                    got.append(x)
-                    if len(got) == 2:
-                        break
-            memo[w] = got
-        return got
-
-    def leg(tip, blocked, left):
-        # the first induced continuation of `left` vertices from tip, in
-        # sorted order, or None; `blocked` holds the path, the neighbors
-        # of every path vertex but the tip, and whatever else the leg
-        # must avoid
-        cand = adjset[tip] - blocked
-        if not cand:
-            return None
-        if left == 1:
-            return [min(cand)]
-        nxt = blocked | adjset[tip]
-        failed = set()              # neighborhoods of the failed children
-        for w in adj[tip]:
-            if w in cand and (not failed or adj[w] not in failed):
-                rest = leg(w, nxt, left - 1)
-                if rest is not None:
-                    return [w, *rest]
-                failed.add(adj[w])
-        return None
-
     for u in range(g.n):
         # an induced 5-leg is a walk u, x and 4 more edges; a center with
         # no 5-leg at all has none that avoids a and b
-        if len(adj[u]) < 3 or adj[u] in searched \
-                or not any(y != u for x in adj[u] for y in walks(x, 4)):
+        if len(adj[u]) < 3 or adj[u] in searched or not any(
+                y != u for x in adj[u] for y in _walks(adj, kept, x, 4)):
             continue
         searched.add(adj[u])
-        if leg(u, {u}, 5) is None:
+        if _leg(adj, adjset, u, {u}, 5) is None:
             continue
         for a, b in combinations(adj[u], 2):
             if b in adjset[a]:
                 continue
-            rest = leg(u, {u, a, b} | adjset[a] | adjset[b], 5)
+            rest = _leg(adj, adjset, u, {u, a, b} | adjset[a] | adjset[b], 5)
             if rest is not None:
                 return PatternWitness(S115, (u, a, b, *rest))
     return None

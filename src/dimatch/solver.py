@@ -189,18 +189,24 @@ def _covering_edges(g: Graph, state: ColoringState, comp
     1, which no vertex of a component with an edge undercuts."""
     adj, color = g.adj, state.color
 
-    def live(u):
-        return [t for t in adj[u] if color[t] != WHITE]
+    def live_degree(u):
+        d = 0
+        for t in adj[u]:
+            if color[t] != WHITE:
+                d += 1
+        return d
 
     v, least = -1, g.n
     for u in comp:
-        d = len(live(u))
+        d = live_degree(u)
         if d < least:
             v, least = u, d
             if d <= 1:
                 break
-    w = min(live(v), key=lambda t: (len(live(t)), t))
-    return sorted({edge_key(a, t) for a in (v, w) for t in live(a)})
+    w = min((t for t in adj[v] if color[t] != WHITE),
+            key=lambda t: (live_degree(t), t))
+    return sorted({edge_key(a, t) for a in (v, w) for t in adj[a]
+                   if color[t] != WHITE})
 
 
 def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -198,6 +199,15 @@ def test_solve_json_shape():
     assert obj["mode"] == "solve" and obj["n"] == 6 and obj["m"] == 5
     assert obj["result"] == "found" and len(obj["edges"]) == 2
     assert "stats" in obj
+
+
+def test_solve_json_is_exact():
+    # certificate edges are written as arrays, in sorted order
+    code, out = run(RunConfig("solve", fmt="json"), text=P6_TEXT)
+    assert code == 0 and out == (
+        '{"edges": [[0, 1], [3, 4]], "m": 5, "mode": "solve", "n": 6, '
+        '"result": "found", "stats": {"case_seconds": {}, "parts": 0, '
+        '"subsolver_nodes": 0, "xy_tried": 1}}')
 
 
 def test_solve_xy_flag():
@@ -444,3 +454,63 @@ def test_huge_vertex_count_is_an_input_error(tmp_path):
                                               (limit, limit)))
     assert proc.returncode == 2, proc.stderr
     assert "vertex count 100000000" in proc.stdout
+
+
+@pytest.mark.parametrize("cfg, text", [
+    (RunConfig("solve"), P6_TEXT),
+    (RunConfig("solve"), "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"),
+    (RunConfig("solve", xy=(1, 2)), P6_TEXT),
+    (RunConfig("solve", fmt="json"), P6_TEXT),
+    (RunConfig("solve", strict=True, budget=1),
+     emit_graph(build_graph(24, G24))),
+    (RunConfig("oracle"), P6_TEXT),
+    (RunConfig("oracle", budget=1), emit_graph(build_graph(24, G24))),
+    (RunConfig("compare"), P6_TEXT),
+    (RunConfig("check-s115"), P6_TEXT),
+    (RunConfig("check-s115"), emit_graph(make_named(S115))),
+    (RunConfig("generate", n=30, p=0.1, seed=0, count=2), None),
+    (RunConfig("solve"), "3 1\n0 x\n"),
+], ids=["solve-found", "solve-none", "solve-xy", "solve-json",
+        "solve-strict-violated", "oracle", "oracle-budget", "compare",
+        "check-free", "check-witness", "generate", "input-error"])
+def test_requests_leave_no_cyclic_garbage(cfg, text):
+    # a request frees all it made by reference counting, so the collector
+    # that cli.run pauses has nothing to do
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code, out = run(cfg, text)
+        left = gc.collect()             # unreachable objects found
+    finally:
+        if was_on:
+            gc.enable()
+    assert out and code in (0, 1, 2, 3)
+    assert left == 0
+
+
+def test_run_restores_the_collectors_state(monkeypatch):
+    def boom(g, budget=None, xy=None):
+        raise RuntimeError("boom")
+
+    was_on = gc.isenabled()
+    try:
+        gc.enable()
+        assert run(RunConfig("solve"), text=P6_TEXT)[0] == 0
+        assert gc.isenabled()
+        monkeypatch.setattr(cli, "solve", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            run(RunConfig("solve"), text=P6_TEXT)
+        assert gc.isenabled()
+        # a caller that turned the collector off keeps it off
+        gc.disable()
+        with pytest.raises(RuntimeError, match="boom"):
+            run(RunConfig("solve"), text=P6_TEXT)
+        monkeypatch.undo()
+        assert run(RunConfig("solve"), text=P6_TEXT)[0] == 0
+        assert not gc.isenabled()
+    finally:
+        if was_on:
+            gc.enable()
+        else:
+            gc.disable()

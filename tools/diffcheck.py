@@ -78,11 +78,19 @@ answers of SRC_A and SRC_B side by side, on the graphs SRC_A's
 `check-s115` calls S115-free and on the others, with each tree's total
 `subsolver_nodes` on the S115-free graphs, then those totals over all
 pools.
-Exits 1 on a status difference that is not accepted or an unverified
-certificate.  Given one tree, the script is the worker: it prints that
-tree's answers, one JSON line per request.  Standard library only.
+
+Each worker answers its requests with the cyclic garbage collector off,
+and after the last one counts with `gc.collect()` the unreachable
+objects they left: `dimatch.cli.run` pauses the collector for each
+request on the promise that no request leaves a reference cycle.  The
+script prints both trees' counts.
+Exits 1 on a status difference that is not accepted, an unverified
+certificate, or unreachable objects left by SRC_B's requests.  Given one
+tree, the script is the worker: it prints that tree's answers, one JSON
+line per request, then `["unreachable", COUNT]`.  Standard library only.
 """
 
+import gc
 import json
 import os
 import random
@@ -483,6 +491,8 @@ def worker(src):
     from dimatch import cli
     if not os.path.abspath(cli.__file__).startswith(os.path.abspath(src)):
         sys.exit(f"imported dimatch from {cli.__file__}, not {src}")
+    gc.collect()
+    gc.disable()                # what the requests leave stays to be counted
     for _, _, kind, fields, graph in _requests():
         text = _text(graph) if isinstance(graph, tuple) else graph
         try:
@@ -496,6 +506,7 @@ def worker(src):
         except Exception as err:        # a crash is an answer too
             line = json.dumps(["raised", repr(err)])
         print(line)
+    print(json.dumps(["unreachable", gc.collect()]))
 
 
 # difference classes, most severe first; the first two fail the check
@@ -569,6 +580,8 @@ def main(src_a, src_b):
         fh.seek(0)
         answers.append(fh.readlines())
         fh.close()
+    # each worker's last line counts the unreachable objects it left
+    left = [json.loads(lines.pop())[1] for lines in answers]
     reqs = list(_requests())
     lines_a, lines_b = answers
     if not len(reqs) == len(lines_a) == len(lines_b):
@@ -703,7 +716,9 @@ def main(src_a, src_b):
               f"{total[1].get(pool, 0)}")
     print("subsolver nodes on the S115-free graphs, A / B: "
           f"{sum(total[0].values())} / {sum(total[1].values())}")
-    return 1 if any(totals[:2]) else 0
+    print(f"unreachable objects left by the requests, A / B: {left[0]} / "
+          f"{left[1]}")
+    return 1 if any(totals[:2]) or left[1] else 0
 
 
 if __name__ == "__main__":

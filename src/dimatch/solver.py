@@ -10,10 +10,15 @@ then splits the undecided vertices into connected parts and completes
 each with the exact fail-first subsolver, so a branch's None, and the
 covering edges' `none`, are exact on every graph.  `solve(g, xy=...)`
 runs the same driver with the one branch on xy in place of the covering
-edges of xy's component.  The subsolver's nodes over one call share a
-budget; running over it answers `hypothesis-violated` (the CLI names an
-induced S_{1,1,5} as the witness under --strict).  Produced certificates
-are always verified against the original graph.
+edges of xy's component.  Both searches skip a choice whose false twin
+(a vertex with the same neighbors) already failed in its place: swapping
+two unmated false twins of one color is an automorphism that fixes the
+coloring, so only failing branches are skipped, and the first success
+and its certificate are those of the full search.  The subsolver's
+nodes over one call share a budget; running over it answers
+`hypothesis-violated` (the CLI names an induced S_{1,1,5} as the witness
+under --strict).  Produced certificates are always verified against the
+original graph.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ class SolveStats:
     xy_tried: int = 0
     parts: int = 0              # undecided parts handed to the subsolver
     subsolver_nodes: int = 0    # nodes visited by constrained_subsolver
+    twin_skips: int = 0         # covering edges and mate candidates skipped
 
 
 @dataclass
@@ -72,7 +78,9 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
     the mate of the unmated black with the fewest candidates (unknown
     neighbors), one child per candidate in id order.  Its mate
     must be one of them, so the children are exhaustive, and mating one
-    whitens the others, so they are disjoint.
+    whitens the others, so they are disjoint.  A candidate is popped only
+    once its earlier siblings' subtrees failed, so one with the same
+    neighbors as an earlier sibling, its false twin, is skipped.
     With no unmated black left, the first unknown vertex is branched,
     white first; with no unknown either, the state is complete.  Correct
     on every graph; exponential in the worst case, hence the budget.
@@ -86,11 +94,19 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
     if state.contradiction is not None:
         return None
     scope = tuple(within) if within is not None else tuple(range(g.n))
-    adj, color, mate = g.adj, state.color, state.mate
+    adj, adjset, color, mate = g.adj, g.adjset, state.color, state.mate
     root = state.mark()
-    stack = [(root, -1, UNKNOWN)]       # (parent's mark, vertex, color)
+    # (parent's mark, vertex, color, tried): the mate candidates of one
+    # parent share `tried`, the neighborhoods of those popped so far
+    stack = [(root, -1, UNKNOWN, None)]
     while stack:
-        mark, v, c = stack.pop()
+        mark, v, c, tried = stack.pop()
+        if tried is not None:
+            if adjset[v] in tried:      # a false twin's subtree failed
+                if stats is not None:
+                    stats.twin_skips += 1
+                continue
+            tried.add(adjset[v])
         if v >= 0:
             state.undo(mark)
             assign(state, v, c)
@@ -115,9 +131,10 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
                         break
         mark = state.mark()     # each child undoes the trail to here
         if cands is not None:
-            stack += [(mark, w, BLACK) for w in reversed(cands)]
+            tried = set()
+            stack += [(mark, w, BLACK, tried) for w in reversed(cands)]
         elif first_unknown >= 0:        # white is tried first
-            stack += [(mark, first_unknown, c) for c in (BLACK, WHITE)]
+            stack += [(mark, first_unknown, c, None) for c in (BLACK, WHITE)]
         else:
             return state
     state.undo(root)
@@ -209,6 +226,13 @@ def _covering_edges(g: Graph, state: ColoringState, comp
                    if color[t] != WHITE})
 
 
+def _twin_class(g: Graph, state: ColoringState, v: int):
+    """v's class under false-twin swaps: its neighborhood and color when
+    unmated, else v itself.  Swapping two unmated false twins of one color
+    is an automorphism of g that maps `state` onto itself."""
+    return (g.adjset[v], state.color[v]) if state.mate[v] < 0 else v
+
+
 def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
                      budget: int, xy=None) -> tuple[str, str]:
     """(status, detail) of one live component: found when it needs
@@ -218,16 +242,23 @@ def _solve_component(g: Graph, base: ColoringState, comp, stats: SolveStats,
     d.i.m. and keeps its changes (no other component shares a vertex with
     `comp`), none when each ended without one, hypothesis-violated when
     some ran over `budget`; others undone, so each edge is live when its
-    branch starts."""
+    branch starts.  An edge whose ends' twin classes match those of an
+    edge that failed is skipped (the ends of an edge are adjacent, so
+    never twins of each other); one over the budget is not recorded."""
     if _needs_nothing(g, base, comp):
         return FOUND, ""
     edges = [xy] if xy is not None else _covering_edges(g, base, comp)
-    over_budget, mark = "", base.mark()
+    over_budget, mark, failed = "", base.mark(), set()
     for (u, v) in edges:
+        key = frozenset((_twin_class(g, base, u), _twin_class(g, base, v)))
+        if key in failed:
+            stats.twin_skips += 1
+            continue
         stats.xy_tried += 1
         try:
             if _solve_xy_branch(g, base, comp, (u, v), stats, budget):
                 return FOUND, ""
+            failed.add(key)
         except HypothesisViolation as hv:
             over_budget = str(hv)
         base.undo(mark)

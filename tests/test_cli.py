@@ -207,7 +207,7 @@ def test_solve_json_is_exact():
     assert code == 0 and out == (
         '{"edges": [[0, 1], [3, 4]], "m": 5, "mode": "solve", "n": 6, '
         '"result": "found", "stats": {"case_seconds": {}, "parts": 0, '
-        '"subsolver_nodes": 0, "xy_tried": 1}}')
+        '"subsolver_nodes": 0, "twin_skips": 0, "xy_tried": 1}}')
 
 
 def test_solve_xy_flag():

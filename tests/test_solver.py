@@ -816,7 +816,7 @@ def _fuzz_graphs(rng):
 def test_fuzz_against_oracle_inside_and_outside_the_class():
     # a `none` must be right on every graph and a `found` must verify;
     # the default budget decides every graph; inside the class the
-    # search visits at most one node per vertex (0.89 measured)
+    # search visits at most one node per vertex (0.50 measured)
     seen, searched = {}, {True: 0, False: 0}
     for g in _fuzz_graphs(random.Random(5)):
         out = solve(g)
@@ -997,12 +997,40 @@ def _first_unknown_search(g, state, within):
     return None, nodes
 
 
+def _every_covering_branch(g):
+    """`solve`'s branches without its twin skip: per live component, each
+    covering edge through `_solve_xy_branch` up to the first success,
+    under the shared default budget, stopping at a component without a
+    d.i.m."""
+    state = preprocess(g)
+    if g.m == 0 or state.contradiction is not None:
+        return
+    stats = solver.SolveStats()
+    budget = solver.NODES_PER_VERTEX * g.n
+    for comp in connected_components(g, state.live_mask()):
+        if solver._needs_nothing(g, state, comp):
+            continue
+        mark, over = state.mark(), False
+        for xy in solver._covering_edges(g, state, comp):
+            try:
+                if solver._solve_xy_branch(g, state, comp, xy, stats, budget):
+                    break
+            except solver.HypothesisViolation:
+                over = True
+            state.undo(mark)
+        else:
+            if not over:
+                return
+
+
 def test_subsolver_matches_the_first_unknown_search(monkeypatch):
     # branching on the mates of the most constrained black finds a
     # completion exactly when the blind search does, and pops fewer nodes
     # doing so: at most three quarters in all (both propagate with rule (d),
     # which spares the blind search most of its dead ends), and a tenth
-    # at the blind search's worst site
+    # at the blind search's worst site.  The sites are those of every
+    # covering branch: `solve`'s twin skip would drop the branches whose
+    # twin failed, and with them sites where the blind search is dear
     sites = []
     search = solver.constrained_subsolver
 
@@ -1012,12 +1040,12 @@ def test_subsolver_matches_the_first_unknown_search(monkeypatch):
 
     monkeypatch.setattr(solver, "constrained_subsolver", capture)
     for g in _fuzz_graphs(random.Random(5)):
-        solve(g)
+        _every_covering_branch(g)
     # the first 40 graphs of diffcheck's sparse-planted pool, which hold
     # calls where the blind search pops hundreds of nodes
     rng = random.Random(f"{SEED}:sparse-planted")
     for _ in range(40):
-        solve(build_graph(*_sparse_planted(rng)))
+        _every_covering_branch(build_graph(*_sparse_planted(rng)))
     outcomes, old_nodes, new_nodes = set(), [], []
     for g, state, within in sites:
         old, nodes = _first_unknown_search(g, state.clone(), within)
@@ -1227,3 +1255,76 @@ def test_branch_count_is_bounded_by_degree():
                                 for j in range(k)])
         out = solve(g)
         assert out.status == "none" and out.stats.xy_tried <= 2 * k - 1
+
+
+def test_twin_covering_edges_take_one_branch():
+    # every edge of K_{k,k} joins the two twin classes, so once the first
+    # covering edge fails the others are skipped; in g24 the pendant
+    # twins on one vertex branch once, which took 5 branches and 28 nodes
+    for k in (20, 40, 160):
+        g = build_graph(2 * k, [(i, k + j) for i in range(k)
+                                for j in range(k)])
+        out = solve(g)
+        assert out.status == "none" and out.stats.xy_tried == 1
+        assert out.stats.twin_skips == 2 * k - 2
+    out = _agree(build_graph(24, G24))
+    assert out.status == "none" and out.stats.xy_tried <= 2
+    assert out.stats.subsolver_nodes <= 6 and out.stats.twin_skips > 0
+
+
+def test_twin_mate_candidates_fail_once():
+    # a black b whose k mate candidates share the neighbors b and c: mating
+    # one whitens c and the others, and c's white neighbors fail it.  The
+    # candidates are false twins, so the first failure stands for all
+    nodes = set()
+    for k in (3, 10, 100):
+        g = build_graph(k + 2, [(u, w) for u in (0, 1)
+                                for w in range(2, k + 2)])
+        state = ColoringState(g.n)
+        assign(state, 0, BLACK)
+        stats = solver.SolveStats()
+        assert constrained_subsolver(g, state, stats=stats) is None
+        assert state.trail == [0] and stats.twin_skips == k - 1
+        nodes.add(stats.subsolver_nodes)
+    assert nodes == {2}
+
+
+def _blow_up(rng):
+    """A random graph on 3-5 vertices with each vertex copied 1-3 times
+    (copies of adjacent vertices joined, so copies are false twins), at
+    most 10 vertices, relabeled at random."""
+    b, p = rng.randint(3, 5), rng.uniform(0.3, 0.8)
+    base = [(u, v) for u in range(b) for v in range(u + 1, b)
+            if rng.random() < p]
+    copies, n = [], 0
+    for i in range(b):
+        # leave one vertex for each base vertex after this one
+        size = min(rng.randint(1, 3), 10 - n - (b - 1 - i))
+        copies.append(range(n, n + size))
+        n += size
+    label = rng.sample(range(n), n)
+    return build_graph(n, [(min(label[x], label[y]), max(label[x], label[y]))
+                           for u, v in base for x in copies[u]
+                           for y in copies[v]])
+
+
+def test_twin_skips_keep_answers_on_twin_rich_graphs():
+    # plain and with xy on every edge, the answers agree with the oracle
+    # and every certificate verifies (and matches xy)
+    rng = random.Random(26)
+    skipped = xy_runs = 0
+    for _ in range(600):
+        g = _blow_up(rng)
+        assert g.n <= 10
+        out = _agree(g)
+        skipped += out.stats.twin_skips > 0
+        on_some_dim = {e for d in enumerate_dims(g) for e in d.edges}
+        for e in g.edges:
+            out = solve(g, xy=e)
+            assert (out.status == "found") == (e in on_some_dim), (g.edges, e)
+            if out.status == "found":
+                assert verify_dim(g, out.certificate)
+                assert e in out.certificate.edges
+            skipped += out.stats.twin_skips > 0
+            xy_runs += 1
+    assert skipped > 100 and xy_runs > 2000

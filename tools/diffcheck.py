@@ -85,7 +85,9 @@ objects they left: `dimatch.cli.run` pauses the collector for each
 request on the promise that no request leaves a reference cycle.  The
 script prints both trees' counts.
 Exits 1 on a status difference that is not accepted, an unverified
-certificate, or unreachable objects left by SRC_B's requests.  Given one
+certificate, unreachable objects left by SRC_B's requests, or a pool on
+whose S115-free graphs SRC_B's total `subsolver_nodes` exceeds SRC_A's,
+with one line naming each such pool.  Given one
 tree, the script is the worker: it prints that tree's answers, one JSON
 line per request, then `["unreachable", COUNT]`.  Standard library only.
 """
@@ -718,7 +720,12 @@ def main(src_a, src_b):
           f"{sum(total[0].values())} / {sum(total[1].values())}")
     print(f"unreachable objects left by the requests, A / B: {left[0]} / "
           f"{left[1]}")
-    return 1 if any(totals[:2]) or left[1] else 0
+    grown = [pool for pool in POOLS
+             if total[1].get(pool, 0) > total[0].get(pool, 0)]
+    for pool in grown:
+        print(f"{pool}: subsolver nodes on the S115-free graphs grew, "
+              f"A / B: {total[0].get(pool, 0)} / {total[1][pool]}")
+    return 1 if any(totals[:2]) or left[1] or grown else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 
-from .graph import Graph, GraphInputError, build_graph, verify_dim
+from .graph import Graph, GraphInputError, _from_ends, verify_dim
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, brute_force_dim
 from .patterns import S115, find_induced, random_s115_free
 from .solver import FOUND, HYPOTHESIS_VIOLATED, NODES_PER_VERTEX, NONE, solve
@@ -54,7 +54,7 @@ def parse_graph(text: str, source: str = "<input>") -> Graph:
     if not vals or 2 * vals[1] != len(vals) - 2:
         raise _first_bad_line(text, source)
     try:
-        return build_graph(vals[0], zip(vals[2::2], vals[3::2]))
+        return _from_ends(vals[0], vals[2::2], vals[3::2])
     except GraphInputError as err:
         raise GraphInputError(f"{source}: {err}") from None
 
@@ -108,6 +108,11 @@ def _stats_dict(outcome) -> dict:
     }
 
 
+def _dim_lines(cert) -> str:
+    return "\n".join([f"DIM {len(cert)}"]
+                     + [f"{a} {b}" for (a, b) in cert.sorted_edges()])
+
+
 def _budget(cfg: RunConfig) -> dict:
     return {} if cfg.budget is None else {"budget": cfg.budget}
 
@@ -117,10 +122,8 @@ def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
     stats = _stats_dict(outcome)
     if outcome.status == FOUND:
         cert = outcome.certificate
-        lines = [f"DIM {len(cert)}"]
-        lines += [f"{a} {b}" for (a, b) in cert.sorted_edges()]
         out = (_structured("solve", g, "found", cert.edges, stats)
-               if cfg.fmt == "json" else "\n".join(lines))
+               if cfg.fmt == "json" else _dim_lines(cert))
         return EXIT_OK, out
     if outcome.status == NONE:
         out = (_structured("solve", g, "none", None, stats, outcome.detail)
@@ -148,10 +151,8 @@ def _run_oracle(cfg: RunConfig, g: Graph) -> tuple[int, str]:
         return EXIT_INPUT, f"BUDGET EXCEEDED ({err})"
     if report.exists:
         cert = report.witness
-        lines = [f"DIM {len(cert)}"]
-        lines += [f"{a} {b}" for (a, b) in cert.sorted_edges()]
         out = (_structured("oracle", g, "found", cert.edges)
-               if cfg.fmt == "json" else "\n".join(lines))
+               if cfg.fmt == "json" else _dim_lines(cert))
         return EXIT_OK, out
     out = (_structured("oracle", g, "none") if cfg.fmt == "json" else "NONE")
     return EXIT_NONE, out

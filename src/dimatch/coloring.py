@@ -76,8 +76,7 @@ class ColoringState:
 
     def mate_pairs(self) -> list[tuple[int, int]]:
         """All matched pairs recorded so far."""
-        return [(v, self.mate[v]) for v in range(self.n)
-                if 0 <= v < self.mate[v]]
+        return [(v, w) for v, w in enumerate(self.mate) if v < w]
 
     def fail(self, reason: str) -> None:
         if self.contradiction is None:

@@ -9,9 +9,8 @@ themselves).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
-from itertools import chain
-from operator import eq, lt
+from itertools import chain, starmap
+from operator import eq, lt, not_
 
 
 class GraphInputError(ValueError):
@@ -99,34 +98,51 @@ def build_graph(n: int, edge_pairs) -> Graph:
     if type(n) is not int:
         raise GraphInputError(f"vertex count must be an integer, got {n!r}")
     if n < 0:
-        raise GraphInputError(f"vertex count must be nonnegative, got {n}")
+        raise _first_bad_pair(n, ())
     pairs = list(edge_pairs)
     try:
         us, vs = zip(*pairs) if pairs else ((), ())
         valid = {2}.issuperset(map(len, pairs)) \
-            and {int}.issuperset(map(type, chain(us, vs))) \
-            and not any(map(eq, us, vs))
+            and {int}.issuperset(map(type, chain(us, vs)))
     except (TypeError, ValueError):     # a pair is not a sequence of two
         valid = False
-    if valid:
-        if not all(map(lt, us, vs)):
-            us, vs = list(map(min, us, vs)), list(map(max, us, vs))
-        edges = tuple(sorted(zip(us, vs)))
-        if not any(map(eq, edges, edges[1:])) \
-                and (not edges or (edges[0][0] >= 0 and max(vs) < n)):
-            try:
-                adj: list[list[int]] = [[] for _ in range(n)]
-                for u, v in edges:      # sorted edges leave each list sorted
-                    adj[u].append(v)
-                    adj[v].append(u)
-                return Graph(n, tuple(map(tuple, adj)), edges)
-            except MemoryError:
-                raise GraphInputError(f"vertex count {n} is too large: no "
-                                      "memory for its adjacency") from None
-    raise _first_bad_pair(n, pairs)
+    if not valid:
+        raise _first_bad_pair(n, pairs)
+    return _from_ends(n, us, vs)
+
+
+def _from_ends(n: int, us, vs) -> Graph:
+    """The Graph on n vertices whose i-th edge joins us[i] and vs[i], for
+    an int n and sequences of ints: the checks and the adjacency that the
+    parse and `build_graph` share, raising what `build_graph` raises."""
+    if all(map(lt, us, vs)):
+        edges = list(zip(us, vs))
+    elif any(map(eq, us, vs)):
+        raise _first_bad_pair(n, zip(us, vs))
+    else:
+        edges = list(zip(map(min, us, vs), map(max, us, vs)))
+    if not all(map(lt, edges, edges[1:])):      # else sorted and distinct
+        edges.sort()
+        if any(map(eq, edges, edges[1:])):
+            raise _first_bad_pair(n, zip(us, vs))
+    try:
+        if n < 0 or edges and edges[0][0] < 0:
+            raise IndexError
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:          # sorted edges leave each list sorted
+            adj[u].append(v)
+            adj[v].append(u)
+    except IndexError:              # a count or an id below 0, an id >= n
+        raise _first_bad_pair(n, zip(us, vs)) from None
+    except MemoryError:
+        raise GraphInputError(f"vertex count {n} is too large: no "
+                              "memory for its adjacency") from None
+    return Graph(n, tuple(map(tuple, adj)), tuple(edges))
 
 
 def _first_bad_pair(n: int, pairs) -> GraphInputError:
+    if n < 0:
+        return GraphInputError(f"vertex count must be nonnegative, got {n}")
     seen: set[tuple[int, int]] = set()
     for pair in pairs:
         try:
@@ -146,23 +162,23 @@ def _first_bad_pair(n: int, pairs) -> GraphInputError:
 
 
 def connected_components(g: Graph, alive=None) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, ordered by minimum id."""
-    seen = bytearray(g.n)
-    comps: list[tuple[int, ...]] = []
-    for s in range(g.n):
-        if seen[s] or (alive is not None and not alive[s]):
-            continue
-        seen[s] = 1
+    """Connected components as sorted vertex tuples, ordered by minimum id;
+    given `alive`, any sequence indexed by vertex, those of the vertices
+    whose entry is truthy (a 2 is as live as a 1), joined by their edges."""
+    adj, comps = g.adj, []
+    # 1 for a vertex that is dead or already placed in a component
+    skip = bytearray(g.n) if alive is None else bytearray(map(not_, alive))
+    s = skip.find(0)
+    while s >= 0:
+        skip[s] = 1
         comp = [s]
-        q = deque((s,))
-        while q:
-            v = q.popleft()
-            for w in g.adj[v]:
-                if not seen[w] and (alive is None or alive[w]):
-                    seen[w] = 1
+        for v in comp:              # grows while it is read: a search
+            for w in adj[v]:
+                if not skip[w]:
+                    skip[w] = 1
                     comp.append(w)
-                    q.append(w)
         comps.append(tuple(sorted(comp)))
+        s = skip.find(0, s + 1)
     return comps
 
 
@@ -173,14 +189,15 @@ class DimCertificate:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        canon = frozenset(edge_key(u, v) for (u, v) in self.edges)
+        canon = self.edges if type(self.edges) is frozenset else \
+            frozenset(map(tuple, self.edges))
+        if not all(starmap(lt, canon)):
+            canon = frozenset([edge_key(u, v) for (u, v) in canon])
         object.__setattr__(self, "edges", canon)
-        used: set[int] = set()
-        for (u, v) in canon:
-            if u in used or v in used:
-                raise ValueError("certificate edges are not vertex-disjoint")
-            used.add(u)
-            used.add(v)
+        # a member (u, u) holds one vertex, which no other may share
+        if len(set(chain.from_iterable(canon))) + sum(starmap(eq, canon)) \
+                != 2 * len(canon):
+            raise ValueError("certificate edges are not vertex-disjoint")
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -199,22 +216,22 @@ def verify_dim_report(g: Graph, cert) -> tuple[bool, str | None]:
     """
     edges = cert.edges if isinstance(cert, DimCertificate) else \
         frozenset(edge_key(u, v) for (u, v) in cert)
-    owner: dict[int, tuple[int, int]] = {}
+    owner: list[tuple[int, int] | None] = [None] * g.n
     for e in sorted(edges):
         u, v = e
         if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
             return False, f"certificate member {e} is not an edge of the graph"
         for w in e:
-            if w in owner:
+            if owner[w] is not None:
                 return False, f"vertex {w} lies in two certificate edges"
             owner[w] = e
     for (u, v) in g.edges:
-        a = owner.get(u)
-        b = owner.get(v)
-        hits = (a is not None) + (b is not None and b is not a)
-        if hits == 0:
-            return False, f"edge ({u}, {v}) is dominated by no certificate edge"
-        if hits > 1:
+        a = owner[u]
+        b = owner[v]
+        if a is None:
+            if b is None:
+                return False, f"edge ({u}, {v}) is dominated by no certificate edge"
+        elif b is not None and b is not a:
             return False, f"edge ({u}, {v}) is dominated by {a} and {b}"
     return True, None
 

@@ -152,28 +152,26 @@ def _undecided_parts(g: Graph, state: ColoringState, comp
     has whitened its other neighbors), so no constraint joins two parts,
     and each completes independently of the others."""
     adj, color, mate = g.adj, state.color, state.mate
-
-    def undecided(v):
-        return mate[v] < 0 and color[v] != WHITE
-
-    label: dict[int, int] = {}
+    undecided = [v for v in comp if mate[v] < 0 and color[v] != WHITE]
+    if not undecided:
+        return []
+    label = dict.fromkeys(undecided, -1)    # -1 until v's part is known
     count = 0
-    for s in comp:
-        if s in label or not undecided(s):
+    for s in undecided:
+        if label[s] >= 0:
             continue
         label[s] = count
         stack = [s]
         while stack:
             v = stack.pop()
             for w in adj[v]:
-                if w not in label and undecided(w):
+                if label.get(w) == -1:
                     label[w] = count
                     stack.append(w)
         count += 1
     parts: list[list[int]] = [[] for _ in range(count)]
-    for v in comp:
-        if v in label:
-            parts[label[v]].append(v)
+    for v in undecided:
+        parts[label[v]].append(v)
     return parts
 
 
@@ -205,23 +203,18 @@ def _covering_edges(g: Graph, state: ColoringState, comp
     first of least live degree in id order; the scan stops at live degree
     1, which no vertex of a component with an edge undercuts."""
     adj, color = g.adj, state.color
-
-    def live_degree(u):
+    v, least = -1, g.n
+    for u in comp:
         d = 0
         for t in adj[u]:
             if color[t] != WHITE:
                 d += 1
-        return d
-
-    v, least = -1, g.n
-    for u in comp:
-        d = live_degree(u)
         if d < least:
             v, least = u, d
             if d <= 1:
                 break
     w = min((t for t in adj[v] if color[t] != WHITE),
-            key=lambda t: (live_degree(t), t))
+            key=lambda t: (sum(color[x] != WHITE for x in adj[t]), t))
     return sorted({edge_key(a, t) for a in (v, w) for t in adj[a]
                    if color[t] != WHITE})
 

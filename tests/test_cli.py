@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from diffcheck import G24  # noqa: E402
 
 P6_TEXT = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
+C5_TEXT = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 
 
 def test_parse_roundtrip():
@@ -161,6 +162,77 @@ def test_parse_agrees_with_a_line_by_line_reference():
         assert got == want, repr(text)
         kinds["error" if isinstance(want, str) else "graph"] += 1
     assert min(kinds.values()) > 500, kinds
+
+
+def _text_pairs(text):
+    """The header's vertex count and the pairs of a text, in text order
+    and orientation, as the line-by-line reference reads them."""
+    rows = [tuple(map(int, line.split())) for line in text.splitlines()
+            if line.strip() and not line.strip().startswith("#")]
+    return rows[0][0], rows[1:]
+
+
+def test_parse_and_build_graph_give_the_same_graph():
+    # the parse and build_graph share one core: every text the parse
+    # accepts gives, field by field, the Graph that build_graph gives for
+    # its pairs, and a pair fault gets the same message from both
+    rng = random.Random(17)
+    kinds = {"graph": 0, "pair fault": 0}
+    for _ in range(3000):
+        text = _fuzz_text(rng)
+        want = _reference_parse(text, "f")
+        if isinstance(want, str):
+            if want.startswith("f: ") and "announces" not in want \
+                    and "empty input" not in want:
+                with pytest.raises(GraphInputError) as err:
+                    build_graph(*_text_pairs(text))
+                assert "f: " + str(err.value) == want, repr(text)
+                kinds["pair fault"] += 1
+            continue
+        g, h = parse_graph(text, "f"), build_graph(*_text_pairs(text))
+        for key in ("n", "m", "adj", "adjset", "edges"):
+            assert getattr(g, key) == getattr(h, key), (key, repr(text))
+        kinds["graph"] += 1
+    assert min(kinds.values()) > 100, kinds
+    for text, n, edges in [
+            ("0 0\n", 0, ()),
+            ("3 0\n", 3, ()),
+            ("4 3\n3 2\n1 0\n2 1\n", 4, ((0, 1), (1, 2), (2, 3))),
+            ("5 2\n4 0\n0 3\n", 5, ((0, 3), (0, 4)))]:
+        g, h = parse_graph(text), build_graph(*_text_pairs(text))
+        assert g.n == h.n == n and g.edges == h.edges == edges
+        for key in ("m", "adj", "adjset"):
+            assert getattr(g, key) == getattr(h, key), (key, text)
+        assert g.adj == tuple(tuple(sorted({v for e in edges for v in e
+                                            if u in e} - {u}))
+                              for u in range(n))
+
+
+@pytest.mark.parametrize("mode, fmt, text, code, out", [
+    ("solve", "text", P6_TEXT, 0, "DIM 2\n0 1\n3 4"),
+    ("solve", "text", "6 3\n4 5\n0 1\n3 2\n", 0, "DIM 3\n0 1\n2 3\n4 5"),
+    ("solve", "text", C5_TEXT, 1, "NONE (every candidate edge was exhausted)"),
+    ("solve", "json", C5_TEXT, 1,
+     '{"detail": "every candidate edge was exhausted", "edges": null, '
+     '"m": 5, "mode": "solve", "n": 5, "result": "none", "stats": '
+     '{"case_seconds": {}, "parts": 0, "subsolver_nodes": 0, '
+     '"twin_skips": 0, "xy_tried": 3}}'),
+    ("oracle", "text", P6_TEXT, 0, "DIM 2\n0 1\n3 4"),
+    ("oracle", "text", "6 3\n4 5\n0 1\n3 2\n", 0,
+     "DIM 3\n0 1\n2 3\n4 5"),
+    ("oracle", "text", C5_TEXT, 1, "NONE"),
+    ("oracle", "json", P6_TEXT, 0,
+     '{"edges": [[0, 1], [3, 4]], "m": 5, "mode": "oracle", "n": 6, '
+     '"result": "found", "stats": {}}'),
+    ("oracle", "json", C5_TEXT, 1,
+     '{"edges": null, "m": 5, "mode": "oracle", "n": 5, "result": "none", '
+     '"stats": {}}'),
+])
+def test_solve_and_oracle_output_is_exact_in_both_formats(mode, fmt, text,
+                                                          code, out):
+    # the `DIM k` lines are built only for the text format; the JSON
+    # answer of `solve` on P6 is test_solve_json_is_exact's
+    assert run(RunConfig(mode, fmt=fmt), text=text) == (code, out)
 
 
 def test_bom_is_dropped_from_files_and_stdin(tmp_path, monkeypatch, capsys):

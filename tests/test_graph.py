@@ -133,3 +133,89 @@ def test_connected_components():
     assert connected_components(g) == [(0, 1, 2, 3, 4, 5)]
     g = build_graph(3, [])
     assert connected_components(g) == [(0,), (1,), (2,)]
+
+
+def _reference_components(n, edges, alive):
+    """Components of the live vertices by union-find: sorted tuples,
+    ordered by minimum id."""
+    live = [alive is None or bool(alive[v]) for v in range(n)]
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        if live[u] and live[v]:
+            root[find(u)] = find(v)
+    groups = {}
+    for v in range(n):
+        if live[v]:
+            groups.setdefault(find(v), []).append(v)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def test_connected_components_reads_any_truthy_alive_entry():
+    from dimatch.coloring import ColoringState
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        p = rng.uniform(0.0, 0.3)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        state = ColoringState(n)
+        state.color[:] = bytes(rng.choice((0, 0, 1, 2)) for _ in range(n))
+        flags = [rng.random() < 0.7 for _ in range(n)]
+        masks = [None, state.live_mask(), flags,
+                 # any truthy entry is alive: a 2 or a 255 as much as a 1
+                 bytearray(rng.choice((1, 2, 255)) if f else 0
+                           for f in flags),
+                 [rng.choice((1, 2, -1, 7)) if f else 0 for f in flags]]
+        for alive in masks:
+            comps = connected_components(g, alive)
+            assert comps == _reference_components(n, g.edges, alive)
+            assert all(type(c) is tuple and list(c) == sorted(c)
+                       for c in comps)
+            assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+
+
+# P6: 0-1-2-3-4-5
+@pytest.mark.parametrize("cert, message", [
+    # a non-edge member comes first in sorted order, before a shared
+    # vertex and before the edges it leaves undominated
+    ([(3, 4), (0, 5), (4, 5)],
+     "certificate member (0, 5) is not an edge of the graph"),
+    # a vertex shared by two members, before a later non-edge member
+    ([(3, 5), (1, 2), (0, 1)], "vertex 1 lies in two certificate edges"),
+    ([(2, 1), (0, 1)], "vertex 1 lies in two certificate edges"),
+    # the members are edges: the first edge of the graph at fault is named
+    ([(4, 5), (2, 3)], "edge (0, 1) is dominated by no certificate edge"),
+    ([(0, 1), (3, 2)], "edge (1, 2) is dominated by (0, 1) and (2, 3)"),
+    ([(1, 0)], "edge (2, 3) is dominated by no certificate edge"),
+    ([(1, 2), (3, 4)], "edge (2, 3) is dominated by (1, 2) and (3, 4)"),
+])
+def test_verify_dim_report_names_the_first_fault(cert, message):
+    g = make_named(path(6))
+    assert verify_dim_report(g, cert) == (False, message)
+
+
+def test_dim_certificate_canonical_form():
+    assert DimCertificate(frozenset({(1, 0), (2, 3)})).edges == \
+        frozenset({(0, 1), (2, 3)})
+    assert DimCertificate([(5, 4)]).sorted_edges() == [(4, 5)]
+    assert DimCertificate([[5, 4], [0, 1]]).edges == {(0, 1), (4, 5)}
+    assert DimCertificate().edges == frozenset() == \
+        DimCertificate(frozenset()).edges
+    assert len(DimCertificate()) == 0
+    for shared in ({(0, 1), (2, 1)}, {(0, 1), (1, 0), (1, 2)},
+                   {(3, 3), (3, 4)}, {(3, 3), (4, 3)}):
+        with pytest.raises(ValueError, match="not vertex-disjoint"):
+            DimCertificate(frozenset(shared))
+    # a self-loop member holds one vertex: it constructs, and the check
+    # reports it as no edge of the graph
+    cert = DimCertificate(frozenset({(3, 3), (0, 1)}))
+    assert cert.sorted_edges() == [(0, 1), (3, 3)]
+    g = make_named(path(6))
+    assert verify_dim_report(g, cert) == (
+        False, "certificate member (3, 3) is not an edge of the graph")

@@ -8,7 +8,7 @@ the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
 `dimatch.cli.run(RunConfig(mode, fmt="json", ...))`:
 
-* `solve` and `check-s115` on every graph of twelve pools: G(n,p) and
+* `solve` and `check-s115` on every graph of thirteen pools: G(n,p) and
   planted graphs with n = 2-12, sparse graphs with n = 30-100, disjoint
   unions of P6, layered hubs (an edge xy, a vertex on x, 2-9
   second-level singletons on that vertex with a block of 1-3 vertices
@@ -31,8 +31,13 @@ its directory and answers the same seeded requests through
   whitened a vertex with two black neighbors, each relabeled at random,
   and triangle hubs: high-degree vertices on few triangles, K_{k,k}
   with k = 15-40 plus 0-3 chords, and a hub whose leaves carry 0-4
-  pendant triangles and 1-3 chords, n = 30-80 (half relabeled);
-* `solve --xy` (`solve(g, xy=...)`) on every edge of a prefix of each pool;
+  pendant triangles and 1-3 chords, n = 30-80 (half relabeled), and
+  large: 20 graphs at the benchmark's scale, P_n and C_n with
+  n = 9,999-10,001, the benchmark's hub with k = 1,000-3,000 blocks,
+  1,000-3,000 disjoint diamonds and K_{k,k} with k = 20-100 (half
+  relabeled), which run in about 2 s per tree;
+* `solve --xy` (`solve(g, xy=...)`) on every edge of a prefix of each pool
+  but `large`;
 * `malformed`: `solve` on a seeded corruption of the text of each graph of
   a prefix of each pool: a dropped or extra token, a non-integer token,
   an id out of range or negative, a self-loop, a reversed duplicate, a
@@ -106,7 +111,7 @@ POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0),
          "sparse-planted": (200, 5), "block-trees": (60, 5),
          "block-graphs": (60, 5), "pattern-unions": (200, 5),
-         "adversarial": (20, 5), "triangle-hubs": (80, 5)}
+         "adversarial": (20, 5), "triangle-hubs": (80, 5), "large": (20, 0)}
 GENERATE = 200                  # generate requests
 MALFORMED = 20                  # corrupted texts per pool
 CORRUPTIONS = ("drop", "extra", "word", "range", "negative", "loop",
@@ -142,6 +147,8 @@ def _graph(rng, pool, i):
         return _adversarial(rng, i)
     if pool == "triangle-hubs":
         return _triangle_hubs(rng)
+    if pool == "large":
+        return _large(rng, i)
     k = rng.randint(2, 150)
     n = 6 * k
     label = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
@@ -383,6 +390,46 @@ def _triangle_hubs(rng):
         edges += sorted({tuple(sorted(rng.sample(range(1, leaves + 1), 2)))
                          for _ in range(rng.randint(1, 3))})
     if rng.random() < 0.5:
+        label = rng.sample(range(n), n)
+        edges = [(label[u], label[v]) for u, v in edges]
+    return n, edges
+
+
+# the `large` pool, one graph per entry: (family, size)
+LARGE = (("path", 9999), ("path", 10000), ("path", 10001),
+         ("cycle", 9999), ("cycle", 10000), ("cycle", 10001),
+         ("hub", 1000), ("hub", 1400), ("hub", 1800), ("hub", 2200),
+         ("hub", 2600), ("hub", 3000),
+         ("diamonds", 1000), ("diamonds", 2000), ("diamonds", 2500),
+         ("diamonds", 3000),
+         ("kkk", 20), ("kkk", 40), ("kkk", 70), ("kkk", 100))
+
+
+def _large(rng, i):
+    """Graph i of the benchmark-scale pool `LARGE`: P_n and C_n with
+    n = 9,999-10,001 (each residue mod 3), the benchmark's hub (an edge
+    xy, a vertex on x and k = 1,000-3,000 singletons on it, each with a
+    block of 2-3 vertices), k = 1,000-3,000 disjoint diamonds and K_{k,k}
+    with k = 20-100; every odd-numbered one relabeled at random."""
+    family, k = LARGE[i]
+    if family == "path":
+        n, edges = k, [(v, v + 1) for v in range(k - 1)]
+    elif family == "cycle":
+        n, edges = k, [(v, (v + 1) % k) for v in range(k)]
+    elif family == "hub":
+        edges, n = [(0, 1), (0, 2)], 3 + k
+        for u in range(3, 3 + k):
+            edges.append((2, u))
+            for _ in range(rng.choice((2, 3))):
+                edges.append((u, n))
+                n += 1
+    elif family == "diamonds":
+        n, edges = 4 * k, [(4 * j + a, 4 * j + b) for j in range(k)
+                           for a, b in ((0, 1), (0, 2), (1, 2), (1, 3),
+                                        (2, 3))]
+    else:
+        n, edges = 2 * k, [(a, k + b) for a in range(k) for b in range(k)]
+    if i % 2:
         label = rng.sample(range(n), n)
         edges = [(label[u], label[v]) for u, v in edges]
     return n, edges

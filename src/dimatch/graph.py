@@ -8,9 +8,10 @@ themselves).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, starmap
-from operator import eq, lt, not_
+from itertools import chain, compress, starmap
+from operator import eq, lt, truth
 
 
 class GraphInputError(ValueError):
@@ -161,24 +162,32 @@ def _first_bad_pair(n: int, pairs) -> GraphInputError:
         seen.add(e)
 
 
-def connected_components(g: Graph, alive=None) -> list[tuple[int, ...]]:
+def connected_components(g: Graph, alive=None, within=None
+                         ) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by minimum id;
     given `alive`, any sequence indexed by vertex, those of the vertices
-    whose entry is truthy (a 2 is as live as a 1), joined by their edges."""
+    whose entry is truthy (a 2 is as live as a 1), joined by their edges.
+    Given `within` in place of `alive`, vertex ids in ascending order,
+    those of the subgraph they induce, in time linear in its size, not
+    in n."""
     adj, comps = g.adj, []
-    # 1 for a vertex that is dead or already placed in a component
-    skip = bytearray(g.n) if alive is None else bytearray(map(not_, alive))
-    s = skip.find(0)
-    while s >= 0:
-        skip[s] = 1
+    if within is None:
+        # 1 for a live vertex not yet placed in a component
+        left = bytearray(map(truth, b"\x01" * g.n if alive is None else alive))
+        within = compress(range(g.n), left)     # reads `left` as it goes
+    else:
+        left = defaultdict(int, dict.fromkeys(within, 1))
+    for s in within:
+        if not left[s]:
+            continue
+        left[s] = 0
         comp = [s]
         for v in comp:              # grows while it is read: a search
             for w in adj[v]:
-                if not skip[w]:
-                    skip[w] = 1
+                if left[w]:
+                    left[w] = 0
                     comp.append(w)
         comps.append(tuple(sorted(comp)))
-        s = skip.find(0, s + 1)
     return comps
 
 

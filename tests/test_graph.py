@@ -180,6 +180,28 @@ def test_connected_components_reads_any_truthy_alive_entry():
             assert [c[0] for c in comps] == sorted(c[0] for c in comps)
 
 
+def test_connected_components_within_splits_the_induced_subgraph():
+    # the ascending ids given as `within` split as the mask that holds
+    # exactly them, and no vertex outside them is reached, though many
+    # are neighbors of vertices inside
+    rng = random.Random(31)
+    reached_out = 0
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        p = rng.uniform(0.0, 0.3)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        within = [v for v in range(n) if rng.random() < 0.6]
+        mask = [v in within for v in range(n)]
+        comps = connected_components(g, within=within)
+        assert comps == connected_components(g, mask)
+        assert comps == _reference_components(n, g.edges, mask)
+        assert sorted(v for c in comps for v in c) == within
+        reached_out += any(not mask[w] for v in within for w in g.adj[v])
+    assert reached_out > 100
+    assert connected_components(g, within=[]) == []
+
+
 # P6: 0-1-2-3-4-5
 @pytest.mark.parametrize("cert, message", [
     # a non-edge member comes first in sorted order, before a shared

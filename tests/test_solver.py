@@ -173,14 +173,17 @@ def test_subsolver_c4_none():
 def test_subsolver_triangle_with_white():
     g = make_named(cycle(3))
     st = ColoringState(3)
-    st.color[0] = WHITE
+    assign(st, 0, WHITE)
+    assert propagate(g, st)
     got = constrained_subsolver(g, st)
     assert got is not None and got.mate_pairs() == [(1, 2)]
 
 
 def test_subsolver_isolated_vertex_goes_white():
+    # white as in unmatched: no edge needs it, so it is left uncolored
     got = constrained_subsolver(build_graph(1, []), ColoringState(1))
-    assert got is not None and got.color[0] == WHITE
+    assert got is not None and got.mate_pairs() == []
+    assert got.color[0] != BLACK
 
 
 @pytest.fixture
@@ -305,16 +308,52 @@ def test_trivial_blocks_resolve_from_few_block_views(clones):
 
 
 @pytest.fixture
-def searches(monkeypatch):
-    """[input state, scope, nodes visited, the matched edge xy of the
-    branch that made the call] of every subsolver call; the input state
-    is cloned before the call, which searches on it in place."""
+def children(monkeypatch):
+    """[scope, edge, base, ran] of every child of a covering node under
+    `solve` without xy, in the order the node takes them: a hook on the
+    list of covering edges records each as the node takes it, `base`
+    being a clone of the state the child starts from, and one on
+    `propagate` sets `ran` at the child's first propagation, so it stays
+    False for an edge skipped as the twin of one that failed."""
+    taken, pending = [], []
+    covering, propagate_ = solver._covering_edges, solver.propagate
+
+    class Taken(list):
+        def __iter__(self):
+            for edge in list.__iter__(self):
+                taken.append([self.scope, edge, self.state.clone(), False])
+                pending[:] = taken[-1:]
+                yield edge
+                pending.clear()
+
+    def edges(g, state, scope):
+        got = Taken(covering(g, state, scope))
+        got.scope, got.state = tuple(scope), state
+        return got
+    edges.__wrapped__ = covering
+
+    def propagated(g, state):
+        if pending:
+            pending.pop()[3] = True
+        return propagate_(g, state)
+
+    monkeypatch.setattr(solver, "_covering_edges", edges)
+    monkeypatch.setattr(solver, "propagate", propagated)
+    return taken
+
+
+@pytest.fixture
+def searches(monkeypatch, children):
+    """[input state, scope, nodes visited, the edge of the covering child
+    that made the call] of every subsolver call under `solve` without xy;
+    the input state is cloned before the call, which searches on it in
+    place."""
     calls = []
     search = solver.constrained_subsolver
 
     def measure(g, state, within=None, stats=None, budget=None):
-        xy = sys._getframe(1).f_locals["xy"]
-        call = [state.clone(), tuple(within), stats.subsolver_nodes, xy]
+        call = [state.clone(), tuple(within), stats.subsolver_nodes,
+                children[-1][1]]
         calls.append(call)
         try:
             return search(g, state, within, stats, budget)
@@ -620,19 +659,26 @@ def test_branch_over_budget_leaves_the_next_branch_its_state(monkeypatch):
     # over it and a later branch of the same component, which needs no
     # search, finds a d.i.m.: that branch starts from the state the
     # first one was given, so the answer is found and verifies
-    events = []
-    branch = solver._solve_xy_branch
+    over, found = [], []
+    cover, search = solver._cover, solver.constrained_subsolver
 
-    def record(g, base, comp, xy, stats, budget=None):
+    def watched(g, state, within=None, stats=None, budget=None):
         try:
-            found = branch(g, base, comp, xy, stats, budget)
+            return search(g, state, within, stats, budget)
         except solver.HypothesisViolation:
-            events.append((comp, None))
+            over.append(within)
             raise
-        events.append((comp, found))
-        return found
 
-    monkeypatch.setattr(solver, "_solve_xy_branch", record)
+    def covered(g, state, scope, stats, budget, xy=None):
+        tried, ran_over = stats.xy_tried, len(over)
+        done = cover(g, state, scope, stats, budget, xy)
+        # a child completed this node after an earlier one ran over
+        if done and stats.xy_tried > tried and len(over) > ran_over:
+            found.append(scope)
+        return done
+
+    monkeypatch.setattr(solver, "constrained_subsolver", watched)
+    monkeypatch.setattr(solver, "_cover", covered)
     rng = random.Random(11)
     sites = 0
     for _ in range(1500):
@@ -640,10 +686,9 @@ def test_branch_over_budget_leaves_the_next_branch_its_state(monkeypatch):
         p = rng.uniform(0.15, 0.5)
         g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                             if rng.random() < p])
-        events.clear()
+        found.clear()
         out = solve(g, budget=1)
-        over = {comp for comp, found in events if found is None}
-        if any(found and comp in over for comp, found in events):
+        if found:
             sites += 1
             assert out.status == "found" and verify_dim(g, out.certificate)
     assert sites >= 3
@@ -652,15 +697,13 @@ def test_branch_over_budget_leaves_the_next_branch_its_state(monkeypatch):
 def _case_pairs(g, xy):
     """Pairs of the whole graph when the xy branch runs on the component
     of xy, with the statistics of that branch."""
-    from dimatch import DimCertificate, connected_components
-    from dimatch.coloring import preprocess
-    from dimatch.solver import SolveStats, _solve_xy_branch
+    from dimatch import DimCertificate
     base = preprocess(g)
     assert base.contradiction is None
     comp = next(c for c in connected_components(g, base.live_mask())
                 if xy[0] in c)
-    stats = SolveStats()
-    assert _solve_xy_branch(g, base, comp, xy, stats)
+    stats = solver.SolveStats()
+    assert solver._cover(g, base, comp, stats, None, xy)
     cert = DimCertificate(frozenset(base.mate_pairs()))
     assert verify_dim(g, cert) and xy in cert.edges
     return cert, stats
@@ -999,21 +1042,19 @@ def _first_unknown_search(g, state, within):
 
 def _every_covering_branch(g):
     """`solve`'s branches without its twin skip: per live component, each
-    covering edge through `_solve_xy_branch` up to the first success,
-    under the shared default budget, stopping at a component without a
-    d.i.m."""
+    covering edge as the one child of a covering node up to the first
+    success, under the shared default budget, stopping at a component
+    without a d.i.m."""
     state = preprocess(g)
     if g.m == 0 or state.contradiction is not None:
         return
     stats = solver.SolveStats()
     budget = solver.NODES_PER_VERTEX * g.n
     for comp in connected_components(g, state.live_mask()):
-        if solver._needs_nothing(g, state, comp):
-            continue
         mark, over = state.mark(), False
         for xy in solver._covering_edges(g, state, comp):
             try:
-                if solver._solve_xy_branch(g, state, comp, xy, stats, budget):
+                if solver._cover(g, state, comp, stats, budget, xy):
                     break
             except solver.HypothesisViolation:
                 over = True
@@ -1114,34 +1155,27 @@ def test_fan_chain_is_refuted_in_constant_nodes():
     assert out.status == "none" and out.stats.subsolver_nodes <= 2 * g.n
 
 
-def test_only_covering_edges_branch_then_one_exact_search(monkeypatch,
-                                                         searches):
+def test_only_covering_edges_branch_then_one_exact_search(searches,
+                                                         children):
     # each component branches on its covering edges only, each at most
     # once, xy_tried counts those branches, and each branch gives every
     # undecided part of its component one exact search: disjoint scopes
     # inside the component whose vertices are live and unknown or unmated
     # blacks, counted in `parts`
-    runs = []
-    branch = solver._solve_xy_branch
-
-    def record(g, base, comp, xy, stats, budget=None):
-        first, before = len(searches), base.clone()
-        try:
-            return branch(g, base, comp, xy, stats, budget)
-        finally:
-            runs.append((tuple(comp), xy, before, searches[first:]))
-
-    monkeypatch.setattr(solver, "_solve_xy_branch", record)
+    covering = solver._covering_edges.__wrapped__
     searched = 0
     for g in _fuzz_graphs(random.Random(5)):
-        runs.clear()
+        children.clear()
         searches.clear()
         out = solve(g)
+        runs = [(comp, xy, base, [c for c in searches if c[3] == xy])
+                for comp, xy, base, ran in children if ran]
         keys = [(comp, xy) for comp, xy, _, _ in runs]
         assert len(set(keys)) == len(keys) == out.stats.xy_tried
         assert len(searches) == out.stats.parts
+        assert {c[3] for c in searches} <= {xy for _, xy, _, _ in runs}
         for comp, xy, base, calls in runs:
-            assert xy in solver._covering_edges(g, base, comp)
+            assert xy in covering(g, base, comp)
             scopes = [v for _, scope, _, _ in calls for v in scope]
             assert len(set(scopes)) == len(scopes) and set(scopes) <= set(comp)
             for st, scope, _, _ in calls:
@@ -1161,9 +1195,36 @@ def _covering_edges_by_min(g, state, comp):
     return sorted({(min(a, t), max(a, t)) for a in (v, w) for t in live[a]})
 
 
+def _needs_nothing(g, state, comp):
+    """The check the covering node's empty edge list replaced: True when
+    whitening the remaining unknowns completes the component, that is,
+    no unknown-unknown edge and no unmated black."""
+    color, mate = state.color, state.mate
+    for v in comp:
+        if color[v] == BLACK and mate[v] < 0:
+            return False
+        if color[v] == UNKNOWN:
+            for w in g.adj[v]:
+                if w > v and color[w] == UNKNOWN:
+                    return False
+    return True
+
+
+def _whiten_some(g, state, rng, k):
+    """Whiten up to k random unknown vertices through `assign`, each
+    propagated, undoing one that leads to a contradiction."""
+    for v in rng.sample(range(g.n), k):
+        if state.color[v] == UNKNOWN:
+            mark = state.mark()
+            assign(state, v, WHITE)
+            if not propagate(g, state):
+                state.undo(mark)
+
+
 def test_covering_edges_match_the_minimum_over_the_component():
     # on preprocessed G(n,p) graphs and cycles with chords, some vertices
-    # whitened, components of least live degree 1 and of least degree 2+
+    # whitened, components of least live degree 1 and of least degree 2+;
+    # a component that needs nothing has no covering edge
     rng = random.Random(624)
     least = {1: 0, 2: 0}
     for i in range(600):
@@ -1179,17 +1240,81 @@ def test_covering_edges_match_the_minimum_over_the_component():
         state = preprocess(g)
         if state.contradiction is not None:
             continue
-        for v in rng.sample(range(n), rng.choice((0, n // 8, n // 4))):
-            state.color[v] = WHITE
+        _whiten_some(g, state, rng, rng.choice((0, n // 8, n // 4)))
         for comp in connected_components(g, state.live_mask()):
             if len(comp) < 2:
                 continue
-            assert solver._covering_edges(g, state, comp) == \
-                _covering_edges_by_min(g, state, comp)
             degs = [sum(state.color[t] != WHITE for t in g.adj[u])
                     for u in comp]
             least[min(min(degs), 2)] += 1
+            if _needs_nothing(g, state, comp):
+                assert solver._covering_edges(g, state, comp) == []
+                continue
+            assert solver._covering_edges(g, state, comp) == \
+                _covering_edges_by_min(g, state, comp)
     assert least[1] > 300 and least[2] > 50
+
+
+def test_covering_edges_are_empty_exactly_when_nothing_is_needed():
+    # on preprocessed states, and on the states a covering child leaves,
+    # the covering node finds no edge to branch on exactly when the
+    # component needs nothing: no unmated black and no edge between two
+    # unknowns
+    rng = random.Random(628)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        n, p = rng.randint(2, 30), rng.uniform(0.05, 0.5)
+        g = build_graph(n, [(u, v) for u in range(n)
+                            for v in range(u + 1, n) if rng.random() < p])
+        state = preprocess(g)
+        if state.contradiction is not None:
+            continue
+        if g.m and rng.random() < 0.5:
+            x, y = rng.choice(g.edges)
+            if WHITE in (state.color[x], state.color[y]):
+                continue
+            assign(state, x, BLACK)
+            assign(state, y, BLACK)
+            if not propagate(g, state):
+                continue
+        for comp in connected_components(g, state.live_mask()):
+            nothing = _needs_nothing(g, state, comp)
+            assert (solver._covering_edges(g, state, comp) == []) == nothing
+            seen[nothing] += 1
+    assert seen[True] > 400 and seen[False] > 150
+
+
+def test_subsolver_on_uncolored_unions_matches_the_oracle():
+    # a direct call on an uncolored state, where no black is unmated,
+    # starts at the covering node: on graphs of several components and
+    # isolated vertices it completes exactly when a d.i.m. exists, and
+    # it branches on a covering edge whenever there is an edge
+    rng = random.Random(629)
+    found = none = unions = isolated = 0
+    for _ in range(1000):
+        pairs, n = [], 0
+        for k in (rng.randint(1, 5) for _ in range(rng.randint(2, 4))):
+            p = rng.uniform(0.3, 0.9)
+            pairs += [(n + u, n + v) for u in range(k)
+                      for v in range(u + 1, k) if rng.random() < p]
+            n += k
+        label = rng.sample(range(n), n)
+        g = build_graph(n, [(label[u], label[v]) for u, v in pairs])
+        assert g.n <= 20
+        if g.n > 10:
+            continue
+        stats = solver.SolveStats()
+        got = constrained_subsolver(g, ColoringState(n), stats=stats)
+        assert (got is not None) == brute_force_dim(g).exists
+        if got is None:
+            none += 1
+        else:
+            assert verify_dim(g, got.mate_pairs())
+            found += 1
+        assert stats.xy_tried >= 1 or g.m == 0
+        unions += len(connected_components(g)) > 1 and g.m > 0
+        isolated += any(not g.adj[v] for v in range(n)) and g.m > 0
+    assert found > 300 and none > 100 and unions > 400 and isolated > 300
 
 
 def test_hypothesis_violated_witness_past_200_vertices():
@@ -1328,3 +1453,171 @@ def test_twin_skips_keep_answers_on_twin_rich_graphs():
             skipped += out.stats.twin_skips > 0
             xy_runs += 1
     assert skipped > 100 and xy_runs > 2000
+
+
+# -- the xy branch on the distance-level shapes of the paper --------------
+# The level normalization these tests were first written for is gone: a
+# covering child assigns x and y black, propagates, and completes each
+# undecided part with the exact subsolver.  Each test keeps its shape and
+# checks that the child forces, or rules out, what the level rules did.
+
+def _propagated(g, xy):
+    """The preprocessed state with x and y black, propagated, or None on
+    a contradiction."""
+    st = preprocess(g)
+    assert st.contradiction is None
+    assign(st, xy[0], BLACK)
+    assign(st, xy[1], BLACK)
+    return st if propagate(g, st) else None
+
+
+def _branch(g, xy):
+    """The pairs of a d.i.m. through xy found by the covering node's one
+    child on xy, or None when it finds that no d.i.m. matches xy."""
+    st = preprocess(g)
+    if solver._cover(g, st, range(g.n), solver.SolveStats(), None, xy):
+        return set(st.mate_pairs())
+    return None
+
+
+def test_normalize_p6_forces_everything():
+    g = make_named(path(6))
+    st = _propagated(g, (1, 2))
+    assert st is not None
+    assert not solver._undecided_parts(g, st, range(g.n))
+    assert st.mate_pairs() == [(1, 2), (4, 5)]
+
+
+def test_normalize_p5_forces_everything():
+    g = make_named(path(5))
+    st = _propagated(g, (0, 1))
+    assert st is not None
+    assert not solver._undecided_parts(g, st, range(g.n))
+    assert st.mate_pairs() == [(0, 1), (3, 4)]
+
+
+def test_normalize_fails_on_empty_block():
+    # P6 with xy in the middle position (2, 3): the second level is a
+    # pair of leaves with no third-level mates
+    assert _propagated(make_named(path(6)), (2, 3)) is None
+
+
+def _two_blocks(cross):
+    # xy = (0, 1), 2 on x, owners 3 and 4 with blocks {5, 6, 7} and
+    # {8, 9, 10}, joined by the given cross edges
+    edges = [(0, 1), (0, 2), (2, 3), (2, 4)]
+    edges += [(3, 5), (3, 6), (3, 7), (4, 8), (4, 9), (4, 10)]
+    return build_graph(11, edges + cross)
+
+
+def test_normalize_three_cross_edges_fail():
+    # two blocks of three joined by a perfect matching of three edges:
+    # the two mates cover at most two of them
+    g = _two_blocks([(5, 8), (6, 9), (7, 10)])
+    assert _propagated(g, (0, 1)) is not None
+    assert _branch(g, (0, 1)) is None
+
+
+def test_normalize_two_cross_edges_whiten_rest():
+    # 7 and 10 sit off the two cross edges, so they are white in every
+    # d.i.m. through xy, and in the one the branch finds
+    g = _two_blocks([(5, 8), (6, 9)])
+    dims = [d.edges for d in enumerate_dims(g) if (0, 1) in d.edges]
+    pairs = _branch(g, (0, 1))
+    assert dims and pairs is not None and frozenset(pairs) in dims
+    for d in dims:
+        matched = {v for e in d for v in e}
+        assert 7 not in matched and 10 not in matched
+
+
+def test_normalize_bipartite_check():
+    # odd cycle across three blocks inside the third level
+    edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5)]
+    edges += [(3, 6), (3, 7), (4, 8), (4, 9), (5, 10), (5, 11)]
+    edges += [(6, 8), (8, 10), (10, 6)]
+    g = build_graph(12, edges)
+    assert _branch(g, (0, 1)) is None
+
+
+def test_forced_colors_agree_with_all_solutions():
+    # every color the branch's propagate fixes must hold in every solution
+    # that contains xy, and a contradiction means there is none
+    rng = random.Random(41)
+    graphs = 0
+    branches = 0
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.45]
+        g = build_graph(n, pairs)
+        dims = enumerate_dims(g)
+        st0 = preprocess(g)
+        if st0.contradiction is not None:
+            assert not dims
+            continue
+        graphs += 1
+        for xy in g.edges:
+            x, y = xy
+            if WHITE in (st0.color[x], st0.color[y]):
+                continue
+            st = st0.clone()
+            assign(st, x, BLACK)
+            assign(st, y, BLACK)
+            holding = [d for d in dims if xy in d.edges]
+            if not propagate(g, st):
+                assert not holding
+                continue
+            branches += 1
+            for dim in holding:
+                matched = {v for e in dim.edges for v in e}
+                for v in range(n):
+                    if st.color[v] == BLACK:
+                        assert v in matched
+                    elif st.color[v] == WHITE:
+                        assert v not in matched
+    assert graphs > 100 and branches > 100
+
+
+# -- small chordal pieces completed by the subsolver ----------------------
+# The clique-tree dynamic program these cases were written for is gone;
+# they run on the exact subsolver that replaced it.  A precolored input
+# is colored through `assign`, as the subsolver requires.
+
+def _complete_all(g, st=None):
+    """Complete a d.i.m. coloring of the whole graph, honoring `st`;
+    the matched edges, or None if no completion exists."""
+    got = constrained_subsolver(g, st or ColoringState(g.n))
+    return None if got is None else got.mate_pairs()
+
+
+def test_single_edge():
+    g = build_graph(2, [(0, 1)])
+    got = constrained_subsolver(g, ColoringState(2))
+    assert got is not None and list(got.color) == [BLACK, BLACK]
+    assert got.mate_pairs() == [(0, 1)]
+
+
+def test_p3_returns_one_of_two():
+    assert _complete_all(make_named(path(3))) in ([(0, 1)], [(1, 2)])
+
+
+def test_triangle_one_matched_edge():
+    got = _complete_all(make_named(cycle(3)))
+    assert got is not None and len(got) == 1
+
+
+def test_honors_precolors():
+    g = make_named(cycle(3))
+    st = ColoringState(3)
+    assign(st, 0, WHITE)
+    assert propagate(g, st)
+    assert _complete_all(g, st) == [(1, 2)]
+
+
+def test_infeasible_returns_none():
+    g = make_named(cycle(3))
+    st = ColoringState(3)
+    assign(st, 0, WHITE)
+    assign(st, 1, WHITE)
+    assert not propagate(g, st)
+    assert _complete_all(g, st) is None

@@ -2,7 +2,9 @@
 
 Graph format: a header line `n m`, then m lines `u v` of 0-based ids,
 separated by whitespace; lines blank or starting with `#` (after blanks)
-are skipped.  Exit codes: 0 found / check passed / agree, 1 no d.i.m.,
+are skipped.  A plain text, the form `emit_graph` writes, is decoded in
+bulk; every other spelling takes the general path, to the same graph and
+the same errors.  Exit codes: 0 found / check passed / agree, 1 no d.i.m.,
 2 input error, 3 hypothesis violated or disagreement, 4 internal error
 (an exception escaped; its traceback goes to stderr).
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 import traceback
 from dataclasses import dataclass
@@ -40,23 +43,63 @@ class RunConfig:
 
 def parse_graph(text: str, source: str = "<input>") -> Graph:
     """Parse the edge-list format; an error names the source and, for a
-    bad line, its line number.  A leading byte-order mark is dropped."""
+    bad line, its line number.  A leading byte-order mark is dropped.
+
+    A plain text, the form `emit_graph` writes, is read in bulk by
+    `_plain_ints`; any other spelling takes the general path, which
+    filters comments and checks each line's shape.  Both hand the same
+    ints to the same checks, so they give the same graph and errors."""
     text = text.removeprefix("\ufeff")
-    data = text
-    if "#" in text:                 # comment lines hold no data
-        data = "\n".join(ln for ln in text.splitlines()
-                         if not ln.lstrip().startswith("#"))
-    two_per_line = {0, 2}.issuperset(map(len, map(str.split, data.splitlines())))
-    try:
-        vals = list(map(int, data.split())) if two_per_line else []
-    except ValueError:
-        vals = []
+    vals = _plain_ints(text)
+    if vals is None:
+        data = text
+        if "#" in text:             # comment lines hold no data
+            data = "\n".join(ln for ln in text.splitlines()
+                             if not ln.lstrip().startswith("#"))
+        two_per_line = {0, 2}.issuperset(
+            map(len, map(str.split, data.splitlines())))
+        try:
+            vals = list(map(int, data.split())) if two_per_line else []
+        except ValueError:
+            vals = []
     if not vals or 2 * vals[1] != len(vals) - 2:
         raise _first_bad_line(text, source)
     try:
         return _from_ends(vals[0], vals[2::2], vals[3::2])
     except GraphInputError as err:
         raise GraphInputError(f"{source}: {err}") from None
+
+
+_TWO_SPACES = re.compile(" [^ \n]* ")     # a line with two spaces or more
+
+
+def _plain_ints(text: str) -> list[int] | None:
+    """The ints of a plain text, or None when the text is not plain.
+
+    Plain: every line is two tokens `-?(0|[1-9][0-9]*)` joined by one
+    space and ended by `\n` (the last one may be missing), with blank
+    lines allowed only at the end.  Any such text has one space per line
+    and holds no other blank, so its spaces and newlines become commas
+    and one JSON decode reads every int in C; JSON reads these tokens as
+    `int()` does.  A JSON number of another spelling (`1e2`, `NaN`) or
+    another value (`true`, a string, a list) is not an int, and a comma
+    or a split token leaves the count of values off, so the text is
+    declined.  `\r` is excluded because JSON reads it as a blank while
+    `splitlines` ends a line there; `\t`, a blank to both, is excluded
+    so that the bulk read takes exactly the plain form."""
+    body = text.rstrip("\n")
+    lines = body.count("\n") + 1
+    if body.count(" ") != lines or "\t" in body or "\r" in body \
+            or _TWO_SPACES.search(body):
+        return None
+    try:
+        vals = json.loads(
+            "[" + body.replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:              # not JSON, or an int over the digit limit
+        return None
+    if len(vals) != 2 * lines or not {int}.issuperset(map(type, vals)):
+        return None
+    return vals
 
 
 def _first_bad_line(text: str, source: str) -> GraphInputError:
@@ -83,6 +126,9 @@ def emit_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode    # json.dumps's output
+
+
 def _structured(mode: str, g: Graph | None, result: str,
                 edges=None, stats=None, detail: str = "") -> str:
     obj = {
@@ -95,7 +141,7 @@ def _structured(mode: str, g: Graph | None, result: str,
     }
     if detail:
         obj["detail"] = detail
-    return json.dumps(obj, sort_keys=True)
+    return _ENCODE(obj)
 
 
 def _stats_dict(outcome) -> dict:

@@ -146,7 +146,9 @@ def _covering_edges(g: Graph, state: ColoringState, scope
     two unknowns.  The edge vw must be dominated, so every d.i.m.
     matches one of these edges.  v is the first in id order; the scan
     stops at live degree 1.  An unknown vertex of a propagated state has
-    no white neighbor (rule (a)), so its live degree is its degree."""
+    no white neighbor (rule (a)), so its live degree is its degree; one
+    whose neighbors are all white, in a state colored outside `assign`,
+    raises ValueError."""
     adj, color, mate = g.adj, state.color, state.mate
     v, least = -1, g.n
     for u in scope:
@@ -164,7 +166,12 @@ def _covering_edges(g: Graph, state: ColoringState, scope
     if v < 0:
         return []
     w = min((t for t in adj[v] if color[t] != WHITE),
-            key=lambda t: (sum(color[x] != WHITE for x in adj[t]), t))
+            key=lambda t: (sum(color[x] != WHITE for x in adj[t]), t),
+            default=-1)
+    if w < 0:
+        raise ValueError(f"vertex {v} is undecided with no live neighbor, "
+                         "which propagation rules out: colors go through "
+                         "`assign`, then `propagate`, not into `state.color`")
     return sorted({edge_key(a, t) for a in (v, w) for t in adj[a]
                    if color[t] != WHITE})
 

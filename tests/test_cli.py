@@ -59,6 +59,13 @@ def test_parse_errors_carry_line_numbers():
     ("3 2\r\n\r\n0 1\r\n1 y\r\n", "f:4: expected two integers, got '1 y'"),
     ("3 1\x0b0 1\x0c1 2 3", "f:3: expected two integers, got '1 2 3'"),
     ("3 1\n\ufeff0 1\n", "f:2: expected two integers, got '\\ufeff0 1'"),
+    ("3 1\n0 1e2\n", "f:2: expected two integers, got '0 1e2'"),
+    ("3 1\n0,1 2\n", "f:2: expected two integers, got '0,1 2'"),
+    ("3 1\n[0] 1\n", "f:2: expected two integers, got '[0] 1'"),
+    ("3 1\n0 true\n", "f:2: expected two integers, got '0 true'"),
+    ("3 1\n0\r 1\n", "f:2: expected two integers, got '0'"),
+    ("13 2\n1 2 3\n4\n", "f:2: expected two integers, got '1 2 3'"),
+    ("3 2\n0,1 1,2\n", "f:2: expected two integers, got '0,1 1,2'"),
     ("3 5\n0 x\n", "f:2: expected two integers, got '0 x'"),
     ("3 2\n0 1\n", "f: header announces 2 edges, found 1"),
     ("3 0\n0 1\n", "f: header announces 0 edges, found 1"),
@@ -66,6 +73,7 @@ def test_parse_errors_carry_line_numbers():
     ("3 2\n0 0\n", "f: header announces 2 edges, found 1"),
     ("-1 0\n", "f: vertex count must be nonnegative, got -1"),
     ("3 2\n0 1\n1 1\n", "f: self-loop rejected: (1, 1)"),
+    ("3 2\n0 -0\n1 2\n", "f: self-loop rejected: (0, 0)"),
     ("3 2\n0 3\n1 1\n", "f: vertex id out of range 0..2: (0, 3)"),
     ("3 1\n-1 0\n", "f: vertex id out of range 0..2: (-1, 0)"),
     ("0 1\n0 1\n", "f: vertex id out of range 0..-1: (0, 1)"),
@@ -147,11 +155,11 @@ def _fuzz_text(rng):
                    for row in rows)
 
 
-def test_parse_agrees_with_a_line_by_line_reference():
-    rng = random.Random(17)
-    kinds = {"graph": 0, "error": 0}
-    for _ in range(3000):
-        text = _fuzz_text(rng)
+def _agree_with_reference(texts):
+    """Assert that the parse reads each text as `_reference_parse` does;
+    the counts of graphs, errors and texts read in bulk."""
+    kinds = {"graph": 0, "error": 0, "plain": 0}
+    for text in texts:
         want = _reference_parse(text, "f")
         try:
             g = parse_graph(text, "f")
@@ -161,7 +169,80 @@ def test_parse_agrees_with_a_line_by_line_reference():
             got = str(err)
         assert got == want, repr(text)
         kinds["error" if isinstance(want, str) else "graph"] += 1
-    assert min(kinds.values()) > 500, kinds
+        kinds["plain"] += cli._plain_ints(text) is not None
+    return kinds
+
+
+def test_parse_agrees_with_a_line_by_line_reference():
+    rng = random.Random(17)
+    kinds = _agree_with_reference(_fuzz_text(rng) for _ in range(3000))
+    assert min(kinds["graph"], kinds["error"]) > 500, kinds
+
+
+# spellings that JSON, `int()`, `str.split` or `splitlines` read apart
+JUNK = [",", "[0]", '"', "01", "-0", "-01", "1e2", "1.0", "true", "NaN",
+        "Infinity", "null", "\r", "\t", "  ", " ", "\xa0", "\x0b", "#",
+        "+1", "1_0", "\u0663", "9" * 5000]
+
+
+def _plain_fuzz_text(rng):
+    """A plain text as `emit_graph` writes it, maybe without its final
+    newline or in CRLF form, with 0-2 edits: a space moved, or an
+    insertion or a token replaced from JUNK."""
+    n = rng.randint(0, 12)
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = rng.sample(pool, rng.randint(0, min(len(pool), 14)))
+    rows = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+    if edges and rng.random() < 0.1:                # duplicate or self-loop
+        u, v = rng.choice(edges)
+        rows.append(rng.choice([(u, v), (v, u), (u, u)]))
+    m = len(rows) + (rng.random() < 0.05) * rng.choice([-1, 1])
+    text = "".join(f"{a} {b}\n" for a, b in [(n, m)] + rows)
+    end = rng.random()
+    if end < 0.2:
+        text = text[:-1]
+    elif end < 0.3:
+        text += "\n" * rng.randint(1, 2)
+    if rng.random() < 0.1:
+        text = text.replace("\n", "\r\n")
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        if rng.random() < 0.2 and " " in text:     # one line gives a space
+            i = rng.choice([i for i, c in enumerate(text) if c == " "])
+            text = text[:i] + text[i + 1:]
+            i = rng.randint(0, len(text))
+            text = text[:i] + " " + text[i:]
+            continue
+        junk = rng.choice(JUNK)
+        tokens = [i for i, c in enumerate(text) if c.isdigit()
+                  and (i == 0 or not text[i - 1].isdigit())]
+        if tokens and rng.random() < 0.5:           # replace a token
+            i = rng.choice(tokens)
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+        else:                                       # insert
+            i = j = rng.randint(0, len(text))
+        text = text[:i] + junk + text[j:]
+    return text
+
+
+def test_bulk_parse_agrees_with_a_line_by_line_reference():
+    # texts read in bulk or declined by it get the reference's graph or
+    # error, and both sides are well represented
+    rng = random.Random(29)
+    kinds = _agree_with_reference(_plain_fuzz_text(rng)
+                                  for _ in range(20000))
+    assert min(kinds.values()) > 4000, kinds
+    n = 10 ** 5
+    path = [(u, u + 1) for u in range(n - 1)]
+    want = build_graph(n, path)
+    text = emit_graph(want)
+    spellings = [text, text.replace(" ", "\t"), text.replace("\n", "\r\n")]
+    for i, spelled in enumerate(spellings):
+        assert (cli._plain_ints(spelled) is not None) == (i == 0)
+        g = parse_graph(spelled)
+        for key in ("n", "m", "adj", "adjset", "edges"):
+            assert getattr(g, key) == getattr(want, key), (key, i)
 
 
 def _text_pairs(text):

@@ -1621,3 +1621,14 @@ def test_infeasible_returns_none():
     assign(st, 1, WHITE)
     assert not propagate(g, st)
     assert _complete_all(g, st) is None
+
+
+def test_colors_outside_assign_are_named():
+    # colors written into `state.color` are never propagated, so vertex 2
+    # stays undecided with only white neighbors
+    g = make_named(cycle(3))
+    st = ColoringState(3)
+    st.color[0] = st.color[1] = WHITE
+    with pytest.raises(ValueError, match=r"vertex 2 .* colors go through "
+                       r"`assign`, then `propagate`"):
+        _complete_all(g, st)

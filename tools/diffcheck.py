@@ -42,8 +42,11 @@ its directory and answers the same seeded requests through
   a prefix of each pool: a dropped or extra token, a non-integer token,
   an id out of range or negative, a self-loop, a reversed duplicate, a
   header edge count off by one, a comment (on its own line, or trailing
-  a pair line, which is rejected), blank lines, or CRLF line ends (no
-  byte-order mark, which trees before the bulk parse reject);
+  a pair line, which is rejected), blank lines, CRLF line ends (no
+  byte-order mark, which trees before the bulk parse reject), or a
+  spelling that JSON reads apart from `int()`: a token swapped for
+  `01`, `-0`, `1e2`, `true`, `NaN`, `[1]`, `0,1` or `"1"`, or a lone
+  `\r` or `\t` put into a pair line;
 * `generate` (`random_s115_free`) for a fixed list of seeded sizes and
   edge probabilities, n = 10-40 and p = 0.1-0.3.
 
@@ -115,7 +118,7 @@ POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
 GENERATE = 200                  # generate requests
 MALFORMED = 20                  # corrupted texts per pool
 CORRUPTIONS = ("drop", "extra", "word", "range", "negative", "loop",
-               "duplicate", "header", "comment", "blank", "crlf")
+               "duplicate", "header", "comment", "blank", "crlf", "json")
 
 
 def _graph(rng, pool, i):
@@ -506,6 +509,14 @@ def _corrupt(rng, graph):
             lines.insert(rng.randint(0, len(lines)), rng.choice(
                 ["# c", "#", "  # 1 2", "#0 1"] if form == "comment"
                 else ["", "  ", "\t"]))
+    elif form == "json":
+        word = rng.choice(["01", "-0", "1e2", "true", "NaN", "[1]", "0,1",
+                           '"1"', "\r", "\t"])
+        if word in ("\r", "\t"):
+            at = rng.randint(0, len(lines[i]))
+            lines[i] = lines[i][:at] + word + lines[i][at:]
+        else:
+            lines[i] = rng.choice([f"{u} {word}", f"{word} {v}"])
     return ("\r\n" if form == "crlf" else "\n").join(lines) + "\n"
 
 

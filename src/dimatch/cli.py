@@ -84,19 +84,22 @@ def _plain_ints(text: str) -> list[int] | None:
     `int()` does.  A JSON number of another spelling (`1e2`, `NaN`) or
     another value (`true`, a string, a list) is not an int, and a comma
     or a split token leaves the count of values off, so the text is
-    declined.  `\r` is excluded because JSON reads it as a blank while
-    `splitlines` ends a line there; `\t`, a blank to both, is excluded
-    so that the bulk read takes exactly the plain form."""
+    declined, as is a token nested too deep for the decoder.  `\r` is
+    excluded because JSON reads it as a blank while `splitlines` ends a
+    line there.  A `\t` is a blank to both, so a text with one reads the
+    same ints either way.  `#` is excluded before the decode: a commented
+    text, the most common spelling that is not plain, can pass the space
+    count (`# c`), and the decode would only fail on it."""
     body = text.rstrip("\n")
     lines = body.count("\n") + 1
-    if body.count(" ") != lines or "\t" in body or "\r" in body \
+    if body.count(" ") != lines or "#" in body or "\r" in body \
             or _TWO_SPACES.search(body):
         return None
     try:
         vals = json.loads(
             "[" + body.replace(" ", ",").replace("\n", ",") + "]")
-    except ValueError:              # not JSON, or an int over the digit limit
-        return None
+    except (ValueError, RecursionError):    # not JSON, an int over the
+        return None                         # digit limit, or `[[[...`
     if len(vals) != 2 * lines or not {int}.issuperset(map(type, vals)):
         return None
     return vals

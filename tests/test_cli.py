@@ -65,6 +65,12 @@ def test_parse_errors_carry_line_numbers():
     ("3 1\n0 true\n", "f:2: expected two integers, got '0 true'"),
     ("3 1\n0\r 1\n", "f:2: expected two integers, got '0'"),
     ("13 2\n1 2 3\n4\n", "f:2: expected two integers, got '1 2 3'"),
+    pytest.param("3 1\n" + "[" * 100000 + " 1\n",
+                 "f:2: expected two integers, got "
+                 + repr("[" * 100000 + " 1"), id="deep-list"),
+    pytest.param("3 1\n" + '{"a":' * 100000 + " 1\n",
+                 "f:2: expected two integers, got "
+                 + repr('{"a":' * 100000 + " 1"), id="deep-object"),
     ("3 2\n0,1 1,2\n", "f:2: expected two integers, got '0,1 1,2'"),
     ("3 5\n0 x\n", "f:2: expected two integers, got '0 x'"),
     ("3 2\n0 1\n", "f: header announces 2 edges, found 1"),
@@ -238,8 +244,9 @@ def test_bulk_parse_agrees_with_a_line_by_line_reference():
     want = build_graph(n, path)
     text = emit_graph(want)
     spellings = [text, text.replace(" ", "\t"), text.replace("\n", "\r\n")]
+    assert cli._plain_ints(spellings[0]) is not None
+    assert cli._plain_ints(spellings[2]) is None
     for i, spelled in enumerate(spellings):
-        assert (cli._plain_ints(spelled) is not None) == (i == 0)
         g = parse_graph(spelled)
         for key in ("n", "m", "adj", "adjset", "edges"):
             assert getattr(g, key) == getattr(want, key), (key, i)

@@ -17,7 +17,6 @@ from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
                        propagate, preprocess)
 from .oracle import (OracleReport, BudgetExceeded, brute_force_dim,
                      enumerate_dims, dims_by_subset_filter)
-from .solver import (SolveOutcome, SolveStats, HypothesisViolation,
-                     constrained_subsolver, solve)
+from .solver import SolveOutcome, SolveStats, HypothesisViolation, solve
 
 __version__ = "0.1.0"

@@ -316,14 +316,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="dominating induced matching solver and oracle")
     sub = ap.add_subparsers(dest="mode", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?", default="-",
-                           help="graph file, or - for stdin")
+    def add_common(p, budget=True):
+        p.add_argument("input", nargs="?", default="-",
+                       help="graph file, or - for stdin")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=_positive_int, default=None,
-                       help="node budget, a positive integer (default: "
-                            f"{DEFAULT_BUDGET}, solve {NODES_PER_VERTEX}/vertex)")
+        if budget:
+            p.add_argument("--budget", type=_positive_int, default=None,
+                           help="node budget, a positive integer (default: "
+                                f"{DEFAULT_BUDGET}, solve "
+                                f"{NODES_PER_VERTEX}/vertex)")
 
     p = sub.add_parser("solve", help="run the structural solver")
     add_common(p)
@@ -339,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("check-s115", help="search for an induced S_{1,1,5}")
-    add_common(p)
+    add_common(p, budget=False)
 
     p = sub.add_parser("generate", help="emit random S_{1,1,5}-free graphs")
     p.add_argument("--n", type=int, required=True)

@@ -24,7 +24,6 @@ class BudgetExceeded(RuntimeError):
 class OracleReport:
     exists: bool
     witness: DimCertificate | None = None
-    count: int | None = None
 
 
 def _search(g: Graph, budget: int, collect: list | None):
@@ -98,17 +97,12 @@ def _branch(g: Graph, budget: int, collect: list | None,
     return None
 
 
-def brute_force_dim(g: Graph, budget: int = DEFAULT_BUDGET,
-                    count: bool = False) -> OracleReport:
-    """Exact d.i.m. existence (and optionally the number of solutions)."""
-    if count:
-        sols = enumerate_dims(g, budget=budget)
-        witness = sols[0] if sols else None
-        return OracleReport(bool(sols), witness, len(sols))
+def brute_force_dim(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleReport:
+    """Exact d.i.m. existence, with the first d.i.m. found as witness."""
     hit = _search(g, budget, None)
     if hit is None:
-        return OracleReport(False, None, None)
-    return OracleReport(True, DimCertificate(hit), None)
+        return OracleReport(False)
+    return OracleReport(True, DimCertificate(hit))
 
 
 def enumerate_dims(g: Graph, budget: int = DEFAULT_BUDGET) -> list[DimCertificate]:

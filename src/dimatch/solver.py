@@ -1,25 +1,25 @@
 """Dominating induced matching decision and construction.
 
-A d.i.m. dominates every edge exactly once, so one exact search of two
-node types, which call each other, branches on one of two constraints.
-An unmated black needs exactly one mate: `constrained_subsolver`
-branches on the mates of the one with the fewest candidates.  An edge vw
-must be dominated: the covering node `_cover` takes an undecided vertex
-v of least live degree and its live neighbor w of least live degree, and
-branches on the live edges at v or at w.  `solve` preprocesses and runs
-a covering node on each live component; the subsolver runs one where no
-black is unmated but unknowns remain.  A covering child matches its
-edge and propagates, which forces only what every d.i.m. through the
-edge holds, then completes each connected part of the undecided
-vertices with the subsolver, so a `none` is exact on every graph.
-`solve(g, xy=...)` gives the node of xy's component the one child xy.
-Both node types skip a choice whose false twin (a vertex with the same
-neighbors) already failed in its place: swapping two unmated false twins
-of one color is an automorphism that fixes the coloring, so only failing
-choices are skipped, and the first success and its certificate are those
-of the full search.  The subsolver's nodes over one call share a budget;
-running over it answers `hypothesis-violated`.  Produced certificates
-are always verified against the original graph.
+A d.i.m. dominates every edge exactly once, so the exact search branches
+on one of two constraints, in a strict hierarchy.  An edge vw must be
+dominated: `solve` preprocesses and runs the covering node `_cover` on
+each live component, which takes an undecided vertex v of least live
+degree and its live neighbor w of least live degree, and branches on the
+live edges at v or at w.  A covering child matches its edge and
+propagates, which forces only what every d.i.m. through the edge holds,
+then completes each connected part of the undecided vertices with the
+mate search `constrained_subsolver`.  Each such part holds an unmated
+black, which needs exactly one mate, so the mate search branches on the
+mates of the one with the fewest candidates and never needs a covering
+node of its own; a `none` is exact on every graph.  `solve(g, xy=...)`
+gives the node of xy's component the one child xy.  Both levels skip a
+choice whose false twin (a vertex with the same neighbors) already
+failed in its place: swapping two unmated false twins of one color is an
+automorphism that fixes the coloring, so only failing choices are
+skipped, and the first success and its certificate are those of the
+full search.  The mate search's nodes over one call of `solve` share a
+budget; running over it answers `hypothesis-violated`.  Produced
+certificates are always verified against the original graph.
 """
 
 from __future__ import annotations
@@ -58,32 +58,36 @@ class SolveOutcome:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def constrained_subsolver(g: Graph, state: ColoringState, within=None,
+def constrained_subsolver(g: Graph, state: ColoringState, within,
                           stats: SolveStats | None = None,
                           budget: int | None = None) -> ColoringState | None:
-    """Exact completion search, fail first: propagate, then branch on
-    the mate of the unmated black with the fewest candidates (unknown
-    neighbors), one child per candidate in id order.  Its mate
-    must be one of them, so the children are exhaustive, and mating one
-    whitens the others, so they are disjoint.  A candidate is popped only
-    once its earlier siblings' subtrees failed, so one with the same
-    neighbors as an earlier sibling, its false twin, is skipped.
-    With no unmated black left, a covering node completes the unknowns
-    that remain; with none, the state is complete.  Correct on every
-    graph; exponential in the worst case, hence the budget.  `state` must be colored through
-    `assign`: `propagate` reads the colors on the trail, and a color
-    written straight into `state.color` is never propagated.  The tree is
-    walked on `state` itself, each child undoing the trail to its
-    parent's mark: the call returns `state` completed, or None with
-    `state` undone to its input (over the budget, the caller undoes).
-    `within` limits the completion to a set of vertices that no
-    constraint ties to the rest, such as a component or an undecided
-    part; `stats.subsolver_nodes` counts the nodes visited, and a count
-    past `budget` raises HypothesisViolation."""
+    """Exact completion of the undecided part `within` of a propagated
+    state, fail first: propagate, then branch on the mate of the unmated
+    black with the fewest candidates (unknown neighbors), one child per
+    candidate in id order.  Its mate must be one of them, so the
+    children are exhaustive, and mating one whitens the others, so they
+    are disjoint.  A candidate is popped only once its earlier siblings'
+    subtrees failed, so one with the same neighbors as an earlier
+    sibling, its false twin, is skipped.  Correct on every graph;
+    exponential in the worst case, hence the budget.
+
+    `within` is an undecided part as `_cover` hands it: a connected part
+    of the undecided vertices (unknown, or an unmated black) of a
+    propagated state colored through `assign`, holding an unmated black.
+    With no black of `within` unmated the part is complete: an unknown
+    vertex has no white neighbor (rule (a)) and no mated black neighbor,
+    so unknowns with no unmated black beside them would form a whole
+    component of `g`, which would hold the part's black too.  An unknown
+    vertex of `within` with a neighbor at that leaf breaks this contract
+    and raises ValueError.  The tree is walked on `state` itself, each
+    child undoing the trail to its parent's mark: the call returns
+    `state` completed, or None with `state` undone to its input (over
+    the budget, the caller undoes).  `stats.subsolver_nodes` counts the
+    nodes visited, and a count past `budget` raises HypothesisViolation."""
     if state.contradiction is not None:
         return None
     stats = SolveStats() if stats is None else stats
-    scope = tuple(within) if within is not None else tuple(range(g.n))
+    scope = tuple(within)
     adj, adjset, color, mate = g.adj, g.adjset, state.color, state.mate
     root = state.mark()
     # (parent's mark, mate candidate, tried): the candidates of one parent
@@ -104,12 +108,9 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
                 f"exact search over its budget of {budget} nodes")
         if not propagate(g, state):
             continue
-        cands, unknown = None, False
+        cands = None
         for v in scope:
-            c = color[v]
-            if c == UNKNOWN:
-                unknown = True
-            elif c == BLACK and mate[v] < 0:
+            if color[v] == BLACK and mate[v] < 0:
                 options = [w for w in adj[v] if color[w] == UNKNOWN]
                 if cands is None or len(options) < len(cands):
                     cands = options
@@ -118,8 +119,14 @@ def constrained_subsolver(g: Graph, state: ColoringState, within=None,
         if cands is not None:
             mark, tried = state.mark(), set()   # each child undoes to here
             stack += [(mark, w, tried) for w in reversed(cands)]
-        elif not unknown or _cover(g, state, scope, stats, budget):
-            return state
+            continue
+        for v in scope:
+            if color[v] == UNKNOWN and adj[v]:
+                raise ValueError(
+                    f"vertex {v} is unknown with no unmated black in its "
+                    "part: the subsolver completes an undecided part of a "
+                    "propagated state, colored through `assign`")
+        return state
     state.undo(root)
     return None
 
@@ -146,9 +153,7 @@ def _covering_edges(g: Graph, state: ColoringState, scope
     two unknowns.  The edge vw must be dominated, so every d.i.m.
     matches one of these edges.  v is the first in id order; the scan
     stops at live degree 1.  An unknown vertex of a propagated state has
-    no white neighbor (rule (a)), so its live degree is its degree; one
-    whose neighbors are all white, in a state colored outside `assign`,
-    raises ValueError."""
+    no white neighbor (rule (a)), so its live degree is its degree."""
     adj, color, mate = g.adj, state.color, state.mate
     v, least = -1, g.n
     for u in scope:
@@ -166,39 +171,38 @@ def _covering_edges(g: Graph, state: ColoringState, scope
     if v < 0:
         return []
     w = min((t for t in adj[v] if color[t] != WHITE),
-            key=lambda t: (sum(color[x] != WHITE for x in adj[t]), t),
-            default=-1)
-    if w < 0:
-        raise ValueError(f"vertex {v} is undecided with no live neighbor, "
-                         "which propagation rules out: colors go through "
-                         "`assign`, then `propagate`, not into `state.color`")
+            key=lambda t: (sum(color[x] != WHITE for x in adj[t]), t))
     return sorted({edge_key(a, t) for a in (v, w) for t in adj[a]
                    if color[t] != WHITE})
 
 
 def _cover(g: Graph, state: ColoringState, scope, stats: SolveStats,
            budget: int | None, xy=None) -> bool:
-    """Whether the undecided vertices of `scope` in a propagated state
-    complete: True at once when there is no covering edge (a live xy is
-    then matched), else one child on `state` per covering edge, or only
-    xy when given (live: `solve` rules out a white end).  A child colors
-    both ends black, propagates, and completes each undecided part of
-    `scope` with the subsolver, in id order up to one that fails.  True
-    at the first child that completes, which keeps its changes; the
-    others are undone, so each edge is live when its child starts.  A
-    child over `budget` does not end its siblings: when none completes,
-    False if each failed, else HypothesisViolation.  An edge is skipped
-    when its ends' twin classes (neighborhood and color when unmated,
-    else the end) match those of an edge that failed, not of one over
-    the budget; the ends of an edge are adjacent, so never twins."""
+    """Whether the undecided vertices of `scope`, a live component of a
+    propagated state, complete: True at once when there is no covering
+    edge (a live xy is then matched), else one child on `state` per
+    covering edge, or only xy when given (live: `solve` rules out a
+    white end).  A child colors both ends black, propagates, and
+    completes each undecided part of `scope` with the subsolver, in id
+    order up to one that fails.  Unknowns alone would form a whole
+    component of `g`, as `constrained_subsolver` argues, but `scope` is
+    connected and holds the matched ends, so each part holds an unmated
+    black.  True at the first child that completes, which keeps its
+    changes; the others are undone, so each edge is live when its child
+    starts.  A child over `budget` does not end its siblings: when none
+    completes, False if each failed, else HypothesisViolation.  Both
+    ends of a covering edge are undecided, as every live neighbor of an
+    undecided vertex is, so an edge is skipped when its ends' twin
+    classes (neighborhood and color) match those of an edge that failed,
+    not of one over the budget; the ends of an edge are adjacent, so
+    never twins."""
     edges = _covering_edges(g, state, scope)
     if not edges:
         return True
-    adjset, color, mate = g.adjset, state.color, state.mate
+    adjset, color = g.adjset, state.color
     over_budget, mark, failed = "", state.mark(), set()
     for (u, v) in edges if xy is None else [xy]:
-        key = frozenset((adjset[t], color[t]) if mate[t] < 0 else t
-                        for t in (u, v))
+        key = frozenset(((adjset[u], color[u]), (adjset[v], color[v])))
         if key in failed:
             stats.twin_skips += 1
             continue

@@ -20,7 +20,8 @@ from dimatch import (brute_force_dim, build_graph, enumerate_dims,
 from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
                               make_named, path)
-from dimatch.solver import NODES_PER_VERTEX, constrained_subsolver
+from dimatch.solver import NODES_PER_VERTEX
+from test_solver import _cover_all
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from diffcheck import fan_chain  # noqa: E402
@@ -243,7 +244,7 @@ def test_criterion_5_reduction_preservation():
             if exists:
                 violations += 1
             continue
-        completion = constrained_subsolver(g, st.clone())
+        completion = _cover_all(g, st.clone())
         if (completion is not None) != exists:
             violations += 1
             continue

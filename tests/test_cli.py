@@ -512,6 +512,15 @@ def test_solve_strict_explains_an_in_class_violation():
     assert code == 3 and "witness:" in out and "in class:" not in out
 
 
+def test_check_s115_takes_no_budget(capsys):
+    # the spider search has no node budget, so the option is refused
+    # rather than accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["check-s115", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_solve_decides_out_of_class_graphs(capsys):
     # the exact search of the branches answers a graph outside the class
     # that has no d.i.m.; the oracle fallback option is gone

@@ -4,7 +4,7 @@ from dimatch import build_graph, connected_components, enumerate_dims
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
                               preprocess, propagate)
 from dimatch import coloring, patterns
-from dimatch.solver import constrained_subsolver
+from dimatch.solver import _undecided_parts, constrained_subsolver
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
                               find_induced, make_named, path)
 
@@ -416,21 +416,26 @@ def test_undo_restores_the_marked_state(monkeypatch):
 
 def test_subsolver_without_completion_leaves_its_input():
     # the search walks its tree on the state it is given and, finding no
-    # completion, undoes every node; a completion is the same state
+    # completion, undoes every node; a completion is the same state.  Its
+    # inputs are the undecided parts that hold an unmated black, in turn
     rng = random.Random(41)
     none = found = 0
-    for _ in range(3000):
+    for _ in range(10000):
         g = _random_graph(rng)
         st = _propagated_start(g, rng)
         if st is None:
             continue
-        ref = st.clone()
-        got = constrained_subsolver(g, st)
-        if got is None:
-            none += 1
-            assert _snapshot(st) == _snapshot(ref) and st.trail == ref.trail
-            assert st.contradiction is None and not any(st.inq)
-        else:
+        for part in _undecided_parts(g, st, range(g.n)):
+            if BLACK not in (st.color[v] for v in part):
+                continue
+            ref = st.clone()
+            got = constrained_subsolver(g, st, part)
+            if got is None:
+                none += 1
+                assert _snapshot(st) == _snapshot(ref)
+                assert st.trail == ref.trail
+                assert st.contradiction is None and not any(st.inq)
+                break
             found += 1
             assert got is st and st.contradiction is None
     assert none > 300 and found > 300

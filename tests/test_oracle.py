@@ -11,8 +11,8 @@ from dimatch.patterns import make_named, path, cycle, CLAW, DIAMOND, BUTTERFLY
 
 
 def test_p3_two_solutions():
-    report = brute_force_dim(make_named(path(3)), count=True)
-    assert report.exists and report.count == 2
+    g = make_named(path(3))
+    assert brute_force_dim(g).exists and len(enumerate_dims(g)) == 2
 
 
 def test_c4_none():
@@ -22,8 +22,8 @@ def test_c4_none():
 
 def test_diamond_unique_mid_edge():
     g = make_named(DIAMOND)
-    report = brute_force_dim(g, count=True)
-    assert report.exists and report.count == 1
+    report = brute_force_dim(g)
+    assert report.exists and len(enumerate_dims(g)) == 1
     assert report.witness.sorted_edges() == [(1, 3)]
 
 

@@ -16,7 +16,8 @@ from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
 from dimatch.solver import constrained_subsolver
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from diffcheck import (G24, SEED, _sparse_planted, block_graph,  # noqa: E402
+from diffcheck import (G24, POOLS, SEED, _graph,  # noqa: E402
+                       _sparse_planted, block_graph,
                        block_tree, fan_chain, planted)
 
 
@@ -24,6 +25,19 @@ def _complete(st, within):
     """No contradiction, and every vertex of `within` white or mated."""
     return st.contradiction is None and all(
         st.color[v] == WHITE or st.mate[v] >= 0 for v in within)
+
+
+def _cover_all(g, st, stats=None):
+    """Complete a propagated state of the whole graph with a covering
+    node per live component, as `solve` does: `st` completed, or None."""
+    if st.contradiction is not None:
+        return None
+    stats = solver.SolveStats() if stats is None else stats
+    for comp in connected_components(g, st.live_mask()):
+        if not solver._cover(g, st, comp, stats,
+                             solver.NODES_PER_VERTEX * g.n):
+            return None
+    return st
 
 
 def _agree(g):
@@ -161,13 +175,13 @@ def test_solve_xy_rejects_a_pair_that_is_no_edge():
 
 def test_subsolver_p2():
     g = build_graph(2, [(0, 1)])
-    st = constrained_subsolver(g, ColoringState(2))
+    st = _cover_all(g, ColoringState(2))
     assert st is not None and st.mate_pairs() == [(0, 1)]
 
 
 def test_subsolver_c4_none():
     g = make_named(cycle(4))
-    assert constrained_subsolver(g, ColoringState(4)) is None
+    assert _cover_all(g, ColoringState(4)) is None
 
 
 def test_subsolver_triangle_with_white():
@@ -175,13 +189,14 @@ def test_subsolver_triangle_with_white():
     st = ColoringState(3)
     assign(st, 0, WHITE)
     assert propagate(g, st)
-    got = constrained_subsolver(g, st)
+    got = constrained_subsolver(g, st, range(3))
     assert got is not None and got.mate_pairs() == [(1, 2)]
 
 
 def test_subsolver_isolated_vertex_goes_white():
     # white as in unmatched: no edge needs it, so it is left uncolored
-    got = constrained_subsolver(build_graph(1, []), ColoringState(1))
+    got = constrained_subsolver(build_graph(1, []), ColoringState(1),
+                                range(1))
     assert got is not None and got.mate_pairs() == []
     assert got.color[0] != BLACK
 
@@ -204,7 +219,7 @@ def test_subsolver_clones_no_child(clones):
     # completes; every child is a change on the trail of the one state
     st = ColoringState(4)
     assign(st, 0, BLACK)
-    got = constrained_subsolver(make_named(CLAW), st)
+    got = constrained_subsolver(make_named(CLAW), st, range(4))
     assert got is st and got.mate_pairs() == [(0, 1)]
     assert clones[0] == 0
 
@@ -230,7 +245,7 @@ def test_subsolver_matches_oracle_on_random_chordal_graphs():
     for _ in range(150):
         n = rng.randint(2, 9)
         g = _random_chordal_tw2(rng, n)
-        got = constrained_subsolver(g, ColoringState(n))
+        got = _cover_all(g, ColoringState(n))
         dims = {d.edges for d in enumerate_dims(g)}
         if got is None:
             assert not dims
@@ -1285,8 +1300,8 @@ def test_covering_edges_are_empty_exactly_when_nothing_is_needed():
 
 
 def test_subsolver_on_uncolored_unions_matches_the_oracle():
-    # a direct call on an uncolored state, where no black is unmated,
-    # starts at the covering node: on graphs of several components and
+    # an uncolored state, where no black is unmated, completed from a
+    # covering node per component: on graphs of several components and
     # isolated vertices it completes exactly when a d.i.m. exists, and
     # it branches on a covering edge whenever there is an edge
     rng = random.Random(629)
@@ -1304,7 +1319,7 @@ def test_subsolver_on_uncolored_unions_matches_the_oracle():
         if g.n > 10:
             continue
         stats = solver.SolveStats()
-        got = constrained_subsolver(g, ColoringState(n), stats=stats)
+        got = _cover_all(g, ColoringState(n), stats)
         assert (got is not None) == brute_force_dim(g).exists
         if got is None:
             none += 1
@@ -1315,6 +1330,36 @@ def test_subsolver_on_uncolored_unions_matches_the_oracle():
         unions += len(connected_components(g)) > 1 and g.m > 0
         isolated += any(not g.adj[v] for v in range(n)) and g.m > 0
     assert found > 300 and none > 100 and unions > 400 and isolated > 300
+
+
+def test_every_part_holds_an_unmated_black(monkeypatch):
+    # under `solve`, with and without xy, each part a covering child hands
+    # the subsolver holds an unmated black, and each completion leaves no
+    # unknown vertex with a neighbor in the part, so the mate search needs
+    # no covering node of its own.  diffcheck's pools, at its own sizes
+    outcomes = []
+    search = solver.constrained_subsolver
+
+    def checked(g, state, within, stats=None, budget=None):
+        color, mate = state.color, state.mate
+        assert any(color[v] == BLACK and mate[v] < 0 for v in within)
+        got = search(g, state, within, stats, budget)
+        if got is not None:
+            assert not any(color[v] == UNKNOWN and g.adj[v] for v in within)
+        outcomes.append(got is not None)
+        return got
+
+    monkeypatch.setattr(solver, "constrained_subsolver", checked)
+    for pool in ("layered", "dense", "planted", "sparse-planted",
+                 "adversarial"):
+        count, prefix = POOLS[pool]
+        rng = random.Random(f"{SEED}:{pool}")
+        for i in range(count):
+            g = build_graph(*_graph(rng, pool, i))
+            solve(g)
+            for e in g.edges if i < prefix else ():
+                solve(g, xy=e)
+    assert len(outcomes) > 8000 and outcomes.count(False) > 300
 
 
 def test_hypothesis_violated_witness_past_200_vertices():
@@ -1408,7 +1453,8 @@ def test_twin_mate_candidates_fail_once():
         state = ColoringState(g.n)
         assign(state, 0, BLACK)
         stats = solver.SolveStats()
-        assert constrained_subsolver(g, state, stats=stats) is None
+        assert constrained_subsolver(g, state, range(g.n),
+                                     stats=stats) is None
         assert state.trail == [0] and stats.twin_skips == k - 1
         nodes.add(stats.subsolver_nodes)
     assert nodes == {2}
@@ -1586,13 +1632,13 @@ def test_forced_colors_agree_with_all_solutions():
 def _complete_all(g, st=None):
     """Complete a d.i.m. coloring of the whole graph, honoring `st`;
     the matched edges, or None if no completion exists."""
-    got = constrained_subsolver(g, st or ColoringState(g.n))
+    got = _cover_all(g, st or ColoringState(g.n))
     return None if got is None else got.mate_pairs()
 
 
 def test_single_edge():
     g = build_graph(2, [(0, 1)])
-    got = constrained_subsolver(g, ColoringState(2))
+    got = _cover_all(g, ColoringState(2))
     assert got is not None and list(got.color) == [BLACK, BLACK]
     assert got.mate_pairs() == [(0, 1)]
 
@@ -1625,10 +1671,16 @@ def test_infeasible_returns_none():
 
 def test_colors_outside_assign_are_named():
     # colors written into `state.color` are never propagated, so vertex 2
-    # stays undecided with only white neighbors
+    # stays undecided with only white neighbors; an uncolored P_2 is no
+    # undecided part either, as it holds no unmated black
+    contract = (r"vertex {} is unknown with no unmated black in its part: "
+                r"the subsolver completes an undecided part of a propagated "
+                r"state, colored through `assign`")
     g = make_named(cycle(3))
     st = ColoringState(3)
     st.color[0] = st.color[1] = WHITE
-    with pytest.raises(ValueError, match=r"vertex 2 .* colors go through "
-                       r"`assign`, then `propagate`"):
-        _complete_all(g, st)
+    with pytest.raises(ValueError, match=contract.format(2)):
+        constrained_subsolver(g, st, range(3))
+    with pytest.raises(ValueError, match=contract.format(0)):
+        constrained_subsolver(build_graph(2, [(0, 1)]), ColoringState(2),
+                              range(2))

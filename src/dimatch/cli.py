@@ -152,7 +152,6 @@ def _stats_dict(outcome) -> dict:
         "xy_tried": outcome.stats.xy_tried,
         "parts": outcome.stats.parts,
         "subsolver_nodes": outcome.stats.subsolver_nodes,
-        "twin_skips": outcome.stats.twin_skips,
         "case_seconds": {},     # read by bench/run.py's per-layer pass
     }
 

@@ -232,24 +232,48 @@ def propagate(g: Graph, state: ColoringState) -> bool:
         state.propagated = len(trail)
 
 
-def preprocess(g: Graph) -> ColoringState:
-    """Reject graphs with a K4 and force every diamond mid-edge and
-    butterfly peripheral edge to fixpoint; returns the propagated state.
+def preprocess(g: Graph, xy: tuple[int, int] | None = None) -> ColoringState:
+    """Reject graphs with a K4, settle false twins, then force every
+    diamond mid-edge and butterfly peripheral edge to fixpoint; returns
+    the propagated state.
+
+    False twins u and v (N(u) = N(v)) of degree 2 or more are white in
+    every d.i.m.: were u matched to w, v could not be, so every neighbor
+    of v, u among them, would be matched.  The pendant leaves of one
+    vertex are swapped by automorphisms, so whitening all but one is a
+    symmetry break, not a forcing: it keeps some d.i.m. if there is one,
+    and one through `xy`, as an end of xy in the class is the leaf kept
+    (else the first in id order).
 
     An edge is forced by coloring both ends black and propagating, which
     mates them and whitens their other neighbors, so each forced pair
     stays in the working graph as a two-vertex component.  The working
     graph is then (K4, diamond, butterfly)-free, so every live
     neighborhood is a disjoint union of isolated vertices and at most
-    one edge.  The forced pairs are the state's `mate_pairs()`.  A
-    contradiction (or the K4) is reported through the state; it means
-    the graph has no d.i.m.
+    one edge, and no two live vertices are false twins.  The forced
+    pairs are the state's `mate_pairs()`.  A contradiction (or the K4)
+    is reported through the state: the graph has no d.i.m. (through xy).
     """
     state = ColoringState(g.n)
     w = patterns.find_induced(g, patterns.K4)
     if w is not None:
         state.fail(f"K4 found on vertices {w.vertices}")
         return state
+    adj = g.adj
+    # twins share an adj tuple, so one set finds any (isolated ones share ())
+    if len(set(adj)) + max(adj.count(()) - 1, 0) < g.n:
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for v, nbrs in enumerate(adj):
+            classes.setdefault(nbrs, []).append(v)
+        for nbrs, twins in classes.items():
+            if len(twins) > 1 and nbrs:
+                if len(nbrs) == 1:      # pendant leaves: keep one
+                    twins.remove(next((t for t in twins if xy and t in xy),
+                                      twins[0]))
+                for v in twins:
+                    assign(state, v, WHITE)
+        if not propagate(g, state):
+            return state
     # forcing only whitens vertices, which creates no new pattern, so one
     # resumable scan per pattern reaches the fixpoint
     for w in patterns.diamonds(g, state.color):

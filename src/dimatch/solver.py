@@ -12,12 +12,10 @@ mate search `constrained_subsolver`.  Each such part holds an unmated
 black, which needs exactly one mate, so the mate search branches on the
 mates of the one with the fewest candidates and never needs a covering
 node of its own; a `none` is exact on every graph.  `solve(g, xy=...)`
-gives the node of xy's component the one child xy.  Both levels skip a
-choice whose false twin (a vertex with the same neighbors) already
-failed in its place: swapping two unmated false twins of one color is an
-automorphism that fixes the coloring, so only failing choices are
-skipped, and the first success and its certificate are those of the
-full search.  The mate search's nodes over one call of `solve` share a
+gives the node of xy's component the one child xy.  Preprocessing
+settles false twins (vertices with the same neighbors), so no two live
+vertices are twins, and no two choices at a node are swapped by an
+automorphism.  The mate search's nodes over one call of `solve` share a
 budget; running over it answers `hypothesis-violated`.  Produced
 certificates are always verified against the original graph.
 """
@@ -47,7 +45,6 @@ class SolveStats:
     xy_tried: int = 0
     parts: int = 0              # undecided parts handed to the subsolver
     subsolver_nodes: int = 0    # nodes visited by constrained_subsolver
-    twin_skips: int = 0         # covering edges and mate candidates skipped
 
 
 @dataclass
@@ -64,12 +61,9 @@ def constrained_subsolver(g: Graph, state: ColoringState, within,
     """Exact completion of the undecided part `within` of a propagated
     state, fail first: propagate, then branch on the mate of the unmated
     black with the fewest candidates (unknown neighbors), one child per
-    candidate in id order.  Its mate must be one of them, so the
-    children are exhaustive, and mating one whitens the others, so they
-    are disjoint.  A candidate is popped only once its earlier siblings'
-    subtrees failed, so one with the same neighbors as an earlier
-    sibling, its false twin, is skipped.  Correct on every graph;
-    exponential in the worst case, hence the budget.
+    candidate in id order.  Its mate must be one of them, and mating one
+    whitens the others, so the children are exhaustive and disjoint:
+    exact on every graph, exponential in the worst case, hence the budget.
 
     `within` is an undecided part as `_cover` hands it: a connected part
     of the undecided vertices (unknown, or an unmated black) of a
@@ -88,18 +82,12 @@ def constrained_subsolver(g: Graph, state: ColoringState, within,
         return None
     stats = SolveStats() if stats is None else stats
     scope = tuple(within)
-    adj, adjset, color, mate = g.adj, g.adjset, state.color, state.mate
+    adj, color, mate = g.adj, state.color, state.mate
     root = state.mark()
-    # (parent's mark, mate candidate, tried): the candidates of one parent
-    # share `tried`, the neighborhoods of those popped so far
-    stack = [(root, -1, None)]
+    stack = [(root, -1)]        # (parent's mark, mate candidate)
     while stack:
-        mark, v, tried = stack.pop()
+        mark, v = stack.pop()
         if v >= 0:
-            if adjset[v] in tried:      # a false twin's subtree failed
-                stats.twin_skips += 1
-                continue
-            tried.add(adjset[v])
             state.undo(mark)
             assign(state, v, BLACK)
         stats.subsolver_nodes += 1
@@ -117,8 +105,8 @@ def constrained_subsolver(g: Graph, state: ColoringState, within,
                     if len(options) <= 2:   # propagate leaves no fewer
                         break
         if cands is not None:
-            mark, tried = state.mark(), set()   # each child undoes to here
-            stack += [(mark, w, tried) for w in reversed(cands)]
+            mark = state.mark()         # each child undoes to here
+            stack += [(mark, w) for w in reversed(cands)]
             continue
         for v in scope:
             if color[v] == UNKNOWN and adj[v]:
@@ -190,22 +178,12 @@ def _cover(g: Graph, state: ColoringState, scope, stats: SolveStats,
     black.  True at the first child that completes, which keeps its
     changes; the others are undone, so each edge is live when its child
     starts.  A child over `budget` does not end its siblings: when none
-    completes, False if each failed, else HypothesisViolation.  Both
-    ends of a covering edge are undecided, as every live neighbor of an
-    undecided vertex is, so an edge is skipped when its ends' twin
-    classes (neighborhood and color) match those of an edge that failed,
-    not of one over the budget; the ends of an edge are adjacent, so
-    never twins."""
+    completes, False if each failed, else HypothesisViolation."""
     edges = _covering_edges(g, state, scope)
     if not edges:
         return True
-    adjset, color = g.adjset, state.color
-    over_budget, mark, failed = "", state.mark(), set()
+    over_budget, mark = "", state.mark()
     for (u, v) in edges if xy is None else [xy]:
-        key = frozenset(((adjset[u], color[u]), (adjset[v], color[v])))
-        if key in failed:
-            stats.twin_skips += 1
-            continue
         stats.xy_tried += 1
         assign(state, u, BLACK)
         assign(state, v, BLACK)
@@ -218,7 +196,6 @@ def _cover(g: Graph, state: ColoringState, scope, stats: SolveStats,
                         break
                 else:
                     return True
-            failed.add(key)
         except HypothesisViolation as hv:
             over_budget = str(hv)
         state.undo(mark)
@@ -250,7 +227,7 @@ def solve(g: Graph, budget: int | None = None,
     if g.m == 0:
         return SolveOutcome(FOUND, DimCertificate(), stats=stats)
     budget = NODES_PER_VERTEX * g.n if budget is None else budget
-    state = preprocess(g)
+    state = preprocess(g, xy)
     if state.contradiction is not None:
         return SolveOutcome(NONE, detail=state.contradiction, stats=stats)
     if xy is not None and WHITE in (state.color[u], state.color[v]):

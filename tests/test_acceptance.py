@@ -21,6 +21,7 @@ from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
                               make_named, path)
 from dimatch.solver import NODES_PER_VERTEX
+from test_coloring import kept_leaf_dim
 from test_solver import _cover_all
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -215,7 +216,9 @@ def test_criterion_4_propagation_soundness():
                 violations += sum(1 for _ in holding)
                 continue
             branches += 1
-            for dim in holding:
+            # with its pendant leaves those preprocessing keeps, which
+            # leaves xy matched
+            for dim in (kept_leaf_dim(g, d) for d in holding):
                 matched = {v for e in dim.edges for v in e}
                 for v in range(n):
                     if st.color[v] == BLACK and v not in matched:

@@ -16,7 +16,7 @@ from dimatch.patterns import (make_named, cycle, K4, S115, PatternWitness,
                               check_witness)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from diffcheck import G24  # noqa: E402
+from diffcheck import G24, G24B  # noqa: E402
 
 P6_TEXT = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 C5_TEXT = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
@@ -304,7 +304,7 @@ def test_parse_and_build_graph_give_the_same_graph():
      '{"detail": "every candidate edge was exhausted", "edges": null, '
      '"m": 5, "mode": "solve", "n": 5, "result": "none", "stats": '
      '{"case_seconds": {}, "parts": 0, "subsolver_nodes": 0, '
-     '"twin_skips": 0, "xy_tried": 3}}'),
+     '"xy_tried": 3}}'),
     ("oracle", "text", P6_TEXT, 0, "DIM 2\n0 1\n3 4"),
     ("oracle", "text", "6 3\n4 5\n0 1\n3 2\n", 0,
      "DIM 3\n0 1\n2 3\n4 5"),
@@ -367,7 +367,7 @@ def test_solve_json_is_exact():
     assert code == 0 and out == (
         '{"edges": [[0, 1], [3, 4]], "m": 5, "mode": "solve", "n": 6, '
         '"result": "found", "stats": {"case_seconds": {}, "parts": 0, '
-        '"subsolver_nodes": 0, "twin_skips": 0, "xy_tried": 1}}')
+        '"subsolver_nodes": 0, "xy_tried": 1}}')
 
 
 def test_solve_xy_flag():
@@ -494,7 +494,7 @@ def test_solve_strict_prints_witness():
 def test_solve_strict_explains_an_in_class_violation():
     # over its budget on a graph with no induced S_{1,1,5}, the answer is
     # a solver defect: --strict says so instead of printing nothing more
-    text = emit_graph(build_graph(24, G24))
+    text = emit_graph(build_graph(24, G24B))
     code, out = run(RunConfig("solve", strict=True, budget=1), text=text)
     assert code == 3 and "witness:" not in out
     assert out.splitlines() == [
@@ -504,7 +504,7 @@ def test_solve_strict_explains_an_in_class_violation():
     code, out = run(RunConfig("solve", budget=1), text=text)
     assert code == 3 and out == "UNKNOWN (hypothesis violated)"
     # --xy names the witness, or its absence, the same way
-    code, out = run(RunConfig("solve", strict=True, budget=1, xy=(3, 8)),
+    code, out = run(RunConfig("solve", strict=True, budget=1, xy=(7, 14)),
                     text=text)
     assert code == 3 and "in class:" in out
     code, out = run(RunConfig("solve", strict=True, budget=1, xy=(0, 1)),
@@ -631,7 +631,7 @@ def test_huge_vertex_count_is_an_input_error(tmp_path):
     (RunConfig("solve", xy=(1, 2)), P6_TEXT),
     (RunConfig("solve", fmt="json"), P6_TEXT),
     (RunConfig("solve", strict=True, budget=1),
-     emit_graph(build_graph(24, G24))),
+     emit_graph(build_graph(24, G24B))),
     (RunConfig("oracle"), P6_TEXT),
     (RunConfig("oracle", budget=1), emit_graph(build_graph(24, G24))),
     (RunConfig("compare"), P6_TEXT),

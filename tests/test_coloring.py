@@ -1,6 +1,8 @@
+import itertools
 import random
 
-from dimatch import build_graph, connected_components, enumerate_dims
+from dimatch import (DimCertificate, build_graph, connected_components,
+                     enumerate_dims, solve, verify_dim)
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
                               preprocess, propagate)
 from dimatch import coloring, patterns
@@ -33,6 +35,23 @@ def force_edge(g, state, u, v):
     assign(state, u, BLACK)
     assign(state, v, BLACK)
     return coloring.propagate(g, state)
+
+
+def kept_leaf_dim(g, dim, xy=None):
+    """The d.i.m. `dim` with its matched pendant leaves swapped for the
+    ones `preprocess(g, xy)` keeps: of the pendant leaves of one vertex,
+    an end of xy, else the first in id order.  An automorphism swaps the
+    pendant leaves of one vertex, so the result is a d.i.m. too."""
+    adj, edges = g.adj, set()
+    for e in dim.edges:
+        for a, w in (e, e[::-1]):
+            if adj[a] == (w,):
+                leaves = [t for t in adj[w] if adj[t] == (w,)]
+                kept = next((t for t in leaves if xy and t in xy), leaves[0])
+                e = tuple(sorted((kept, w)))
+                break
+        edges.add(e)
+    return DimCertificate(frozenset(edges))
 
 
 def _live_unknowns(st):
@@ -179,14 +198,24 @@ def test_preprocess_c6_untouched():
     assert _live_unknowns(st) == list(range(6)) and all(st.live_mask())
 
 
-def _restart_preprocess(g):
-    """Reference: start a fresh scan from the first edge or center after
-    every forced edge (both peripheral edges of a butterfly at once)."""
+def _restart_preprocess(g, xy=None):
+    """Reference: whiten each false twin of degree 2 or more and each
+    pendant leaf of a vertex but an end of xy, else the first, class by
+    class in the order of their least members; then start a fresh scan
+    from the first edge or center after every forced edge (both
+    peripheral edges of a butterfly at once)."""
     st = ColoringState(g.n)
     w = find_induced(g, K4)
     if w is not None:
         st.fail(f"K4 found on vertices {w.vertices}")
         return st
+    twins = [[u for u in range(g.n) if g.adjset[u] == g.adjset[v]]
+             for v in range(g.n)]
+    for v in sorted(range(g.n), key=lambda v: (twins[v][0], v)):
+        kept = next((t for t in twins[v] if xy and t in xy), twins[v][0])
+        if len(twins[v]) > 1 and g.adj[v] \
+                and (len(g.adj[v]) > 1 or v != kept):
+            assign(st, v, WHITE)
     while propagate(g, st):
         w = next(patterns.diamonds(g, st.color), None)
         if w is not None:
@@ -228,10 +257,11 @@ def test_resumable_scans_match_the_restart_loop():
                            for _ in range(1500))]
     graphs += [_pattern_union(rng) for _ in range(300)]
     reduced = 0
-    for g in graphs:
-        got, want = preprocess(g), _restart_preprocess(g)
-        assert (got.color, got.mate, got.contradiction) == \
-            (want.color, want.mate, want.contradiction)
+    for i, g in enumerate(graphs):
+        for xy in [None] + list(g.edges if i % 10 == 0 else ()):
+            got, want = preprocess(g, xy), _restart_preprocess(g, xy)
+            assert (got.color, got.mate, got.contradiction) == \
+                (want.color, want.mate, want.contradiction)
         reduced += bool(want.mate_pairs())
     assert reduced > 400
 
@@ -274,8 +304,9 @@ def test_preprocess_preserves_existence_small():
             continue
         checked += 1
         forced = set(st.mate_pairs())
-        for d in dims:
-            # forced pairs appear in every solution; whites never do
+        for d in (kept_leaf_dim(g, d) for d in dims):
+            # forced pairs appear in every solution, once its pendant
+            # leaves are those kept; whites never do
             assert forced <= d.edges
             matched = {v for e in d.edges for v in e}
             for v in range(n):
@@ -284,6 +315,39 @@ def test_preprocess_preserves_existence_small():
                 elif st.color[v] == WHITE:
                     assert v not in matched
     assert checked > 200
+
+
+def test_twin_step_is_sound_on_every_small_graph_with_twins():
+    # every labelled graph on at most 6 vertices with two false twins
+    # that are not isolated: no d.i.m. matches a twin of degree 2 or
+    # more, and `solve`, plain and with xy on every edge, agrees with the
+    # oracle, so the kept pendant leaf loses no d.i.m. through xy
+    graphs = xy_runs = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [e for i, e in enumerate(pairs)
+                                if mask >> i & 1])
+            adj = g.adj
+            if len(set(adj)) + max(adj.count(()) - 1, 0) == n:
+                continue
+            graphs += 1
+            dims = enumerate_dims(g)
+            matched = {v for d in dims for e in d.edges for v in e}
+            assert not any(len(adj[v]) > 1 and adj.count(adj[v]) > 1
+                           for v in matched), g.edges
+            out = solve(g)
+            assert (out.status == "found") == bool(dims), g.edges
+            on_some_dim = {e for d in dims for e in d.edges}
+            for e in g.edges:
+                out = solve(g, xy=e)
+                assert (out.status == "found") == (e in on_some_dim), \
+                    (g.edges, e)
+                if out.status == "found":
+                    assert verify_dim(g, out.certificate)
+                    assert e in out.certificate.edges
+                xy_runs += 1
+    assert (graphs, xy_runs) == (11279, 81489)
 
 
 def test_fixpoint_invariants_hold():
@@ -565,8 +629,8 @@ def test_failed_branch_on_kkk_reads_linear_adjacency():
 
 def test_preprocess_takes_each_common_neighborhood_once():
     # the K4, diamond and butterfly scans share one pass over the edges
-    # with one intersection each; on K_{k,k} and disjoint diamonds the
-    # three scans once took about 4m and 2m intersections
+    # with one intersection each; on bipartite graphs and disjoint
+    # diamonds the three scans once took about 4m and 2m intersections
     taken = [0]
 
     class Counted(frozenset):
@@ -576,10 +640,10 @@ def test_preprocess_takes_each_common_neighborhood_once():
 
         __rand__ = __and__
 
-    # (graph, forced pairs): K_{k,k} has no pattern, and each diamond's
-    # mid-edge is forced
+    # (graph, forced pairs): K_{k,k} minus a perfect matching has no
+    # pattern and no false twins, and each diamond's mid-edge is forced
     cases = [(build_graph(2 * k, [(a, k + b) for a in range(k)
-                                  for b in range(k)]), 0)
+                                  for b in range(k) if a != b]), 0)
              for k in (10, 20, 40)]
     cases += [(build_graph(4 * k, [(4 * i + u, 4 * i + v) for i in range(k)
                                    for u, v in make_named(DIAMOND).edges]), k)

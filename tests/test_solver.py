@@ -14,11 +14,31 @@ from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
                               check_witness, cycle, find_induced, make_named,
                               path, random_s115_free)
 from dimatch.solver import constrained_subsolver
+from test_coloring import kept_leaf_dim
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from diffcheck import (G24, POOLS, SEED, _graph,  # noqa: E402
                        _sparse_planted, block_graph,
                        block_tree, fan_chain, planted)
+
+
+def _untwin_leaves(n, edges):
+    """(n, edges) with a path t, a, b, c of three new vertices hung on
+    each pendant leaf t that has a false twin, so that preprocessing's
+    twin step leaves the graph to the search.  Its d.i.m.s are those of
+    the graph one for one: ab is matched when t is white, bc when t is
+    matched, and t is never matched to a, as c would have no mate."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    leaves = [t for t in range(n) if len(adj[t]) == 1
+              and sum(len(adj[s]) == 1 for s in adj[adj[t][0]]) > 1]
+    edges = list(edges)
+    for t in leaves:
+        edges += [(t, n), (n, n + 1), (n + 1, n + 2)]
+        n += 3
+    return n, edges
 
 
 def _complete(st, within):
@@ -324,36 +344,25 @@ def test_trivial_blocks_resolve_from_few_block_views(clones):
 
 @pytest.fixture
 def children(monkeypatch):
-    """[scope, edge, base, ran] of every child of a covering node under
+    """[scope, edge, base] of every child of a covering node under
     `solve` without xy, in the order the node takes them: a hook on the
     list of covering edges records each as the node takes it, `base`
-    being a clone of the state the child starts from, and one on
-    `propagate` sets `ran` at the child's first propagation, so it stays
-    False for an edge skipped as the twin of one that failed."""
-    taken, pending = [], []
-    covering, propagate_ = solver._covering_edges, solver.propagate
+    being a clone of the state the child starts from."""
+    taken = []
+    covering = solver._covering_edges
 
     class Taken(list):
         def __iter__(self):
             for edge in list.__iter__(self):
-                taken.append([self.scope, edge, self.state.clone(), False])
-                pending[:] = taken[-1:]
+                taken.append([self.scope, edge, self.state.clone()])
                 yield edge
-                pending.clear()
 
     def edges(g, state, scope):
         got = Taken(covering(g, state, scope))
         got.scope, got.state = tuple(scope), state
         return got
     edges.__wrapped__ = covering
-
-    def propagated(g, state):
-        if pending:
-            pending.pop()[3] = True
-        return propagate_(g, state)
-
     monkeypatch.setattr(solver, "_covering_edges", edges)
-    monkeypatch.setattr(solver, "propagate", propagated)
     return taken
 
 
@@ -394,7 +403,8 @@ def test_block_paths_and_trees_complete_in_linear_nodes(searches):
     # blocks joined by a matching of cross edges along a path or tree,
     # and blocks whose planted blacks form contact cycles and cross paths
     # of three: the exact search of each part visits at most one node
-    # per unknown vertex, plus one
+    # per unknown vertex, plus one (pendant twins extended, which leaves
+    # the block graphs to the search)
     calls = searches
     rng = random.Random(12)
     graphs = []
@@ -406,7 +416,7 @@ def test_block_paths_and_trees_complete_in_linear_nodes(searches):
     for k in (10, 30, 100, 300, 1000):
         graphs.append(block_graph(rng, k))
     for n, edges in graphs:
-        g = build_graph(n, edges)
+        g = build_graph(*_untwin_leaves(n, edges))
         calls.clear()
         out = solve(g)
         assert out.status == "found" and verify_dim(g, out.certificate)
@@ -514,7 +524,7 @@ def test_far_level_triangle_branches(searches):
     edges, us, ts, nxt = _layer_base()
     z, b, c = nxt, nxt + 1, nxt + 2
     edges += [(ts[0][0], z), (z, b), (z, c), (b, c)]
-    g = build_graph(nxt + 3, edges)
+    g = build_graph(*_untwin_leaves(nxt + 3, edges))
     out = _agree(g)
     assert out.status == "found" and _linear(searches)
     tri = [nodes for _, scope, nodes, _ in searches if z in scope]
@@ -583,7 +593,7 @@ def test_tuple_bound_for_block_sizes_3224(searches):
     for u, ts in blocks.items():
         edges += [(u, t) for t in ts]
     edges += [(7, 18), (10, 19), (12, 20), (18, 19), (18, 20), (19, 20)]
-    g = build_graph(21, edges)
+    g = build_graph(*_untwin_leaves(21, edges))
     out = _agree(g)
     assert out.status == "found" and out.stats.parts >= 1
     assert searches
@@ -731,10 +741,11 @@ def test_case_entry_points():
     assert stats.parts == stats.subsolver_nodes == 0
 
     # an empty fourth level, four second-level singletons with a far
-    # triangle, and five: each branch completes a verified certificate
-    # through its parts' searches, at most one node per vertex
+    # triangle, and five, with pendant twins extended: each branch
+    # completes a verified certificate through its parts' searches, at
+    # most one node per vertex of the graph before the extension
     edges, us, ts, nxt = _layer_base()
-    _, stats = _case_pairs(build_graph(nxt, edges), (0, 1))
+    _, stats = _case_pairs(build_graph(*_untwin_leaves(nxt, edges)), (0, 1))
     assert 1 <= stats.parts and stats.subsolver_nodes <= nxt
 
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6)]
@@ -742,13 +753,14 @@ def test_case_entry_points():
     for u, ts in blocks.items():
         edges += [(u, t) for t in ts]
     edges += [(7, 18), (10, 19), (12, 20), (18, 19), (18, 20), (19, 20)]
-    _, stats = _case_pairs(build_graph(21, edges), (0, 1))
+    _, stats = _case_pairs(build_graph(*_untwin_leaves(21, edges)), (0, 1))
     assert 1 <= stats.parts and stats.subsolver_nodes <= 21
 
     edges, us, ts, nxt = _layer_base()
     z, b, c = nxt, nxt + 1, nxt + 2
     edges += [(ts[0][0], z), (z, b), (z, c), (b, c)]
-    _, stats = _case_pairs(build_graph(nxt + 3, edges), (0, 1))
+    _, stats = _case_pairs(build_graph(*_untwin_leaves(nxt + 3, edges)),
+                           (0, 1))
     assert 1 <= stats.parts and stats.subsolver_nodes <= nxt + 3
 
 
@@ -1055,38 +1067,12 @@ def _first_unknown_search(g, state, within):
     return None, nodes
 
 
-def _every_covering_branch(g):
-    """`solve`'s branches without its twin skip: per live component, each
-    covering edge as the one child of a covering node up to the first
-    success, under the shared default budget, stopping at a component
-    without a d.i.m."""
-    state = preprocess(g)
-    if g.m == 0 or state.contradiction is not None:
-        return
-    stats = solver.SolveStats()
-    budget = solver.NODES_PER_VERTEX * g.n
-    for comp in connected_components(g, state.live_mask()):
-        mark, over = state.mark(), False
-        for xy in solver._covering_edges(g, state, comp):
-            try:
-                if solver._cover(g, state, comp, stats, budget, xy):
-                    break
-            except solver.HypothesisViolation:
-                over = True
-            state.undo(mark)
-        else:
-            if not over:
-                return
-
-
 def test_subsolver_matches_the_first_unknown_search(monkeypatch):
     # branching on the mates of the most constrained black finds a
     # completion exactly when the blind search does, and pops fewer nodes
     # doing so: at most three quarters in all (both propagate with rule (d),
     # which spares the blind search most of its dead ends), and a tenth
-    # at the blind search's worst site.  The sites are those of every
-    # covering branch: `solve`'s twin skip would drop the branches whose
-    # twin failed, and with them sites where the blind search is dear
+    # at the blind search's worst site, over the calls of `solve`
     sites = []
     search = solver.constrained_subsolver
 
@@ -1096,12 +1082,13 @@ def test_subsolver_matches_the_first_unknown_search(monkeypatch):
 
     monkeypatch.setattr(solver, "constrained_subsolver", capture)
     for g in _fuzz_graphs(random.Random(5)):
-        _every_covering_branch(g)
-    # the first 40 graphs of diffcheck's sparse-planted pool, which hold
-    # calls where the blind search pops hundreds of nodes
+        solve(g)
+    # the first 200 graphs of diffcheck's sparse-planted pool, which hold
+    # calls where the blind search pops hundreds of nodes once their
+    # pendant twins no longer end the search in preprocessing
     rng = random.Random(f"{SEED}:sparse-planted")
-    for _ in range(40):
-        _every_covering_branch(build_graph(*_sparse_planted(rng)))
+    for _ in range(200):
+        solve(build_graph(*_untwin_leaves(*_sparse_planted(rng))))
     outcomes, old_nodes, new_nodes = set(), [], []
     for g, state, within in sites:
         old, nodes = _first_unknown_search(g, state.clone(), within)
@@ -1163,7 +1150,8 @@ def test_fan_chain_is_refuted_in_constant_nodes():
             zs = range(12, g.n, 4)
             assert all(st.color[z] == WHITE for z in zs)
     # an S115-free graph whose four pendant twins on one vertex each
-    # branch; it took 88 nodes without rule (d)
+    # branched; it took 88 nodes without rule (d), and none once
+    # preprocessing settled the twins
     g = build_graph(24, G24)
     out = _agree(g)
     assert find_induced(g, S115) is None
@@ -1184,7 +1172,7 @@ def test_only_covering_edges_branch_then_one_exact_search(searches,
         searches.clear()
         out = solve(g)
         runs = [(comp, xy, base, [c for c in searches if c[3] == xy])
-                for comp, xy, base, ran in children if ran]
+                for comp, xy, base in children]
         keys = [(comp, xy) for comp, xy, _, _ in runs]
         assert len(set(keys)) == len(keys) == out.stats.xy_tried
         assert len(searches) == out.stats.parts
@@ -1274,13 +1262,14 @@ def test_covering_edges_are_empty_exactly_when_nothing_is_needed():
     # on preprocessed states, and on the states a covering child leaves,
     # the covering node finds no edge to branch on exactly when the
     # component needs nothing: no unmated black and no edge between two
-    # unknowns
+    # unknowns (pendant twins extended, so that more components need some)
     rng = random.Random(628)
     seen = {True: 0, False: 0}
     for _ in range(600):
         n, p = rng.randint(2, 30), rng.uniform(0.05, 0.5)
-        g = build_graph(n, [(u, v) for u in range(n)
-                            for v in range(u + 1, n) if rng.random() < p])
+        g = build_graph(*_untwin_leaves(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < p]))
         state = preprocess(g)
         if state.contradiction is not None:
             continue
@@ -1355,7 +1344,8 @@ def test_every_part_holds_an_unmated_black(monkeypatch):
         count, prefix = POOLS[pool]
         rng = random.Random(f"{SEED}:{pool}")
         for i in range(count):
-            g = build_graph(*_graph(rng, pool, i))
+            # pendant twins extended, which leaves more parts to search
+            g = build_graph(*_untwin_leaves(*_graph(rng, pool, i)))
             solve(g)
             for e in g.edges if i < prefix else ():
                 solve(g, xy=e)
@@ -1427,37 +1417,46 @@ def test_branch_count_is_bounded_by_degree():
         assert out.status == "none" and out.stats.xy_tried <= 2 * k - 1
 
 
-def test_twin_covering_edges_take_one_branch():
-    # every edge of K_{k,k} joins the two twin classes, so once the first
-    # covering edge fails the others are skipped; in g24 the pendant
-    # twins on one vertex branch once, which took 5 branches and 28 nodes
-    for k in (20, 40, 160):
+def test_kkk_and_g24_end_in_preprocessing():
+    # every vertex of K_{k,k} is a false twin of degree k, so
+    # preprocessing whitens all of them and meets adjacent whites before
+    # any covering branch; in g24 the four pendant twins on vertex 19,
+    # whose covering branches each refuted the rest anew (5 branches and
+    # 28 nodes before a twin skip, 2 and 6 with one), leave one leaf
+    for k in (2, 20, 40, 160):
         g = build_graph(2 * k, [(i, k + j) for i in range(k)
                                 for j in range(k)])
         out = solve(g)
-        assert out.status == "none" and out.stats.xy_tried == 1
-        assert out.stats.twin_skips == 2 * k - 2
-    out = _agree(build_graph(24, G24))
-    assert out.status == "none" and out.stats.xy_tried <= 2
-    assert out.stats.subsolver_nodes <= 6 and out.stats.twin_skips > 0
+        assert out.status == "none" and out.stats.xy_tried == 0
+        assert out.detail.startswith("adjacent white vertices")
+    g = build_graph(24, G24)
+    assert [t for t in g.adj[19] if preprocess(g).color[t] != WHITE
+            and g.adj[t] == (19,)] == [0]
+    out = _agree(g)
+    assert out.status == "none" and out.stats.xy_tried == 0
+    assert out.stats.subsolver_nodes == 0
 
 
-def test_twin_mate_candidates_fail_once():
-    # a black b whose k mate candidates share the neighbors b and c: mating
-    # one whitens c and the others, and c's white neighbors fail it.  The
-    # candidates are false twins, so the first failure stands for all
-    nodes = set()
-    for k in (3, 10, 100):
-        g = build_graph(k + 2, [(u, w) for u in (0, 1)
-                                for w in range(2, k + 2)])
-        state = ColoringState(g.n)
-        assign(state, 0, BLACK)
-        stats = solver.SolveStats()
-        assert constrained_subsolver(g, state, range(g.n),
-                                     stats=stats) is None
-        assert state.trail == [0] and stats.twin_skips == k - 1
-        nodes.add(stats.subsolver_nodes)
-    assert nodes == {2}
+def test_pendant_twins_keep_one_leaf():
+    # of k pendant leaves on vertex 0 exactly one stays non-white, the
+    # first or the end of xy, and 0 turns black; the tail 0, k + 1,
+    # k + 2, k + 3 matches its last edge, so every d.i.m. matches 0 to a
+    # leaf, and `solve` finds one through each of them
+    for k in (2, 3, 10, 100):
+        tail = [(0, k + 1), (k + 1, k + 2), (k + 2, k + 3)]
+        g = build_graph(k + 4, [(0, t) for t in range(1, k + 1)] + tail)
+        for xy in [None] + [(0, t) for t in range(1, k + 2)]:
+            state = preprocess(g, xy)
+            kept = xy[1] if xy and xy[1] <= k else 1
+            assert [t for t in range(1, k + 1)
+                    if state.color[t] != WHITE] == [kept]
+            assert state.contradiction is None and state.color[0] == BLACK
+            out = solve(g, xy=xy)
+            assert (out.status == "found") == (xy is None or xy[1] <= k)
+            if xy is not None and out.status == "found":
+                assert xy in out.certificate.edges
+        if k <= 10:
+            _agree(g)
 
 
 def _blow_up(rng):
@@ -1479,16 +1478,17 @@ def _blow_up(rng):
                            for y in copies[v]])
 
 
-def test_twin_skips_keep_answers_on_twin_rich_graphs():
+def test_twin_step_keeps_answers_on_twin_rich_graphs():
     # plain and with xy on every edge, the answers agree with the oracle
     # and every certificate verifies (and matches xy)
     rng = random.Random(26)
-    skipped = xy_runs = 0
+    twinned = xy_runs = 0
     for _ in range(600):
         g = _blow_up(rng)
         assert g.n <= 10
         out = _agree(g)
-        skipped += out.stats.twin_skips > 0
+        has_twins = len(set(g.adj)) + max(g.adj.count(()) - 1, 0) < g.n
+        twinned += has_twins
         on_some_dim = {e for d in enumerate_dims(g) for e in d.edges}
         for e in g.edges:
             out = solve(g, xy=e)
@@ -1496,9 +1496,9 @@ def test_twin_skips_keep_answers_on_twin_rich_graphs():
             if out.status == "found":
                 assert verify_dim(g, out.certificate)
                 assert e in out.certificate.edges
-            skipped += out.stats.twin_skips > 0
+            twinned += has_twins
             xy_runs += 1
-    assert skipped > 100 and xy_runs > 2000
+    assert twinned > 100 and xy_runs > 2000
 
 
 # -- the xy branch on the distance-level shapes of the paper --------------
@@ -1614,7 +1614,9 @@ def test_forced_colors_agree_with_all_solutions():
                 assert not holding
                 continue
             branches += 1
-            for dim in holding:
+            # with its pendant leaves those preprocessing keeps, which
+            # leaves xy matched
+            for dim in (kept_leaf_dim(g, d) for d in holding):
                 matched = {v for e in dim.edges for v in e}
                 for v in range(n):
                     if st.color[v] == BLACK:

@@ -29,6 +29,8 @@ its directory and answers the same seeded requests through
   chain for d = 1-15 and `G24`, S_{1,1,5}-free graphs that took the
   exact search exponential or 3.67 nodes per vertex before propagation
   whitened a vertex with two black neighbors, each relabeled at random,
+  and `G24B`, an S_{1,1,5}-free graph with no false twins and no d.i.m.
+  that takes the search 26 nodes, as given and under 3 relabelings,
   and triangle hubs: high-degree vertices on few triangles, K_{k,k}
   with k = 15-40 plus 0-3 chords, and a hub whose leaves carry 0-4
   pendant triangles and 1-3 chords, n = 30-80 (half relabeled), and
@@ -114,7 +116,7 @@ POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "p6-unions": (24, 6), "layered": (1000, 100), "dense": (300, 0),
          "sparse-planted": (200, 5), "block-trees": (60, 5),
          "block-graphs": (60, 5), "pattern-unions": (200, 5),
-         "adversarial": (20, 5), "triangle-hubs": (80, 5), "large": (20, 0)}
+         "adversarial": (24, 5), "triangle-hubs": (80, 5), "large": (20, 0)}
 GENERATE = 200                  # generate requests
 MALFORMED = 20                  # corrupted texts per pool
 CORRUPTIONS = ("drop", "extra", "word", "range", "negative", "loop",
@@ -199,13 +201,27 @@ G24 = ((0, 19), (1, 7), (1, 16), (2, 19), (3, 8), (3, 16), (4, 12), (5, 21),
        (9, 22), (11, 12), (12, 14), (12, 17), (12, 18), (12, 20), (13, 19),
        (14, 22), (15, 19), (17, 19), (17, 22), (22, 23))
 
+# an S_{1,1,5}-free graph on 24 vertices with no d.i.m. and no false
+# twins, found by a hill-climb on subsolver nodes per vertex: its search
+# takes 26 nodes
+G24B = ((0, 3), (0, 6), (0, 8), (0, 11), (0, 16), (0, 21), (1, 2), (1, 4),
+        (1, 5), (1, 6), (1, 15), (1, 19), (1, 23), (2, 8), (2, 11), (3, 19),
+        (3, 22), (3, 23), (4, 6), (4, 8), (4, 11), (4, 12), (4, 16), (5, 8),
+        (5, 11), (5, 16), (6, 13), (6, 22), (7, 14), (7, 17), (8, 22),
+        (9, 11), (9, 19), (10, 18), (10, 20), (11, 13), (11, 15), (11, 19),
+        (11, 20), (11, 22), (11, 23), (12, 19), (12, 23), (14, 17), (16, 19),
+        (16, 22), (16, 23), (17, 20), (18, 20), (19, 21), (21, 23))
+
 
 def _adversarial(rng, i):
-    """The fan chain with d = i + 1 for i < 15, then `G24`: S_{1,1,5}-free
-    graphs that once cost the exact search far more nodes per vertex than
-    the random pools, relabeled at random.  The oracle confirms that the
-    fan chain has no d.i.m. up to d = 15 (11 s there), not at d = 20."""
-    n, edges = fan_chain(i + 1) if i < 15 else (24, G24)
+    """The fan chain with d = i + 1 for i < 15, then `G24` for i < 20,
+    then `G24B`: S_{1,1,5}-free graphs that once cost the exact search far
+    more nodes per vertex than the random pools, relabeled at random but
+    `G24B` at i = 20.  The oracle confirms that the fan chain has no
+    d.i.m. up to d = 15 (11 s there), not at d = 20."""
+    n, edges = fan_chain(i + 1) if i < 15 else (24, G24 if i < 20 else G24B)
+    if i == 20:
+        return n, list(edges)
     label = rng.sample(range(n), n)
     return n, [(label[u], label[v]) for u, v in edges]
 

@@ -1,13 +1,8 @@
 """Acceptance suite: one criterion per test, one printed PASS/FAIL line
 each.  Run with `pytest tests/test_acceptance.py -v -s`.
-
-The exhaustive seven-vertex sweep honors DIMATCH_ACCEPT_WORKERS
-(defaults to the machine's CPU count).
 """
 
 import itertools
-import multiprocessing
-import os
 import random
 import sys
 import time
@@ -15,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from dimatch import (brute_force_dim, build_graph, enumerate_dims,
-                     random_s115_free, solve, verify_dim)
+from dimatch import (brute_force_dim, build_graph, connected_components,
+                     enumerate_dims, random_s115_free, solve, verify_dim)
 from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
 from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
                               make_named, path)
@@ -27,88 +22,102 @@ from test_solver import _cover_all
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from diffcheck import fan_chain  # noqa: E402
 
-PAIRS7 = list(itertools.combinations(range(7), 2))
-
 
 def _report(num: int, name: str, ok: bool, extra: str = "") -> None:
     tag = "PASS" if ok else "FAIL"
     print(f"\n[criterion {num}] {name}: {tag}" + (f" ({extra})" if extra else ""))
 
 
-def _solver_exists(g) -> bool:
-    out = solve(g)
-    assert out.status != "hypothesis-violated", out.detail
-    if out.status == "found":
-        assert verify_dim(g, out.certificate)
-    return out.status == "found"
+def _wrong(g, exists: bool, xy=None, out=None) -> bool:
+    # `out`, solve(g, xy=xy) by default, disagrees with the oracle's
+    # `exists`, or finds a certificate that fails to verify or to match xy
+    out = out or solve(g, xy=xy)
+    if out.status != "found":
+        return out.status == "hypothesis-violated" or exists
+    return not exists or not verify_dim(g, out.certificate) or \
+        (xy is not None and xy not in out.certificate.edges)
 
 
-def _check_mask_range(args):
-    lo, hi = args
-    bad = 0
-    checked = 0
-    for mask in range(lo, hi):
-        pairs = [PAIRS7[i] for i in range(21) if mask >> i & 1]
-        # connectivity over all seven labels
-        adj = [[] for _ in range(7)]
-        for (u, v) in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = [False] * 7
-        seen[0] = True
-        stack = [0]
-        cnt = 1
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if not seen[b]:
-                    seen[b] = True
-                    cnt += 1
-                    stack.append(b)
-        if cnt != 7:
-            continue
-        checked += 1
-        g = build_graph(7, pairs)
-        out = solve(g)
-        oracle = brute_force_dim(g)
-        if out.status == "hypothesis-violated" or \
-                (out.status == "found") != oracle.exists:
-            bad += 1
-        elif out.status == "found" and not verify_dim(g, out.certificate):
-            bad += 1
-    return checked, bad
+def _canonical_code(adj) -> int:
+    """The largest adjacency bit string (row j: j's bits to the vertices
+    before it) over the labellings that order the vertices by a degree
+    partition refined twice by the neighbours' degrees, grown row by row
+    from the best prefixes: isomorphic graphs, and only they, share it."""
+    n = len(adj)
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+    inv = [len(nb) for nb in nbrs]
+    for _ in range(2):
+        keys = [(i, sorted([inv[u] for u in nb])) for i, nb in zip(inv, nbrs)]
+        inv = [sorted(keys).index(k) for k in keys]
+    code, prefixes = 0, [()]
+    for j, c in enumerate(sorted(inv)):
+        best, grown = -1, []
+        for p, v in itertools.product(prefixes, range(n)):
+            if inv[v] == c and v not in p:
+                row = 0
+                for u in p:
+                    row = row << 1 | adj[v] >> u & 1
+                if row > best:
+                    best, grown = row, []
+                if row == best:
+                    grown.append(p + (v,))
+        code, prefixes = code << j | best, grown
+    return code
+
+
+def _graphs_up_to_isomorphism(top: int) -> list[list[tuple[int, ...]]]:
+    """One graph (neighbour bitmasks) per isomorphism class on 0..top
+    vertices: a graph on n - 1 vertices grows a vertex per neighbour set,
+    kept when its canonical code is new (McKay, J. Algorithms 1998)."""
+    levels = [[()]]
+    for n in range(1, top + 1):
+        bit, seen = 1 << (n - 1), {}
+        for adj in levels[-1]:
+            for mask in range(bit):
+                grown = tuple(a | bit if mask >> i & 1 else a
+                              for i, a in enumerate(adj)) + (mask,)
+                seen.setdefault(_canonical_code(grown), grown)
+        levels.append(list(seen.values()))
+    return levels
 
 
 def test_criterion_1_exhaustive_small_graphs():
-    t0 = time.time()
-    bad = 0
-    checked = 0
+    # every labelled graph on <= 6 vertices; then each graph on 7 and 8
+    # vertices up to isomorphism (OEIS A000088; connected A001349) under 10
+    # or 3 labellings, since id order drives the solver's tie-breaks, with
+    # solve(g, xy=e) on every edge e
+    t0, bad, checked = time.time(), 0, 0
     for n in range(0, 7):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
-            g = build_graph(n, [pairs[i] for i in range(len(pairs))
+            g = build_graph(n, [e for i, e in enumerate(pairs)
                                 if mask >> i & 1])
             checked += 1
-            if _solver_exists(g) != brute_force_dim(g).exists:
-                bad += 1
+            bad += _wrong(g, brute_force_dim(g).exists)
 
-    workers = int(os.environ.get("DIMATCH_ACCEPT_WORKERS",
-                                 os.cpu_count() or 1))
-    total = 1 << 21
-    step = total // (workers * 16) or total
-    ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_check_mask_range, ranges)
-    else:
-        results = [_check_mask_range(r) for r in ranges]
-    checked7 = sum(r[0] for r in results)
-    bad += sum(r[1] for r in results)
-
-    ok = bad == 0
+    levels, rng = _graphs_up_to_isomorphism(8), random.Random(1)
+    wrong, connected, labelled, runs = [0, 0], [0, 0], 0, 0
+    for n, labellings in ((7, 10), (8, 3)):
+        for adj in levels[n]:
+            pairs = [(u, v) for v in range(n) for u in range(v)
+                     if adj[v] >> u & 1]
+            for k in range(labellings):
+                label = rng.sample(range(n), n) if k else range(n)
+                g = build_graph(n, [(label[u], label[v]) for u, v in pairs])
+                connected[n - 7] += not k and len(connected_components(g)) == 1
+                dims = enumerate_dims(g)
+                labelled, runs = labelled + 1, runs + g.m
+                wrong[0] += _wrong(g, bool(dims))
+                wrong[1] += sum(_wrong(g, any(e in d.edges for d in dims), e)
+                                for e in g.edges)
+    counts = [len(level) for level in levels]
+    ok = bad == 0 and wrong == [0, 0] and connected == [853, 11117] and \
+        counts == [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
     _report(1, "exhaustive small-graph equivalence", ok,
-            f"{checked} graphs on <=6 vertices, {checked7} connected on 7, "
-            f"{bad} disagreements, {time.time()-t0:.0f}s")
+            f"{checked} labelled graphs on <=6 vertices, {bad} wrong; classes "
+            f"on 1..8 vertices {counts[1:]}, {connected} connected; {labelled}"
+            f" labellings and {runs} --xy runs on 7 and 8, wrong answers: "
+            f"solve {wrong[0]}, --xy {wrong[1]}; {time.time()-t0:.0f}s")
     assert ok
 
 
@@ -129,16 +138,8 @@ def random_instances():
 def test_criterion_2_random_instance_equivalence(random_instances):
     t0 = time.time()
     graphs, outs = random_instances
-    bad = 0
-    for g, out in zip(graphs, outs):
-        if out.status == "hypothesis-violated":
-            bad += 1
-            continue
-        if (out.status == "found") != brute_force_dim(g).exists:
-            bad += 1
-            continue
-        if out.status == "found" and not verify_dim(g, out.certificate):
-            bad += 1
+    bad = sum(_wrong(g, brute_force_dim(g).exists, out=out)
+              for g, out in zip(graphs, outs))
     ok = bad == 0
     _report(2, "random-instance equivalence", ok,
             f"{len(graphs)} graphs, {bad} disagreements, "

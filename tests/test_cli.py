@@ -1,7 +1,6 @@
 import gc
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -614,11 +613,11 @@ def test_huge_vertex_count_is_an_input_error(tmp_path):
     limit = 400 * 2 ** 20
     path = tmp_path / "huge.txt"
     path.write_text("100000000 0\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    # `-m` puts the working directory, the package's parent, on sys.path
     proc = subprocess.run(
         [sys.executable, "-m", "dimatch", "solve", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, timeout=60,
+        cwd=Path(cli.__file__).resolve().parents[1],
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                               (limit, limit)))
     assert proc.returncode == 2, proc.stderr

@@ -1131,15 +1131,17 @@ def test_subsolver_nodes_counts_the_settled_nodes(monkeypatch):
 
 
 def test_fan_chain_is_refuted_in_constant_nodes():
-    # in the branch xy = (0, 1) every fan's z has two black neighbors, c
-    # and G; propagation whitens z (rule (d)), which leaves G without a
-    # mate.  Without the rule the fans stay undecided and the exact search
-    # tries every combination of their choices: about 7 * 2^d nodes, over
-    # the budget from d = 9 (n = 45)
+    # the chain is twin-free, so it reaches the search: in the branch
+    # xy = (0, 1) every fan's z has two black neighbors, c and G, and
+    # propagation whitens z (rule (d)), which leaves one part of 4 nodes.
+    # Without the rule the fans stay in that part and the exact search
+    # tries their choices: 10 / 46 / 382 nodes at d = 1 / 3 / 6, over the
+    # budget from d = 9 (n = 45)
     for d in (*range(1, 21), 100):
         g = build_graph(*fan_chain(d))
         out = _agree(g) if d <= 3 else solve(g)
         assert out.status == "none", (d, out.detail)
+        assert out.stats.xy_tried >= 1 and out.stats.parts >= 1, d
         assert out.stats.subsolver_nodes <= g.n // 2
         if d in (1, 9):
             assert find_induced(g, S115) is None

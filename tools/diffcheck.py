@@ -177,14 +177,14 @@ def planted(rng, n):
 
 def fan_chain(d):
     """(n, edges) of the fan chain, n = 9 + 4d: x = 0, y = 1, w = 2 on x,
-    G = 3 on w with a gadget on 4-8, and d fans, each a vertex c on w
-    with a triangle c, a, a' and a path c, z, G.  It has no induced
-    S_{1,1,5} and no d.i.m.  In the branch xy = (0, 1) every c and G
-    turn black, so every z has two black neighbors; unless propagation
-    whitens z, the fans and the gadget stay one undecided part, and the
-    exact search takes about 7 * 2^d nodes."""
-    edges = [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (3, 6), (3, 8), (5, 8),
-             (4, 7), (6, 7)]
+    G = 3 on w with a gadget on 4-8 (paths G, 5, 4 and G, 7, 8 and a leaf
+    6), and d fans, each a vertex c on w with a triangle c, a, a' and a
+    path c, z, G.  It has no false twins, no induced S_{1,1,5} and no
+    d.i.m.  In the branch xy = (0, 1) every c and G turn black, so every
+    z has two black neighbors; unless propagation whitens z, the fans
+    and the gadget stay one undecided part, and the exact search takes
+    6 * 2^d - 2 nodes."""
+    edges = [(0, 1), (0, 2), (2, 3), (3, 5), (3, 6), (3, 7), (4, 5), (7, 8)]
     n = 9
     for _ in range(d):
         c, a, a2, z = range(n, n + 4)
@@ -218,7 +218,7 @@ def _adversarial(rng, i):
     then `G24B`: S_{1,1,5}-free graphs that once cost the exact search far
     more nodes per vertex than the random pools, relabeled at random but
     `G24B` at i = 20.  The oracle confirms that the fan chain has no
-    d.i.m. up to d = 15 (11 s there), not at d = 20."""
+    d.i.m. up to d = 15 (about 1.4 s there), not at d = 20."""
     n, edges = fan_chain(i + 1) if i < 15 else (24, G24 if i < 20 else G24B)
     if i == 20:
         return n, list(edges)

@@ -11,12 +11,11 @@ from .graph import (Graph, GraphInputError, DimCertificate, build_graph,
                     connected_components, edge_key, verify_dim,
                     verify_dim_report)
 from .patterns import (PatternKind, PatternWitness, K4, DIAMOND, BUTTERFLY,
-                       CLAW, S115, spider, path, cycle, make_named,
-                       find_induced, check_witness, random_s115_free)
+                       S115, find_induced, random_s115_free)
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
                        propagate, preprocess)
 from .oracle import (OracleReport, BudgetExceeded, brute_force_dim,
-                     enumerate_dims, dims_by_subset_filter)
+                     enumerate_dims)
 from .solver import SolveOutcome, SolveStats, HypothesisViolation, solve
 
 __version__ = "0.1.0"

@@ -5,8 +5,9 @@ separated by whitespace; lines blank or starting with `#` (after blanks)
 are skipped.  A plain text, the form `emit_graph` writes, is decoded in
 bulk; every other spelling takes the general path, to the same graph and
 the same errors.  Exit codes: 0 found / check passed / agree, 1 no d.i.m.,
-2 input error, 3 hypothesis violated or disagreement, 4 internal error
-(an exception escaped; its traceback goes to stderr).
+2 input error or oracle budget exceeded, 3 hypothesis violated or
+disagreement, 4 internal error (an exception escaped; its traceback goes
+to stderr, or, out of memory, only the line `dimatch: out of memory`).
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Exact, assumption-free d.i.m. search used as ground truth.
 
-Two independent implementations cross-check each other: a branching
-search over the first undominated edge, and a filter over all edge
-subsets.  No structural theory is used here on purpose; the code must
-stay simple enough to be obviously correct.
+A branching search over the first undominated edge; the tests
+cross-check it against a filter over all edge subsets
+(`tests/shapes.py`).  No structural theory is used here on purpose; the
+code must stay simple enough to be obviously correct.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .graph import Graph, DimCertificate, edge_key, verify_dim
+from .graph import Graph, DimCertificate, edge_key
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -118,19 +118,3 @@ def enumerate_dims(g: Graph, budget: int = DEFAULT_BUDGET) -> list[DimCertificat
     certs.sort(key=lambda c: c.sorted_edges())
     return certs
 
-
-def dims_by_subset_filter(g: Graph, max_edges: int = 18) -> list[DimCertificate]:
-    """Second, dumber oracle: filter every subset of the edge list."""
-    if g.m > max_edges:
-        raise ValueError(f"subset filter limited to {max_edges} edges, graph has {g.m}")
-    out = []
-    for mask in range(1 << g.m):
-        subset = [g.edges[i] for i in range(g.m) if mask >> i & 1]
-        try:
-            cert = DimCertificate(frozenset(subset))
-        except ValueError:
-            continue
-        if verify_dim(g, cert):
-            out.append(cert)
-    out.sort(key=lambda c: c.sorted_edges())
-    return out

@@ -1,7 +1,7 @@
-"""Searches for the induced subgraphs the solver needs (K4, diamond,
-butterfly and S_{1,1,5}), and construction of named pattern graphs:
-those four, paths, cycles and spiders S_{i,j,k} (three induced paths of
-lengths i, j, k glued at a center; S_{1,1,1} is the claw).
+"""Searches for the induced subgraphs the solver needs: K4, the diamond
+and the butterfly for preprocessing, and S_{1,1,5} (three induced paths
+of lengths 1, 1 and 5 glued at a center) for its class; and a generator
+of random S_{1,1,5}-free graphs.
 """
 
 from __future__ import annotations
@@ -15,46 +15,17 @@ from .graph import Graph, build_graph
 
 @dataclass(frozen=True)
 class PatternKind:
-    """Tagged pattern family. `params` holds (i,j,k) for spiders and (k,)
-    for paths/cycles; empty otherwise."""
+    """Tagged pattern; `params` holds (i, j, k) for the spider
+    S_{i,j,k} and is empty otherwise."""
 
-    tag: str                       # K4 | Diamond | Butterfly | Claw | S_ijk | P_k | C_k
+    tag: str                       # K4 | Diamond | Butterfly | S_ijk
     params: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        t, p = self.tag, self.params
-        if t == "S_ijk":
-            if len(p) != 3 or any(x < 0 for x in p):
-                raise ValueError(f"spider needs three indices >= 0, got {p}")
-        elif t == "P_k":
-            if len(p) != 1 or p[0] < 2:
-                raise ValueError(f"path needs k >= 2, got {p}")
-        elif t == "C_k":
-            if len(p) != 1 or p[0] < 3:
-                raise ValueError(f"cycle needs k >= 3, got {p}")
-        elif t not in ("K4", "Diamond", "Butterfly", "Claw"):
-            raise ValueError(f"unknown pattern tag {t!r}")
 
 
 K4 = PatternKind("K4")
 DIAMOND = PatternKind("Diamond")
 BUTTERFLY = PatternKind("Butterfly")
-CLAW = PatternKind("Claw")
-
-
-def spider(i: int, j: int, k: int) -> PatternKind:
-    return PatternKind("S_ijk", (i, j, k))
-
-
-def path(k: int) -> PatternKind:
-    return PatternKind("P_k", (k,))
-
-
-def cycle(k: int) -> PatternKind:
-    return PatternKind("C_k", (k,))
-
-
-S115 = spider(1, 1, 5)
+S115 = PatternKind("S_ijk", (1, 1, 5))
 
 _WHITE = 2      # coloring.WHITE, which the scans below skip
 
@@ -71,38 +42,6 @@ class PatternWitness:
 
     kind: PatternKind
     vertices: tuple[int, ...]
-
-
-def make_named(kind: PatternKind) -> Graph:
-    """Construct the canonical graph of a pattern, ids in role order."""
-    t, p = kind.tag, kind.params
-    if t == "K4":
-        return build_graph(4, list(combinations(range(4), 2)))
-    if t == "Diamond":
-        # P3 (0,1,2) plus 3 joined to all of it; mid-edge (1, 3)
-        return build_graph(4, [(0, 1), (1, 2), (3, 0), (3, 1), (3, 2)])
-    if t == "Butterfly":
-        # peripheral edges (0,1) and (2,3); 4 joined to all
-        return build_graph(5, [(0, 1), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)])
-    if t == "Claw":
-        return build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    if t == "P_k":
-        k = p[0]
-        return build_graph(k, [(i, i + 1) for i in range(k - 1)])
-    if t == "C_k":
-        k = p[0]
-        return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
-    # spider: center 0, legs numbered consecutively
-    i, j, k = p
-    pairs = []
-    nxt = 1
-    for leg in (i, j, k):
-        prev = 0
-        for _ in range(leg):
-            pairs.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return build_graph(1 + i + j + k, pairs)
 
 
 def _find_k4(g: Graph) -> PatternWitness | None:
@@ -246,31 +185,14 @@ def _find_s115(g: Graph) -> PatternWitness | None:
 
 
 def find_induced(g: Graph, kind: PatternKind) -> PatternWitness | None:
-    """Witness of an induced K4, diamond, butterfly or S_{1,1,5} in g, or
-    None if g has none; other kinds raise ValueError."""
-    t = kind.tag
-    if t == "K4":
+    """Witness of an induced K4 or S_{1,1,5} in g, or None if g has none;
+    other kinds raise ValueError.  Diamonds and butterflies are found
+    by the resumable scans `diamonds` and `butterflies`."""
+    if kind == K4:
         return _find_k4(g)
-    if t == "Diamond":
-        return next(diamonds(g, bytes(g.n)), None)
-    if t == "Butterfly":
-        return next(butterflies(g, bytes(g.n)), None)
     if kind == S115:
         return _find_s115(g)
     raise ValueError(f"unsupported pattern {kind}")
-
-
-def check_witness(g: Graph, w: PatternWitness) -> bool:
-    """Re-check that the listed vertices induce exactly the named pattern."""
-    model = make_named(w.kind)
-    vs = w.vertices
-    if len(vs) != model.n or len(set(vs)) != model.n:
-        return False
-    for i in range(model.n):
-        for j in range(i + 1, model.n):
-            if model.has_edge(i, j) != g.has_edge(vs[i], vs[j]):
-                return False
-    return True
 
 
 def random_s115_free(n: int, p: float, seed: int) -> Graph:

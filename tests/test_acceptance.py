@@ -13,9 +13,9 @@ import pytest
 from dimatch import (brute_force_dim, build_graph, connected_components,
                      enumerate_dims, random_s115_free, solve, verify_dim)
 from dimatch.coloring import BLACK, WHITE, assign, preprocess, propagate
-from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
-                              make_named, path)
+from dimatch.patterns import BUTTERFLY, DIAMOND, K4
 from dimatch.solver import NODES_PER_VERTEX
+from shapes import CLAW, cycle, make_named, path
 from test_coloring import kept_leaf_dim
 from test_solver import _cover_all
 

@@ -11,8 +11,8 @@ import pytest
 from dimatch import cli, solver
 from dimatch.cli import RunConfig, emit_graph, main, parse_graph, run
 from dimatch.graph import GraphInputError, build_graph
-from dimatch.patterns import (make_named, cycle, K4, S115, PatternWitness,
-                              check_witness)
+from dimatch.patterns import K4, S115, PatternWitness
+from shapes import check_witness, cycle, make_named
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from diffcheck import G24, G24B  # noqa: E402

@@ -7,8 +7,8 @@ from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
                               preprocess, propagate)
 from dimatch import coloring, patterns
 from dimatch.solver import _undecided_parts, constrained_subsolver
-from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, cycle,
-                              find_induced, make_named, path)
+from dimatch.patterns import BUTTERFLY, DIAMOND, K4, find_induced
+from shapes import CLAW, cycle, make_named, path
 
 
 def vertex_reduction(g, state, v):

@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from dimatch import (brute_force_dim, build_graph, dims_by_subset_filter,
-                     enumerate_dims, verify_dim, BudgetExceeded)
+from dimatch import (brute_force_dim, build_graph, enumerate_dims, verify_dim,
+                     BudgetExceeded)
 from dimatch.cli import RunConfig, emit_graph, run
-from dimatch.patterns import make_named, path, cycle, CLAW, DIAMOND, BUTTERFLY
+from dimatch.patterns import DIAMOND, BUTTERFLY
+from shapes import CLAW, cycle, dims_by_subset_filter, make_named, path
 
 
 def test_p3_two_solutions():

@@ -1,17 +1,32 @@
 import random
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from dimatch import build_graph
-from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
-                              PatternWitness, butterflies, check_witness,
-                              cycle, diamonds, find_induced, make_named,
-                              path, random_s115_free, spider, PatternKind)
+from dimatch.patterns import (BUTTERFLY, DIAMOND, K4, S115, PatternWitness,
+                              butterflies, diamonds, find_induced,
+                              random_s115_free)
+from shapes import CLAW, check_witness, cycle, make_named, path, spider
 from test_coloring import _pattern_union
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from spans import _kind_label  # noqa: E402
+
 SEARCHED = [K4, DIAMOND, BUTTERFLY, S115]
+
+
+def _first(g, kind):
+    """The first witness of a searched pattern in g: `find_induced` for
+    K4 and S115, the scan over an all-live coloring for the diamond and
+    the butterfly."""
+    scan = {DIAMOND: diamonds, BUTTERFLY: butterflies}.get(kind)
+    if scan is None:
+        return find_induced(g, kind)
+    return next(scan(g, bytes(g.n)), None)
 
 
 def test_make_named_sizes():
@@ -22,18 +37,9 @@ def test_make_named_sizes():
     assert s.n == 8 and s.m == 7
 
 
-def test_pattern_kind_validation():
-    with pytest.raises(ValueError):
-        PatternKind("P_k", (1,))
-    with pytest.raises(ValueError):
-        PatternKind("S_ijk", (1, -1, 2))
-    with pytest.raises(ValueError):
-        PatternKind("nope")
-
-
 def test_find_diamond_in_itself():
     g = make_named(DIAMOND)
-    w = find_induced(g, DIAMOND)
+    w = next(diamonds(g, bytes(g.n)), None)
     assert w is not None and check_witness(g, w)
     # mid-edge sits in canonical position (v2, u)
     assert g.has_edge(w.vertices[1], w.vertices[3])
@@ -64,7 +70,7 @@ def test_bigger_spider_not_inside_smaller():
 
 def test_butterfly_and_k4_detection():
     b = make_named(BUTTERFLY)
-    w = find_induced(b, BUTTERFLY)
+    w = next(butterflies(b, bytes(b.n)), None)
     assert w is not None and check_witness(b, w)
     assert b.has_edge(w.vertices[0], w.vertices[1])
     assert b.has_edge(w.vertices[2], w.vertices[3])
@@ -73,9 +79,19 @@ def test_butterfly_and_k4_detection():
     assert find_induced(b, K4) is None
 
 
+def test_span_labels_of_the_searched_kinds():
+    # the benchmark's patterns.k4_s and patterns.s115_s read the spans
+    # find_induced[K4] and find_induced[S115], labeled from these kinds
+    assert _kind_label(K4) == "K4"
+    assert _kind_label(S115) == "S115"
+
+
 def test_only_the_four_solver_patterns_are_searched():
+    # K4 and S115 by `find_induced`; the diamond and the butterfly only
+    # by their scans
     g = make_named(cycle(7))
-    for kind in (CLAW, path(5), cycle(7), spider(1, 1, 4), spider(2, 2, 5)):
+    for kind in (DIAMOND, BUTTERFLY, CLAW, path(5), cycle(7),
+                 spider(1, 1, 4), spider(2, 2, 5)):
         with pytest.raises(ValueError):
             find_induced(g, kind)
 
@@ -294,7 +310,7 @@ def test_guarded_scans_return_the_first_witness_of_every_subset():
                                  for v in g.adj[u]) < 4 <= g.degree(u)
                              for u in range(g.n))
         for kind in hits:
-            w = find_induced(g, kind)
+            w = _first(g, kind)
             assert (w and w.vertices) == _first_by_subsets(
                 g, kind, range(g.n)), (kind, g.edges)
             hits[kind] += w is not None
@@ -320,7 +336,7 @@ def test_witnesses_check_out_on_random_graphs():
                  if rng.random() < 0.45]
         g = build_graph(n, pairs)
         for kind in SEARCHED:
-            w = find_induced(g, kind)
+            w = _first(g, kind)
             if w is not None:
                 hits += 1
                 assert check_witness(g, w)
@@ -348,7 +364,7 @@ def test_generator_deterministic():
 def test_every_named_graph_detected_as_itself():
     for kind in SEARCHED:
         g = make_named(kind)
-        w = find_induced(g, kind)
+        w = _first(g, kind)
         assert w is not None, kind
         assert check_witness(g, w), kind
 

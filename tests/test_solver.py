@@ -10,10 +10,10 @@ from dimatch import (brute_force_dim, build_graph, connected_components,
 from dimatch import cli, patterns, solver
 from dimatch.coloring import (BLACK, UNKNOWN, WHITE, ColoringState, assign,
                               preprocess, propagate)
-from dimatch.patterns import (BUTTERFLY, CLAW, DIAMOND, K4, S115,
-                              check_witness, cycle, find_induced, make_named,
-                              path, random_s115_free)
+from dimatch.patterns import (BUTTERFLY, DIAMOND, K4, S115, find_induced,
+                              random_s115_free)
 from dimatch.solver import constrained_subsolver
+from shapes import CLAW, check_witness, cycle, make_named, path
 from test_coloring import kept_leaf_dim
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -1158,6 +1158,25 @@ def test_fan_chain_is_refuted_in_constant_nodes():
     out = _agree(g)
     assert find_induced(g, S115) is None
     assert out.status == "none" and out.stats.subsolver_nodes <= 2 * g.n
+
+
+def test_adversarial_pool_takes_at_most_one_node_per_vertex():
+    # diffcheck's adversarial pool (relabeled fan chains, G24, G24B) is
+    # S115-free, and the search visits at most one subsolver node per
+    # vertex under `solve` and under `--xy` on every edge of its prefix
+    # (at most 16 and 10 nodes today).  The one exception is G24B as
+    # given (index 20): 26 nodes on 24 vertices, 1.08 per vertex, the
+    # open case of ROADMAP item 2 and the adversarial row of the table
+    # in README "How it works", step 4
+    count, prefix = POOLS["adversarial"]
+    rng = random.Random(f"{SEED}:adversarial")
+    for i in range(count):
+        g = build_graph(*_graph(rng, "adversarial", i))
+        assert find_induced(g, S115) is None, i
+        cap = 26 if i == 20 else g.n
+        assert solve(g).stats.subsolver_nodes <= cap, i
+        for e in g.edges if i < prefix else ():
+            assert solve(g, xy=e).stats.subsolver_nodes <= g.n, (i, e)
 
 
 def test_only_covering_edges_branch_then_one_exact_search(searches,

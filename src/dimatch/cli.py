@@ -4,10 +4,15 @@ Graph format: a header line `n m`, then m lines `u v` of 0-based ids,
 separated by whitespace; lines blank or starting with `#` (after blanks)
 are skipped.  A plain text, the form `emit_graph` writes, is decoded in
 bulk; every other spelling takes the general path, to the same graph and
-the same errors.  Exit codes: 0 found / check passed / agree, 1 no d.i.m.,
-2 input error or oracle budget exceeded, 3 hypothesis violated or
-disagreement, 4 internal error (an exception escaped; its traceback goes
-to stderr, or, out of memory, only the line `dimatch: out of memory`).
+the same errors.  Each mode but `generate` gives one answer, which `run`
+alone renders: as text, or under `--format json` as one object with the
+keys mode, n, m, result, edges, stats and, when there is one, detail.
+`--strict` acts on text output only.  Exit codes: 0 found / check passed
+/ agree, 1 no d.i.m., 2 input error (a `GraphInputError`, for input the
+program rejects, or a file that is not UTF-8) or oracle budget exceeded,
+3 hypothesis violated or disagreement, 4 internal error (any other
+exception escaped, a `ValueError` too; its traceback goes to stderr, or,
+out of memory, only the line `dimatch: out of memory`).
 """
 
 from __future__ import annotations
@@ -133,121 +138,81 @@ def emit_graph(g: Graph) -> str:
 _ENCODE = json.JSONEncoder(sort_keys=True).encode    # json.dumps's output
 
 
-def _structured(mode: str, g: Graph | None, result: str,
-                edges=None, stats=None, detail: str = "") -> str:
-    obj = {
-        "mode": mode,
-        "n": g.n if g else None,
-        "m": g.m if g else None,
-        "result": result,
-        "edges": sorted(edges) if edges is not None else None,
-        "stats": stats or {},
-    }
+def _structured(mode: str, g: Graph, result: str, edges, stats: dict,
+                detail: str) -> str:
+    obj = {"mode": mode, "n": g.n, "m": g.m, "result": result,
+           "edges": sorted(edges) if edges is not None else None,
+           "stats": stats}
     if detail:
         obj["detail"] = detail
     return _ENCODE(obj)
 
 
-def _stats_dict(outcome) -> dict:
-    return {
-        "xy_tried": outcome.stats.xy_tried,
-        "parts": outcome.stats.parts,
-        "subsolver_nodes": outcome.stats.subsolver_nodes,
-        "case_seconds": {},     # read by bench/run.py's per-layer pass
-    }
-
-
-def _dim_lines(cert) -> str:
-    return "\n".join([f"DIM {len(cert)}"]
-                     + [f"{a} {b}" for (a, b) in cert.sorted_edges()])
-
-
-def _budget(cfg: RunConfig) -> dict:
-    return {} if cfg.budget is None else {"budget": cfg.budget}
-
-
-def _run_solve(cfg: RunConfig, g: Graph) -> tuple[int, str]:
+# Each mode answers (exit code, result, text, edges, stats, detail); a
+# None text is the `DIM k` lines of the edges, which `run` builds only
+# for the text format.
+def _run_solve(cfg: RunConfig, g: Graph) -> tuple:
     outcome = solve(g, cfg.budget, cfg.xy)
-    stats = _stats_dict(outcome)
+    # case_seconds is read by bench/run.py's per-layer pass
+    stats = {**vars(outcome.stats), "case_seconds": {}}
+    detail = outcome.detail
     if outcome.status == FOUND:
-        cert = outcome.certificate
-        out = (_structured("solve", g, "found", cert.edges, stats)
-               if cfg.fmt == "json" else _dim_lines(cert))
-        return EXIT_OK, out
+        return EXIT_OK, "found", None, outcome.certificate.edges, stats, ""
     if outcome.status == NONE:
-        out = (_structured("solve", g, "none", None, stats, outcome.detail)
-               if cfg.fmt == "json"
-               else ("NONE" + (f" ({outcome.detail})"
-                               if outcome.detail else "")))
-        return EXIT_NONE, out
-    if cfg.fmt == "json":
-        return EXIT_UNKNOWN, _structured("solve", g, "hypothesis-violated",
-                                         None, stats, outcome.detail)
-    msg = "UNKNOWN (hypothesis violated)"
-    if cfg.strict:                  # the witness search runs only here
+        text = "NONE" + (f" ({detail})" if detail else "")
+        return EXIT_NONE, "none", text, None, stats, detail
+    text = "UNKNOWN (hypothesis violated)"
+    if cfg.strict and cfg.fmt != "json":    # the witness search runs only here
         witness = find_induced(g, S115)
-        msg += (f"\nwitness: {' '.join(map(str, witness.vertices))}"
-                if witness is not None else
-                "\nin class: the graph has no induced S_{1,1,5}, so this "
-                "answer is a solver defect")
-    return EXIT_UNKNOWN, msg
+        text += (f"\nwitness: {' '.join(map(str, witness.vertices))}"
+                 if witness is not None else
+                 "\nin class: the graph has no induced S_{1,1,5}, so this "
+                 "answer is a solver defect")
+    return EXIT_UNKNOWN, "hypothesis-violated", text, None, stats, detail
 
 
-def _run_oracle(cfg: RunConfig, g: Graph) -> tuple[int, str]:
-    try:
-        report = brute_force_dim(g, **_budget(cfg))
-    except BudgetExceeded as err:
-        return EXIT_INPUT, f"BUDGET EXCEEDED ({err})"
+def _run_oracle(cfg: RunConfig, g: Graph) -> tuple:
+    report = brute_force_dim(
+        g, DEFAULT_BUDGET if cfg.budget is None else cfg.budget)
     if report.exists:
-        cert = report.witness
-        out = (_structured("oracle", g, "found", cert.edges)
-               if cfg.fmt == "json" else _dim_lines(cert))
-        return EXIT_OK, out
-    out = (_structured("oracle", g, "none") if cfg.fmt == "json" else "NONE")
-    return EXIT_NONE, out
+        return EXIT_OK, "found", None, report.witness.edges, {}, ""
+    return EXIT_NONE, "none", "NONE", None, {}, ""
 
 
-def _run_compare(cfg: RunConfig, g: Graph) -> tuple[int, str]:
+def _run_compare(cfg: RunConfig, g: Graph) -> tuple:
     outcome = solve(g)
-    report = brute_force_dim(g, **_budget(cfg))
+    report = brute_force_dim(
+        g, DEFAULT_BUDGET if cfg.budget is None else cfg.budget)
+    stats = {**vars(outcome.stats), "case_seconds": {}}
+    says = "DIM" if report.exists else "NONE"
     if outcome.status == HYPOTHESIS_VIOLATED:
-        out = ("UNKNOWN (hypothesis violated); oracle says "
-               + ("DIM" if report.exists else "NONE"))
-        if cfg.fmt == "json":
-            out = _structured("compare", g, "unknown", None,
-                              _stats_dict(outcome), outcome.detail)
-        return EXIT_UNKNOWN, out
+        return (EXIT_UNKNOWN, "unknown",
+                f"UNKNOWN (hypothesis violated); oracle says {says}",
+                None, stats, outcome.detail)
     agree = (outcome.status == FOUND) == report.exists
     solver_cert_ok = outcome.status != FOUND or \
         verify_dim(g, outcome.certificate)
     if agree and solver_cert_ok:
-        out = ("AGREE " + ("DIM" if report.exists else "NONE"))
-        if cfg.fmt == "json":
-            out = _structured("compare", g, "agree", None,
-                              _stats_dict(outcome))
-        return EXIT_OK, out
+        return EXIT_OK, "agree", f"AGREE {says}", None, stats, ""
     lines = ["DISAGREE",
              f"solver: {outcome.status} {outcome.detail}".rstrip(),
              f"oracle: {'found' if report.exists else 'none'}"]
     if report.witness is not None:
         lines.append("oracle witness: " + " ".join(
             f"{a}-{b}" for (a, b) in report.witness.sorted_edges()))
-    out = (_structured("compare", g, "disagree", None, _stats_dict(outcome))
-           if cfg.fmt == "json" else "\n".join(lines))
-    return EXIT_UNKNOWN, out
+    return EXIT_UNKNOWN, "disagree", "\n".join(lines), None, stats, ""
 
 
-def _run_check(cfg: RunConfig, g: Graph) -> tuple[int, str]:
+def _run_check(cfg: RunConfig, g: Graph) -> tuple:
     w = find_induced(g, S115)
     if w is None:
-        out = (_structured("check-s115", g, "s115-free")
-               if cfg.fmt == "json" else "S115-FREE")
-        return EXIT_OK, out
+        return EXIT_OK, "s115-free", "S115-FREE", None, {}, ""
     verts = " ".join(map(str, w.vertices))
-    out = (_structured("check-s115", g, "witness", None, {},
-                       verts) if cfg.fmt == "json"
-           else f"S115 WITNESS {verts}")
-    return EXIT_UNKNOWN, out
+    return EXIT_UNKNOWN, "witness", f"S115 WITNESS {verts}", None, {}, verts
+
+
+_MODES = {"solve": _run_solve, "oracle": _run_oracle,
+          "compare": _run_compare, "check-s115": _run_check}
 
 
 def _run_generate(cfg: RunConfig) -> tuple[int, str]:
@@ -259,7 +224,8 @@ def _run_generate(cfg: RunConfig) -> tuple[int, str]:
 
 
 def run(cfg: RunConfig, text: str | None = None) -> tuple[int, str]:
-    """Execute one mode; returns (exit code, output text).
+    """Execute one mode; returns (exit code, output text), the mode's
+    answer rendered as JSON or as text.
 
     No request leaves a reference cycle, so automatic garbage collection
     is paused for the call: a collection could free nothing.  It is
@@ -270,30 +236,29 @@ def run(cfg: RunConfig, text: str | None = None) -> tuple[int, str]:
     try:
         if cfg.mode == "generate":
             return _run_generate(cfg)
-        if text is None:
-            if cfg.path is None or cfg.path == "-":
-                text = sys.stdin.read()
-                source = "<stdin>"
-            else:
-                try:
-                    with open(cfg.path, "r", encoding="utf-8") as fh:
-                        text = fh.read()
-                except OSError as err:
-                    return EXIT_INPUT, f"error: {err}"
-                source = cfg.path
-        else:
-            source = "<memory>"
+        source = "<memory>"
+        if text is None and cfg.path in (None, "-"):
+            text, source = sys.stdin.read(), "<stdin>"
+        elif text is None:
+            try:
+                with open(cfg.path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as err:
+                return EXIT_INPUT, f"error: {err}"
+            source = cfg.path
         g = parse_graph(text, source)
-        if cfg.mode == "solve":
-            return _run_solve(cfg, g)
-        if cfg.mode == "oracle":
-            return _run_oracle(cfg, g)
-        if cfg.mode == "compare":
-            return _run_compare(cfg, g)
-        if cfg.mode == "check-s115":
-            return _run_check(cfg, g)
-        return EXIT_INPUT, f"error: unknown mode {cfg.mode!r}"
-    except ValueError as err:       # GraphInputError, or a value out of range
+        answer = _MODES.get(cfg.mode)
+        if answer is None:
+            return EXIT_INPUT, f"error: unknown mode {cfg.mode!r}"
+        code, result, out, edges, stats, detail = answer(cfg, g)
+        if cfg.fmt == "json":
+            return code, _structured(cfg.mode, g, result, edges, stats,
+                                     detail)
+        if out is None:
+            out = "\n".join([f"DIM {len(edges)}"]
+                            + [f"{a} {b}" for (a, b) in sorted(edges)])
+        return code, out
+    except (GraphInputError, UnicodeDecodeError) as err:
         return EXIT_INPUT, f"error: {err}"
     except BudgetExceeded as err:
         return EXIT_INPUT, f"BUDGET EXCEEDED ({err})"
@@ -317,9 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="mode", required=True)
 
     def add_common(p, budget=True):
-        p.add_argument("input", nargs="?", default="-",
+        p.add_argument("path", nargs="?", default="-", metavar="input",
                        help="graph file, or - for stdin")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       dest="fmt")
         if budget:
             p.add_argument("--budget", type=_positive_int, default=None,
                            help="node budget, a positive integer (default: "
@@ -351,19 +317,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        mode=args.mode,
-        path=getattr(args, "input", None),
-        strict=getattr(args, "strict", False),
-        fmt=getattr(args, "format", "text"),
-        xy=tuple(args.xy) if getattr(args, "xy", None) else None,
-        n=getattr(args, "n", 0),
-        p=getattr(args, "p", 0.0),
-        seed=getattr(args, "seed", 0),
-        count=getattr(args, "count", 1),
-        budget=getattr(args, "budget", None),
-    )
+    args = vars(_build_parser().parse_args(argv))
+    if args.get("xy"):
+        args["xy"] = tuple(args["xy"])
+    cfg = RunConfig(**args)
     try:
         code, out = run(cfg)
     except MemoryError:             # printing a traceback needs memory too

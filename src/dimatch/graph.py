@@ -15,7 +15,8 @@ from operator import eq, lt, truth
 
 
 class GraphInputError(ValueError):
-    """Raised for malformed graph input (bad ids, self-loops, duplicates)."""
+    """Raised for input the program rejects: a malformed graph (bad ids,
+    self-loops, duplicates) or a parameter out of range."""
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .graph import Graph, DimCertificate, edge_key
+from .graph import Graph, DimCertificate, GraphInputError, edge_key
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -36,14 +36,15 @@ def _search(g: Graph, budget: int, collect: list | None):
     resumes the scan for the first undominated edge after its parent's
     target, so a root-to-leaf path reads each edge about once.  Returns
     a witness edge set or None; fills `collect` with all solutions when
-    given.  A budget below 1 raises ValueError.  The search recurses
+    given.  A budget below 1 raises GraphInputError.  The search recurses
     once per chosen edge, so one deeper than the interpreter's recursion
     limit raises BudgetExceeded too.  Its state is passed down to the
     module-level `_branch`, so no call leaves a reference cycle, and all
     of its memory is freed on return.
     """
     if budget < 1:
-        raise ValueError(f"oracle budget must be at least 1, got {budget}")
+        raise GraphInputError(
+            f"oracle budget must be at least 1, got {budget}")
     try:
         return _branch(g, budget, collect, [], set(), [0], 0)
     except RecursionError:

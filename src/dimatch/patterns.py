@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, build_graph
+from .graph import Graph, GraphInputError, build_graph
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def random_s115_free(n: int, p: float, seed: int) -> Graph:
     vertices.  Deterministic under a fixed seed.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+        raise GraphInputError(f"edge probability must be in [0, 1], got {p}")
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]

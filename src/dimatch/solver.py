@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import (Graph, DimCertificate, connected_components, edge_key,
-                    verify_dim_report)
+from .graph import (Graph, DimCertificate, GraphInputError,
+                    connected_components, edge_key, verify_dim_report)
 from .coloring import (UNKNOWN, BLACK, WHITE, ColoringState, assign,
                        preprocess, propagate)
 
@@ -216,13 +216,13 @@ def solve(g: Graph, budget: int | None = None,
     with xy matched, and the other components are solved normally.  The
     exact subsolver may visit at most `budget` nodes over the whole call
     (NODES_PER_VERTEX per vertex by default); past that the answer is
-    "hypothesis-violated".  Raises ValueError when xy is not an edge.
+    "hypothesis-violated".  Raises GraphInputError if xy is no edge.
     """
     stats = SolveStats()
     if xy is not None:
         u, v = xy
         if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            raise ValueError(f"xy ({u}, {v}) is not an edge")
+            raise GraphInputError(f"xy ({u}, {v}) is not an edge")
         xy = edge_key(u, v)
     if g.m == 0:
         return SolveOutcome(FOUND, DimCertificate(), stats=stats)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dimatch import cli, solver
+from dimatch import cli, coloring, solver
 from dimatch.cli import RunConfig, emit_graph, main, parse_graph, run
 from dimatch.graph import GraphInputError, build_graph
 from dimatch.patterns import K4, S115, PatternWitness
@@ -19,6 +19,7 @@ from diffcheck import G24, G24B  # noqa: E402
 
 P6_TEXT = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 C5_TEXT = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
+S115_TEXT = "8 7\n0 1\n0 2\n0 3\n3 4\n4 5\n5 6\n6 7\n"
 
 
 def test_parse_roundtrip():
@@ -314,12 +315,36 @@ def test_parse_and_build_graph_give_the_same_graph():
     ("oracle", "json", C5_TEXT, 1,
      '{"edges": null, "m": 5, "mode": "oracle", "n": 5, "result": "none", '
      '"stats": {}}'),
+    ("oracle --budget 1", "json", P6_TEXT, 2,
+     "BUDGET EXCEEDED (oracle budget of 1 nodes exceeded)"),
+    ("compare", "text", P6_TEXT, 0, "AGREE DIM"),
+    ("compare", "text", C5_TEXT, 0, "AGREE NONE"),
+    ("compare", "json", P6_TEXT, 0,
+     '{"edges": null, "m": 5, "mode": "compare", "n": 6, "result": "agree", '
+     '"stats": {"case_seconds": {}, "parts": 0, "subsolver_nodes": 0, '
+     '"xy_tried": 1}}'),
+    ("compare", "json", C5_TEXT, 0,
+     '{"edges": null, "m": 5, "mode": "compare", "n": 5, "result": "agree", '
+     '"stats": {"case_seconds": {}, "parts": 0, "subsolver_nodes": 0, '
+     '"xy_tried": 3}}'),
+    ("check-s115", "text", P6_TEXT, 0, "S115-FREE"),
+    ("check-s115", "text", S115_TEXT, 3, "S115 WITNESS 0 1 2 3 4 5 6 7"),
+    ("check-s115", "json", P6_TEXT, 0,
+     '{"edges": null, "m": 5, "mode": "check-s115", "n": 6, '
+     '"result": "s115-free", "stats": {}}'),
+    ("check-s115", "json", S115_TEXT, 3,
+     '{"detail": "0 1 2 3 4 5 6 7", "edges": null, "m": 7, '
+     '"mode": "check-s115", "n": 8, "result": "witness", "stats": {}}'),
 ])
 def test_solve_and_oracle_output_is_exact_in_both_formats(mode, fmt, text,
                                                           code, out):
-    # the `DIM k` lines are built only for the text format; the JSON
-    # answer of `solve` on P6 is test_solve_json_is_exact's
-    assert run(RunConfig(mode, fmt=fmt), text=text) == (code, out)
+    # every mode's answer, byte for byte; the `DIM k` lines are built
+    # only for the text format, the JSON answer of `solve` on P6 is
+    # test_solve_json_is_exact's, and a budget overrun is plain text in
+    # either format
+    mode, _, budget = mode.partition(" --budget ")
+    cfg = RunConfig(mode, fmt=fmt, budget=int(budget) if budget else None)
+    assert run(cfg, text=text) == (code, out)
 
 
 def test_bom_is_dropped_from_files_and_stdin(tmp_path, monkeypatch, capsys):
@@ -520,6 +545,33 @@ def test_check_s115_takes_no_budget(capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, fields", [
+    (["solve", "--format", "json", "--strict", "--budget", "7",
+      "--xy", "1", "2", "g.txt"],
+     dict(mode="solve", path="g.txt", fmt="json", strict=True, budget=7,
+          xy=(1, 2))),
+    (["solve"], dict(mode="solve", path="-")),
+    (["oracle", "--format", "json", "--budget", "9", "g.txt"],
+     dict(mode="oracle", path="g.txt", fmt="json", budget=9)),
+    (["compare", "--format", "text", "--budget", "3", "-"],
+     dict(mode="compare", path="-", budget=3)),
+    (["check-s115", "--format", "json", "g.txt"],
+     dict(mode="check-s115", path="g.txt", fmt="json")),
+    (["generate", "--n", "12", "--p", "0.25", "--seed", "5",
+      "--count", "3"],
+     dict(mode="generate", n=12, p=0.25, seed=5, count=3)),
+], ids=["solve", "solve-defaults", "oracle", "compare", "check-s115",
+        "generate"])
+def test_main_passes_argv_to_run_config_unchanged(monkeypatch, argv,
+                                                  fields):
+    # every option lands in its RunConfig field, the rest keep their
+    # defaults; --xy arrives as a tuple, since (1, 2) != [1, 2]
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or (0, ""))
+    assert main(argv) == 0
+    assert seen == [RunConfig(**fields)]
+
+
 def test_solve_decides_out_of_class_graphs(capsys):
     # the exact search of the branches answers a graph outside the class
     # that has no d.i.m.; the oracle fallback option is gone
@@ -538,6 +590,30 @@ def test_compare_unknown_on_violation(monkeypatch):
     monkeypatch.setattr(solver, "NODES_PER_VERTEX", 0)
     code, out = run(RunConfig("compare"), text=HV_TEXT)
     assert code == 3 and "UNKNOWN" in out and "NONE" in out
+
+
+def test_compare_unknown_and_disagree_are_exact_in_both_formats(
+        monkeypatch):
+    # the two answers of compare that no correct run on a small graph in
+    # the class gives: the solver over its budget, and a solver that
+    # says none where the oracle finds a d.i.m.
+    monkeypatch.setattr(solver, "NODES_PER_VERTEX", 0)
+    assert run(RunConfig("compare"), text=HV_TEXT) == (
+        3, "UNKNOWN (hypothesis violated); oracle says NONE")
+    assert run(RunConfig("compare", fmt="json"), text=HV_TEXT) == (
+        3, '{"detail": "exact search over its budget of 0 nodes", '
+        '"edges": null, "m": 25, "mode": "compare", "n": 22, '
+        '"result": "unknown", "stats": {"case_seconds": {}, "parts": 1, '
+        '"subsolver_nodes": 1, "xy_tried": 2}}')
+    monkeypatch.setattr(cli, "solve", lambda g, budget=None, xy=None:
+                        solver.SolveOutcome(solver.NONE, detail="patched"))
+    assert run(RunConfig("compare"), text=P6_TEXT) == (
+        3, "DISAGREE\nsolver: none patched\noracle: found\n"
+        "oracle witness: 0-1 3-4")
+    assert run(RunConfig("compare", fmt="json"), text=P6_TEXT) == (
+        3, '{"edges": null, "m": 5, "mode": "compare", "n": 6, '
+        '"result": "disagree", "stats": {"case_seconds": {}, "parts": 0, '
+        '"subsolver_nodes": 0, "xy_tried": 0}}')
 
 
 # outside the class; its d.i.m. is {0-21, 3-9, 4-20, 5-13, 7-15, 8-11, 17-19}
@@ -589,6 +665,30 @@ def test_xy_certificate_rejected_by_the_verifier_exits_4(monkeypatch,
     assert main(["solve", "--xy", "1", "2", str(path)]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "AssertionError" in captured.err
+
+
+def test_internal_value_error_exits_4(monkeypatch, capsys, tmp_path):
+    # a ValueError raised inside the solver is a defect, not bad input:
+    # exit 4 with its traceback, never exit 2 as if the input were bad
+    monkeypatch.setattr(coloring.ColoringState, "mate_pairs",
+                        lambda self: [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="not vertex-disjoint"):
+        run(RunConfig("solve"), text=P6_TEXT)
+    path = tmp_path / "p6.txt"
+    path.write_text(P6_TEXT)
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "not vertex-disjoint" in captured.err
+
+
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 1\n0 1\xff\n")
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: ") and "utf-8" in captured.out
+    assert captured.err == ""
 
 
 def test_out_of_memory_exits_4(monkeypatch, capsys, tmp_path):

@@ -33,7 +33,7 @@ def test_readme_cli_synopsis_matches_the_parser():
                             {w for w in words[2:] if w.startswith("--")})
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    parsed = {mode: (any(a.dest == "input" for a in p._actions),
+    parsed = {mode: (any(a.dest == "path" for a in p._actions),
                      {o for a in p._actions for o in a.option_strings
                       if o not in ("-h", "--help")})
               for mode, p in sub.choices.items()}

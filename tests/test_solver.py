@@ -583,11 +583,11 @@ def test_found_certificates_always_contain_forced_pairs():
             raise AssertionError("oracle disagrees")
 
 
-def test_tuple_bound_for_block_sizes_3224(searches):
-    # four second-level singletons with block sizes 3, 2, 2, 4 and a
-    # far-level triangle: one black per block is one of 48 tuples, and
-    # the search of each part visits at most one node per tuple, plus
-    # one
+def test_mate_search_within_the_block_product_for_sizes_3224(searches):
+    # vertex 2 on x = 0 carries four vertices whose leaf blocks have
+    # sizes 3, 2, 2 and 4, and three blocks reach one triangle: one black
+    # per block is one of 48 tuples, and the mate search of each part
+    # visits at most one node per tuple, plus one
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (2, 6)]
     blocks = {3: [7, 8, 9], 4: [10, 11], 5: [12, 13], 6: [14, 15, 16, 17]}
     for u, ts in blocks.items():
@@ -734,16 +734,17 @@ def _case_pairs(g, xy):
     return cert, stats
 
 
-def test_case_entry_points():
-    # P6 is finished by normalization and never reaches the search
+def test_branch_on_xy_completes_verified_certificates():
+    # P6 is finished by propagation and never reaches the mate search
     cert, stats = _case_pairs(make_named(path(6)), (1, 2))
     assert cert.sorted_edges() == [(1, 2), (4, 5)]
     assert stats.parts == stats.subsolver_nodes == 0
 
-    # an empty fourth level, four second-level singletons with a far
-    # triangle, and five, with pendant twins extended: each branch
-    # completes a verified certificate through its parts' searches, at
-    # most one node per vertex of the graph before the extension
+    # a hub with five blocks of two leaves, the blocks of sizes 3, 2, 2
+    # and 4 reaching a triangle, and the hub with a triangle hung off a
+    # block, with pendant twins extended: each branch completes a
+    # verified certificate through its parts' searches, at most one node
+    # per vertex of the graph before the extension
     edges, us, ts, nxt = _layer_base()
     _, stats = _case_pairs(build_graph(*_untwin_leaves(nxt, edges)), (0, 1))
     assert 1 <= stats.parts and stats.subsolver_nodes <= nxt
@@ -1012,8 +1013,8 @@ def _n2_small_by_product(g, blocks, state, scope):
     return None, tried, stats.subsolver_nodes
 
 
-def test_n2_small_matches_the_tuple_product(searches):
-    # where the second level holds at most four vertices, one subsolver
+def test_mate_search_matches_the_tuple_product(searches):
+    # where at most four vertices lie at distance 2 from xy, one subsolver
     # call on a part finds a completion exactly when some tuple of block
     # picks completes, and visits no more nodes than the tuple product
     # tries tuples and visits nodes
@@ -1523,10 +1524,10 @@ def test_twin_step_keeps_answers_on_twin_rich_graphs():
 
 
 # -- the xy branch on the distance-level shapes of the paper --------------
-# The level normalization these tests were first written for is gone: a
-# covering child assigns x and y black, propagates, and completes each
-# undecided part with the exact subsolver.  Each test keeps its shape and
-# checks that the child forces, or rules out, what the level rules did.
+# A covering child assigns x and y black, propagates, and completes each
+# undecided part with the exact subsolver.  Each test checks that the
+# child forces, or rules out, what the paper's level rules do on its
+# shape.
 
 def _propagated(g, xy):
     """The preprocessed state with x and y black, propagated, or None on
@@ -1547,7 +1548,7 @@ def _branch(g, xy):
     return None
 
 
-def test_normalize_p6_forces_everything():
+def test_propagate_decides_all_of_p6():
     g = make_named(path(6))
     st = _propagated(g, (1, 2))
     assert st is not None
@@ -1555,7 +1556,7 @@ def test_normalize_p6_forces_everything():
     assert st.mate_pairs() == [(1, 2), (4, 5)]
 
 
-def test_normalize_p5_forces_everything():
+def test_propagate_decides_all_of_p5():
     g = make_named(path(5))
     st = _propagated(g, (0, 1))
     assert st is not None
@@ -1563,9 +1564,9 @@ def test_normalize_p5_forces_everything():
     assert st.mate_pairs() == [(0, 1), (3, 4)]
 
 
-def test_normalize_fails_on_empty_block():
-    # P6 with xy in the middle position (2, 3): the second level is a
-    # pair of leaves with no third-level mates
+def test_propagate_refutes_the_middle_edge_of_p6():
+    # P6 with xy the middle edge (2, 3): 1 and 4 turn white, which leaves
+    # the end vertices 0 and 5 without a mate
     assert _propagated(make_named(path(6)), (2, 3)) is None
 
 
@@ -1577,7 +1578,7 @@ def _two_blocks(cross):
     return build_graph(11, edges + cross)
 
 
-def test_normalize_three_cross_edges_fail():
+def test_branch_refutes_blocks_joined_by_three_cross_edges():
     # two blocks of three joined by a perfect matching of three edges:
     # the two mates cover at most two of them
     g = _two_blocks([(5, 8), (6, 9), (7, 10)])
@@ -1585,7 +1586,7 @@ def test_normalize_three_cross_edges_fail():
     assert _branch(g, (0, 1)) is None
 
 
-def test_normalize_two_cross_edges_whiten_rest():
+def test_branch_whitens_block_vertices_off_two_cross_edges():
     # 7 and 10 sit off the two cross edges, so they are white in every
     # d.i.m. through xy, and in the one the branch finds
     g = _two_blocks([(5, 8), (6, 9)])
@@ -1597,8 +1598,8 @@ def test_normalize_two_cross_edges_whiten_rest():
         assert 7 not in matched and 10 not in matched
 
 
-def test_normalize_bipartite_check():
-    # odd cycle across three blocks inside the third level
+def test_branch_refutes_an_odd_cycle_across_three_blocks():
+    # an odd cycle across three blocks of leaves at distance 3 from xy
     edges = [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5)]
     edges += [(3, 6), (3, 7), (4, 8), (4, 9), (5, 10), (5, 11)]
     edges += [(6, 8), (8, 10), (10, 6)]

@@ -6,7 +6,8 @@
 SRC_A and SRC_B are directories holding the `dimatch` package, such as
 the `src/` of two checkouts.  One subprocess per tree imports dimatch from
 its directory and answers the same seeded requests through
-`dimatch.cli.run(RunConfig(mode, fmt="json", ...))`:
+`dimatch.cli.run(RunConfig(mode, fmt="json", ...))`, or with
+`fmt="text"` where the request kind ends in `text`:
 
 * `solve` and `check-s115` on every graph of thirteen pools: G(n,p) and
   planted graphs with n = 2-12, sparse graphs with n = 30-100, disjoint
@@ -49,13 +50,17 @@ its directory and answers the same seeded requests through
   spelling that JSON reads apart from `int()`: a token swapped for
   `01`, `-0`, `1e2`, `true`, `NaN`, `[1]`, `0,1` or `"1"`, or a lone
   `\r` or `\t` put into a pair line;
+* `oracle` (JSON) and `oracle text`, `compare text` and
+  `check-s115 text` on the first 200 graphs of `gnp` and of `planted`,
+  so that every mode is asked in both formats;
 * `generate` (`random_s115_free`) for a fixed list of seeded sizes and
   edge probabilities, n = 10-40 and p = 0.1-0.3.
 
 `stats.case_seconds` (wall-clock timings) is dropped from each answer.
-`check-s115`, `generate` and rejected `malformed` answers (exit 2) must
-match exactly, so `check-s115` must name the same witness and a rejected
-text must get the same error message.  `solve` answers, and those to a
+`check-s115`, `oracle`, every text request, `generate` and rejected
+`malformed` answers (exit 2) must match exactly, so `check-s115` must
+name the same witness, the oracle the same d.i.m., and a rejected text
+must get the same error message.  `solve` answers, and those to a
 `malformed` text that both trees accept, must agree in exit code and
 `result`; where their certificates differ, both must pass SRC_A's
 `verify_dim` (and contain the requested xy) on the graph, or on the one
@@ -118,6 +123,11 @@ POOLS = {"gnp": (1600, 800), "planted": (1600, 800), "sparse": (120, 30),
          "block-graphs": (60, 5), "pattern-unions": (200, 5),
          "adversarial": (24, 5), "triangle-hubs": (80, 5), "large": (20, 0)}
 GENERATE = 200                  # generate requests
+EVERY_MODE = 200                # gnp and planted graphs asked every mode
+MODE_REQUESTS = (("oracle", {"mode": "oracle"}),
+                 ("oracle text", {"mode": "oracle", "fmt": "text"}),
+                 ("compare text", {"mode": "compare", "fmt": "text"}),
+                 ("check-s115 text", {"mode": "check-s115", "fmt": "text"}))
 MALFORMED = 20                  # corrupted texts per pool
 CORRUPTIONS = ("drop", "extra", "word", "range", "negative", "loop",
                "duplicate", "header", "comment", "blank", "crlf", "json")
@@ -538,8 +548,9 @@ def _corrupt(rng, graph):
 
 def _requests():
     """Yield (pool, graph index, request kind, RunConfig fields, graph)
-    in a fixed order; the graph is (n, edges), the text of a `malformed`
-    request, or None for `generate`."""
+    in a fixed order; the fields name no format for a JSON request.  The
+    graph is (n, edges), the text of a `malformed` request, or None for
+    `generate`."""
     for pool, (count, prefix) in POOLS.items():
         rng = random.Random(f"{SEED}:{pool}")
         bad = random.Random(f"{SEED}:{pool}:malformed")
@@ -550,6 +561,9 @@ def _requests():
             if i < MALFORMED:
                 yield (pool, i, "malformed", {"mode": "solve"},
                        _corrupt(bad, graph))
+            if pool in ("gnp", "planted") and i < EVERY_MODE:
+                for kind, fields in MODE_REQUESTS:
+                    yield pool, i, kind, fields, graph
             if i < prefix:
                 for e in sorted((min(e), max(e)) for e in graph[1]):
                     yield (pool, i, "solve --xy",
@@ -572,8 +586,10 @@ def worker(src):
     for _, _, kind, fields, graph in _requests():
         text = _text(graph) if isinstance(graph, tuple) else graph
         try:
-            code, out = cli.run(cli.RunConfig(fmt="json", **fields), text)
-            if kind == "generate" or code == cli.EXIT_INPUT:    # not JSON
+            code, out = cli.run(cli.RunConfig(**{"fmt": "json", **fields}),
+                                text)
+            if "fmt" in fields or kind == "generate" \
+                    or code == cli.EXIT_INPUT:                  # not JSON
                 obj = out
             else:
                 obj = json.loads(out)
@@ -712,7 +728,7 @@ def main(src_a, src_b):
         row[0] += 1
         row[1].add(i)
         # check-s115 exits 3 on a witness, and solve 2 on an input error
-        row[2] += json.loads(a)[0] == {"check-s115": 3,
+        row[2] += json.loads(a)[0] == {"check-s115": 3, "check-s115 text": 3,
                                        "malformed": 2}.get(kind)
         if a == b:
             continue
@@ -739,8 +755,9 @@ def main(src_a, src_b):
             shown[cls].append((pool, i, kind, fields.get("xy"), keys))
     for (pool, kind), (runs, graphs, witnesses, *diffs) in counts.items():
         extra = {"check-s115": f" ({witnesses} witnesses)",
+                 "check-s115 text": f" ({witnesses} witnesses)",
                  "malformed": f" ({witnesses} rejected)"}.get(kind, "")
-        print(f"{pool:14} {kind:14} {runs:7} runs on {len(graphs):5} "
+        print(f"{pool:14} {kind:15} {runs:7} runs on {len(graphs):5} "
               f"graphs, {sum(diffs)} differ{extra}")
     totals = [sum(row[3 + j] for row in counts.values())
               for j in range(len(CLASSES))]
